@@ -23,10 +23,9 @@ from pathlib import Path
 
 import click
 import numpy as np
-import yaml
 
 from . import estimators, rates, runner
-from .config import RunConfig
+from .config import RunConfig, load_config
 from .coupling import CouplingPhaseParams
 from .errors import ConfigError, ContamsimError
 from .pdmp import simulate_path
@@ -73,27 +72,6 @@ def _write_json(path: Path, payload: dict):
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _load(config_path, seed, replicas, out) -> RunConfig:
-    try:
-        with open(config_path) as fh:
-            data = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {config_path}")
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error in {config_path}: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be a mapping: {config_path}")
-    # command-line overrides are pushed into the raw dict so that worker
-    # processes, which rebuild the config from it, see them too
-    if seed is not None:
-        data.setdefault("experiment", {})["seed"] = int(seed)
-    if replicas is not None:
-        data.setdefault("experiment", {})["n_replicas"] = int(replicas)
-    if out is not None:
-        data.setdefault("outputs", {})["directory"] = str(out)
-    return RunConfig.from_dict(data)
 
 
 def _model_spec(cfg: RunConfig) -> rates.ModelSpec:
@@ -216,7 +194,7 @@ def main():
 @_common
 def rates_cmd(config_path, seed, replicas, out, quiet):
     """Compute bound constants and write rate_report.json."""
-    cfg = _load(config_path, seed, replicas, out)
+    cfg = load_config(config_path, seed, replicas, out)
     bounds = _bounds(cfg)
     path = Path(cfg.out_dir) / "rate_report.json"
     _write_json(path, _rate_report_payload(cfg, bounds))
@@ -232,7 +210,7 @@ def rates_cmd(config_path, seed, replicas, out, quiet):
 @_common
 def simulate(config_path, seed, replicas, out, quiet):
     """Simulate an ensemble of single trajectories."""
-    cfg = _load(config_path, seed, replicas, out)
+    cfg = load_config(config_path, seed, replicas, out)
     rows = runner.marginal_rows(cfg)
     path = Path(cfg.out_dir) / "paths_summary.csv"
     _write_csv(path, ["replica_id", "x", "theta", "age", "n_events"], rows)
@@ -249,8 +227,8 @@ def simulate(config_path, seed, replicas, out, quiet):
 @click.option("--replica", type=int, default=0, show_default=True)
 def dump_paths(config_path, seed, replicas, out, quiet, replica):
     """Write the full event log of one replica."""
-    cfg = _load(config_path, seed, replicas, out)
-    rng = np.random.default_rng([cfg.seed, 0, replica])
+    cfg = load_config(config_path, seed, replicas, out)
+    rng = runner.replica_rng(cfg, 0, replica)
     init = cfg.init.sample(rng)
     log, final = simulate_path(
         init, cfg.intake, cfg.inter_arrival, cfg.metabolic, cfg.horizon, rng
@@ -272,7 +250,7 @@ def dump_paths(config_path, seed, replicas, out, quiet, replica):
 @_common
 def couple(config_path, seed, replicas, out, quiet):
     """Run the three-phase coupling ensemble at the horizon."""
-    cfg = _load(config_path, seed, replicas, out)
+    cfg = load_config(config_path, seed, replicas, out)
     bounds = _bounds(cfg)
     params = _phase_params(cfg, bounds, cfg.horizon)
     rows = runner.coupled_rows(cfg, stream=len(cfg.grid), horizon=cfg.horizon, params=params)
@@ -299,7 +277,7 @@ def verify(config_path, seed, replicas, out, quiet):
     Exits 0 when the theoretical curves dominate the estimates (within
     the 95% confidence bands) at every grid time, 1 otherwise.
     """
-    cfg = _load(config_path, seed, replicas, out)
+    cfg = load_config(config_path, seed, replicas, out)
     bounds = _bounds(cfg)
     out_dir = Path(cfg.out_dir)
     _write_json(out_dir / "rate_report.json", _rate_report_payload(cfg, bounds))

@@ -7,7 +7,7 @@ be plain numbers (point masses) or tagged records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import yaml
@@ -72,8 +72,6 @@ class RunConfig:
     renewal_step: float
     n_mc_tail: int
     out_dir: str
-    dump_paths: bool
-    raw: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
@@ -151,12 +149,17 @@ class RunConfig:
             renewal_step=float(rt.get("renewal_step", 1e-3)),
             n_mc_tail=int(rt.get("n_mc_tail", 10**6)),
             out_dir=str(out.get("directory", "out")),
-            dump_paths=bool(out.get("paths", False)),
-            raw=data,
         )
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(
+    path: str,
+    seed: Optional[int] = None,
+    replicas: Optional[int] = None,
+    out: Optional[str] = None,
+) -> RunConfig:
+    """Parse the YAML file at ``path``; non-None arguments override
+    experiment.seed, experiment.n_replicas and outputs.directory."""
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -166,4 +169,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping: {path}")
+    if seed is not None:
+        data.setdefault("experiment", {})["seed"] = int(seed)
+    if replicas is not None:
+        data.setdefault("experiment", {})["n_replicas"] = int(replicas)
+    if out is not None:
+        data.setdefault("outputs", {})["directory"] = str(out)
     return RunConfig.from_dict(data)

@@ -129,19 +129,7 @@ def simulate_coupled_ages(
         tau_A = 0.0
     inverse = profile.inverse
     zeta = profile.zeta
-    while True:
-        if merged:
-            if stop_at_merge:
-                break
-            s = inverse(a, rng.exponential())
-            if t + s > horizon:
-                a += horizon - t
-                at = a
-                break
-            t += s
-            a = at = 0.0
-            events.append((t, True))
-            continue
+    while not (merged and stop_at_merge):
         elder, younger = (a, at) if a > at else (at, a)
         s = inverse(elder, rng.exponential())
         if t + s > horizon:
@@ -149,18 +137,17 @@ def simulate_coupled_ages(
             at += horizon - t
             break
         t += s
-        elder_new = elder + s
-        younger_new = younger + s
-        if rng.random() * zeta(elder_new) < zeta(younger_new):
-            merged = True
-            tau_A = t
+        if merged or rng.random() * zeta(elder + s) < zeta(younger + s):
+            if not merged:
+                merged = True
+                tau_A = t
             a = at = 0.0
             events.append((t, True))
         else:
             if a > at:
-                a, at = 0.0, younger_new
+                a, at = 0.0, younger + s
             else:
-                a, at = younger_new, 0.0
+                a, at = younger + s, 0.0
             events.append((t, False))
     report = CouplingReport(tau_A=tau_A, tau=tau_A, n_events=len(events))
     return report, AgeTrajectory(events=events, final=(a, at))
@@ -193,26 +180,22 @@ def tv_jump_coupling(
     p_merge = 1.0 - rates.eta(abs(delta), F)
     f = F.density
     if rng.random() < p_merge:
-        for _ in range(_MAX_REJECTIONS):
-            v = F.sample(rng)
-            fv = f(v)
-            if fv > 0.0 and rng.random() * fv <= min(fv, f(v - delta)):
-                return x_minus + v, x_minus + v, True
-        raise RuntimeError("overlap rejection sampler failed to accept")
-    u = _residual_draw(F, delta, rng)
-    u_tilde = _residual_draw(F, -delta, rng)
+        v = _rejection_draw(F, lambda v, fv: min(fv, f(v - delta)), rng)
+        return x_minus + v, x_minus + v, True
+    u = _rejection_draw(F, lambda v, fv: fv - min(fv, f(v - delta)), rng)
+    u_tilde = _rejection_draw(F, lambda v, fv: fv - min(fv, f(v + delta)), rng)
     return x_minus + u, x_tilde_minus + u_tilde, False
 
 
-def _residual_draw(F: DistributionSpec, shift: float, rng: np.random.Generator) -> float:
-    """Draw from the residual density prop. to f(u) - min(f(u), f(u - shift))."""
+def _rejection_draw(F: DistributionSpec, target, rng: np.random.Generator) -> float:
+    """Draw from the density prop. to ``target(v, f(v))`` <= f(v), proposing from F."""
     f = F.density
     for _ in range(_MAX_REJECTIONS):
         v = F.sample(rng)
         fv = f(v)
-        if fv > 0.0 and rng.random() * fv <= fv - min(fv, f(v - shift)):
+        if fv > 0.0 and rng.random() * fv <= target(v, fv):
             return v
-    raise RuntimeError("residual rejection sampler failed to accept")
+    raise RuntimeError("rejection sampler failed to accept")
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +270,25 @@ def simulate_coupled_full(
     inverse = profile.inverse
     zeta = profile.zeta
     while True:
-        if ages_merged:
-            s = inverse(ag, rng.exponential())
-            tev = t + s
-            if tev > horizon:
-                break
-            record_up_to(tev)
-            x *= math.exp(-th * s)
-            xt *= math.exp(-tht * s)
-            t = tev
+        elder, younger = (ag, agt) if ag > agt else (agt, ag)
+        s = inverse(elder, rng.exponential())
+        tev = t + s
+        if tev > horizon:
+            break
+        record_up_to(tev)
+        x *= math.exp(-th * s)
+        xt *= math.exp(-tht * s)
+        t = tev
+        n_events += 1
+        # the uniform is drawn only while the ages differ
+        if ages_merged or rng.random() * zeta(elder + s) < zeta(younger + s):
+            if not ages_merged:
+                ages_merged = True
+                tau_A = tev
             ag = agt = 0.0
-            n_events += 1
             thn = H.sample(rng)
             if fully_merged:
-                u = F.sample(rng)
-                x += u
+                x += F.sample(rng)
                 xt = x
             elif tev >= tv_from:
                 x, xt, ok = tv_jump_coupling(x, xt, F, rng)
@@ -320,50 +307,16 @@ def simulate_coupled_full(
                     tau = tev
             th = tht = thn
         else:
-            elder, younger = (ag, agt) if ag > agt else (agt, ag)
-            s = inverse(elder, rng.exponential())
-            tev = t + s
-            if tev > horizon:
-                break
-            record_up_to(tev)
-            x *= math.exp(-th * s)
-            xt *= math.exp(-tht * s)
-            t = tev
-            n_events += 1
-            elder_new = elder + s
-            younger_new = younger + s
-            if rng.random() * zeta(elder_new) < zeta(younger_new):
-                ages_merged = True
-                tau_A = tev
-                ag = agt = 0.0
-                thn = H.sample(rng)
-                if tev >= tv_from:
-                    x, xt, ok = tv_jump_coupling(x, xt, F, rng)
-                    if attempt_time == math.inf:
-                        attempt_time = tev
-                        attempt_success = ok
-                    if ok:
-                        fully_merged = True
-                        tau = tev
-                else:
-                    u = F.sample(rng)
-                    x += u
-                    xt += u
-                    if x == xt:
-                        fully_merged = True
-                        tau = tev
-                th = tht = thn
+            u = F.sample(rng)
+            thn = H.sample(rng)
+            if ag > agt:
+                ag, agt = 0.0, younger + s
+                x += u
+                th = thn
             else:
-                u = F.sample(rng)
-                thn = H.sample(rng)
-                if ag > agt:
-                    ag, agt = 0.0, younger_new
-                    x += u
-                    th = thn
-                else:
-                    ag, agt = younger_new, 0.0
-                    xt += u
-                    tht = thn
+                ag, agt = younger + s, 0.0
+                xt += u
+                tht = thn
 
     record_up_to(horizon * (1.0 + 1e-15) if horizon in rec else horizon)
     dt = horizon - t

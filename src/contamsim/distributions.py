@@ -3,7 +3,7 @@
 Three roles appear in the model: the intake sizes (law F), the
 inter-intake times (law G) and the metabolic rates (law H).  Every law
 here is a small immutable spec exposing sampling, density, CDF/survival,
-moment transform E[e^{uX}], mean and quantile.  The inter-intake law
+moment transform E[e^{uX}], mean and inverse survival.  The inter-intake law
 additionally provides a :class:`HazardProfile` with the cumulative hazard
 and its inverse, which is what the exact event-time generation uses.
 """
@@ -11,7 +11,7 @@ and its inverse, which is what the exact event-time generation uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -30,11 +30,7 @@ __all__ = [
     "DistributionSpec",
     "HazardProfile",
     "hazard_profile",
-    "sample",
-    "density",
-    "hazard",
     "integrated_hazard_inverse",
-    "laplace",
 ]
 
 _BISECT_TOL = 1e-10
@@ -297,13 +293,15 @@ class DistributionSpec:
             return p[0]
         return p[0] - math.log(s) / p[1]
 
-    def quantile(self, q: float) -> float:
-        return self.inverse_survival(1.0 - q) if q < 1.0 else self.inverse_survival(
-            np.nextafter(0.0, 1.0)
-        )
-
     def laplace(self, u: float) -> float:
-        """Moment transform E[e^{uX}]; +inf outside its domain of finiteness."""
+        """Moment transform E[e^{uX}]; +inf outside its domain of finiteness
+        and where the value exceeds the largest float."""
+        try:
+            return self._laplace(u)
+        except OverflowError:
+            return math.inf
+
+    def _laplace(self, u: float) -> float:
         f, p = self.family, self.params
         if u == 0.0:
             return 1.0
@@ -565,24 +563,6 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 # ---------------------------------------------------------------------------
 # Free-function interface
 # ---------------------------------------------------------------------------
-
-
-def sample(spec: DistributionSpec, rng: np.random.Generator) -> float:
-    return spec.sample(rng)
-
-
-def density(spec: DistributionSpec, x: float) -> float:
-    return spec.density(x)
-
-
-def laplace(spec: DistributionSpec, u: float) -> float:
-    return spec.laplace(u)
-
-
-def hazard(profile: HazardProfile, t: float) -> float:
-    if t >= profile.d:
-        raise HazardDomainError(f"hazard is infinite at ages >= {profile.d}")
-    return profile.zeta(t)
 
 
 def integrated_hazard_inverse(profile: HazardProfile, a0: float, target: float) -> float:

@@ -32,9 +32,6 @@ class ProcessState:
         if self.x < 0 or self.theta <= 0 or self.age < 0:
             raise ContamsimError("invalid process state")
 
-    def copy(self) -> "ProcessState":
-        return ProcessState(self.x, self.theta, self.age, self.t)
-
 
 @dataclass
 class EventLog:

@@ -28,7 +28,6 @@ __all__ = [
     "RenewalKernel",
     "RenewalSolution",
     "HolderData",
-    "EtaProfile",
     "BoundCurve",
     "RateReport",
     "ModelSpec",
@@ -276,24 +275,6 @@ class HolderData:
     p_tail: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class EtaProfile:
-    """eta together with whatever envelope data is available."""
-
-    F: DistributionSpec
-    holder: Optional[HolderData] = None
-
-    def __call__(self, eps: float) -> float:
-        return eta(eps, self.F)
-
-    def tail_quantile_bound(self, eps: float) -> float:
-        """Upper bound on the (1 - eps**h)-quantile of the intake law."""
-        hd = self.holder
-        if hd is None or hd.C_tail is None or hd.p_tail is None:
-            raise AssumptionError("tail quantile bound needs polynomial-tail data")
-        return (hd.C_tail / ((hd.p_tail - 1.0) * eps**hd.h)) ** (1.0 / (hd.p_tail - 1.0))
-
-
 def eta_envelope(
     eps_max: float,
     F: DistributionSpec,
@@ -440,9 +421,6 @@ def sample_age_bound(
     return c - eps + 2.0 * eps * H + (c - eps) * inner + e_per_rep
 
 
-_TAIL_CACHE: dict = {}
-
-
 def age_bound_tail(
     case: str,
     p1: float,
@@ -456,12 +434,8 @@ def age_bound_tail(
     seed: int = 20140611,
 ) -> np.ndarray:
     """Monte Carlo survival function of the bound variable on a grid."""
-    key = (case, round(p1, 12), round(p2, 12), eps, b, c, n_mc, seed)
-    sample = _TAIL_CACHE.get(key)
-    if sample is None:
-        rng = np.random.default_rng(seed)
-        sample = np.sort(sample_age_bound(case, p1, p2, eps, b, c, profile, n_mc, rng))
-        _TAIL_CACHE[key] = sample
+    rng = np.random.default_rng(seed)
+    sample = np.sort(sample_age_bound(case, p1, p2, eps, b, c, profile, n_mc, rng))
     grid = np.asarray(grid, dtype=float)
     return 1.0 - np.searchsorted(sample, grid, side="right") / len(sample)
 
@@ -487,7 +461,7 @@ def fit_dominating_exponential(
         v = min(v, v_cap)
     with np.errstate(over="ignore"):
         C = float(np.max(np.where(tail > 0, tail * np.exp(v * grid), 0.0)))
-    return max(C, 1.0), v
+    return max(C, 1.0), float(v)
 
 
 def tau_A_tail_bound(

@@ -2,8 +2,7 @@
 
 Every replica owns an independent random stream keyed by
 ``(seed, stream, replica_id)``, so results are byte-identical whatever
-the worker count or chunking.  Workers rebuild the configuration from
-its raw dictionary, which keeps the submitted payload picklable.
+the worker count or chunking.
 """
 
 from __future__ import annotations
@@ -15,24 +14,29 @@ import numpy as np
 
 from .config import RunConfig
 from .coupling import CouplingPhaseParams, run_three_phase
+from .distributions import hazard_profile
 from .pdmp import simulate_path
 
-__all__ = ["coupled_rows", "marginal_rows", "CHUNK"]
+__all__ = ["coupled_rows", "marginal_rows", "replica_rng", "CHUNK"]
 
 CHUNK = 512
 
 
+def replica_rng(cfg: RunConfig, stream: int, rid: int) -> np.random.Generator:
+    """The random stream of one replica, keyed by (seed, stream, replica id)."""
+    return np.random.default_rng([cfg.seed, stream, rid])
+
+
 def _coupled_chunk(args) -> list:
-    raw, stream, horizon, params, start, stop = args
-    cfg = RunConfig.from_dict(raw)
+    cfg, stream, horizon, params, start, stop = args
+    G = hazard_profile(cfg.inter_arrival)
     rows = []
     for rid in range(start, stop):
-        rng = np.random.default_rng([cfg.seed, stream, rid])
+        rng = replica_rng(cfg, stream, rid)
         init = cfg.init.sample(rng)
         init_tilde = cfg.init_tilde.sample(rng)
         rep = run_three_phase(
-            init, init_tilde, params, cfg.intake, cfg.inter_arrival, cfg.metabolic,
-            horizon, rng,
+            init, init_tilde, params, cfg.intake, G, cfg.metabolic, horizon, rng
         )
         po = rep.phase_outcomes
         rows.append(
@@ -53,15 +57,13 @@ def _coupled_chunk(args) -> list:
 
 
 def _marginal_chunk(args) -> list:
-    raw, stream, start, stop = args
-    cfg = RunConfig.from_dict(raw)
+    cfg, stream, start, stop = args
+    G = hazard_profile(cfg.inter_arrival)
     rows = []
     for rid in range(start, stop):
-        rng = np.random.default_rng([cfg.seed, stream, rid])
+        rng = replica_rng(cfg, stream, rid)
         init = cfg.init.sample(rng)
-        log, final = simulate_path(
-            init, cfg.intake, cfg.inter_arrival, cfg.metabolic, cfg.horizon, rng
-        )
+        log, final = simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng)
         rows.append(
             {
                 "replica_id": rid,
@@ -90,7 +92,7 @@ def coupled_rows(
 ) -> list:
     """Three-phase coupling ensemble for one horizon; one dict per replica."""
     payloads = [
-        (cfg.raw, stream, horizon, params, start, min(start + CHUNK, cfg.n_replicas))
+        (cfg, stream, horizon, params, start, min(start + CHUNK, cfg.n_replicas))
         for start in range(0, cfg.n_replicas, CHUNK)
     ]
     return _run(cfg, _coupled_chunk, payloads)
@@ -99,7 +101,7 @@ def coupled_rows(
 def marginal_rows(cfg: RunConfig, stream: int = 0) -> list:
     """Single-process ensemble at the configured horizon."""
     payloads = [
-        (cfg.raw, stream, start, min(start + CHUNK, cfg.n_replicas))
+        (cfg, stream, start, min(start + CHUNK, cfg.n_replicas))
         for start in range(0, cfg.n_replicas, CHUNK)
     ]
     return _run(cfg, _marginal_chunk, payloads)

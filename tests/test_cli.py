@@ -91,6 +91,18 @@ def test_rates_command(tmp_path):
     assert payload["curves"]["tv"]["provenance"]
 
 
+def test_rates_rejects_missing_exponential_moment(tmp_path):
+    # E[exp(64 * DeltaT)] for DeltaT ~ uniform(0, 30) overflows a float
+    cfg = _write_config(tmp_path, {
+        "model": {"inter_arrival": {"family": "uniform", "params": [0.0, 30.0]}},
+        "rates": {"v3": 64.0},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert "exponential moment" in result.output
+
+
 def test_simulate_and_dump_paths(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, {"outputs": {"directory": str(out)}})
@@ -137,9 +149,15 @@ def test_replica_override(tmp_path):
 
 
 def test_byte_identical_reruns_and_parallelism(tmp_path):
+    # 1100 replicas make three chunks, so parallelism 2 really uses workers
     runner = CliRunner()
+    artifacts = {
+        "simulate": ("paths_summary.csv",),
+        "couple": ("coupling_reports.csv",),
+        "verify": ("curves_tv.csv", "curves_w1.csv"),
+    }
     outputs = {}
-    for tag, par in (("a", 1), ("b", 1), ("c", 4)):
+    for tag, par in (("a", 1), ("b", 1), ("c", 2)):
         out = tmp_path / f"out_{tag}"
         cfg = _write_config(
             tmp_path,
@@ -149,14 +167,24 @@ def test_byte_identical_reruns_and_parallelism(tmp_path):
             },
             name=f"cfg_{tag}.yaml",
         )
-        result = runner.invoke(main, ["verify", "--config", str(cfg), "--quiet"])
-        assert result.exit_code == 0, result.output
-        outputs[tag] = {
-            name: (out / name).read_bytes()
-            for name in ("curves_tv.csv", "curves_w1.csv")
-        }
+        outputs[tag] = {}
+        for command, names in artifacts.items():
+            result = runner.invoke(
+                main, [command, "--config", str(cfg), "--replicas", "1100", "--quiet"]
+            )
+            assert result.exit_code == 0, result.output
+            outputs[tag].update({name: (out / name).read_bytes() for name in names})
     assert outputs["a"] == outputs["b"]  # same seed, same bytes
     assert outputs["a"] == outputs["c"]  # worker count has no effect
+    # dump-paths replays replica 5 of simulate from the same stream
+    result = runner.invoke(
+        main, ["dump-paths", "--config", str(tmp_path / "cfg_a.yaml"), "--replica", "5"]
+    )
+    assert result.exit_code == 0, result.output
+    events = (tmp_path / "out_a" / "path_5.csv").read_text().splitlines()[1:]
+    summary = outputs["a"]["paths_summary.csv"].decode().splitlines()
+    assert summary[0].split(",")[-1] == "n_events"
+    assert len(events) == int(summary[1 + 5].split(",")[-1])
 
 
 def test_seed_changes_results(tmp_path):

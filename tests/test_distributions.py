@@ -88,6 +88,9 @@ def test_laplace_examples():
     assert d.laplace(-1.0) == pytest.approx(math.exp(-3.0))
     u = DistributionSpec.uniform(0.0, 1.0)
     assert u.laplace(1.0) == pytest.approx(math.e - 1.0)
+    # finite in theory, but beyond the largest float: +inf, not OverflowError
+    assert DistributionSpec.uniform(0.0, 30.0).laplace(64.0) == math.inf
+    assert DistributionSpec.dirac(20.0).laplace(64.0) == math.inf
 
 
 def test_laplace_monotone_and_convex():

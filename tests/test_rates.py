@@ -348,6 +348,9 @@ def test_bounds_nonconstant_hazard_instance():
                       x0_mean=1.0, x0_tilde_mean=2.0, x0_max_mean=2.0)
     b = convergence_bounds(model, n_mc=10**5, renewal_step=5e-3)
     r = b.report
+    for name, value in r.to_dict().items():
+        if isinstance(value, (int, float)):
+            assert type(value) is float, name  # no numpy scalars in the report
     assert math.isfinite(r.w) and r.w > 0
     assert r.C2_prime >= 1.0 - 1e-9
     assert 0 < r.alpha < r.beta < 1
