@@ -18,7 +18,6 @@ from .coupling import (
     CoupledState,
     CouplingPhaseParams,
     CouplingReport,
-    age_coalescence_algorithm,
     run_three_phase,
     simulate_coupled_ages,
     simulate_coupled_full,

@@ -114,9 +114,6 @@ def _phase_params(cfg: RunConfig, bounds: rates.MainBounds, t: float) -> Couplin
         alpha=bounds.report.alpha,
         beta=bounds.report.beta,
         epsilon_tv=eps,
-        epsilon_age=cfg.epsilon_age,
-        b=cfg.b,
-        c=cfg.c,
     )
 
 
@@ -284,6 +281,7 @@ def verify(config_path, seed, replicas, out, quiet):
 
     tv_rows, w1_rows = [], []
     ok = True
+    informative = 0
     for gi, t in enumerate(cfg.grid):
         params = _phase_params(cfg, bounds, t)
         rows = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
@@ -316,10 +314,14 @@ def verify(config_path, seed, replicas, out, quiet):
             }
         )
         ok = ok and tv_ok and w1_ok
+        # a TV bound of 1 holds for any estimate, so it verifies nothing
+        vacuous = tv_bound >= 1.0
+        informative += not vacuous
         if not quiet:
+            tv_status = "vacuous" if vacuous else ("ok" if tv_ok else "VIOLATED")
             click.echo(
                 f"t={_fmt(t)}: TV est {_fmt(float(curve.values[0]))} vs bound "
-                f"{_fmt(tv_bound)} [{'ok' if tv_ok else 'VIOLATED'}]; "
+                f"{_fmt(tv_bound)} [{tv_status}]; "
                 f"W1 est {_fmt(mean)} vs bound {_fmt(w1_bound)} "
                 f"[{'ok' if w1_ok else 'VIOLATED'}]"
             )
@@ -328,6 +330,7 @@ def verify(config_path, seed, replicas, out, quiet):
     _write_csv(out_dir / "curves_tv.csv", fields, tv_rows)
     _write_csv(out_dir / "curves_w1.csv", fields, w1_rows)
     if not quiet:
+        click.echo(f"verify: TV bound informative at {informative} of {len(cfg.grid)} grid times")
         click.echo("verify: bounds dominate" if ok else "verify: bound violation detected")
     sys.exit(0 if ok else 1)
 

@@ -7,6 +7,7 @@ be plain numbers (point masses) or tagged records.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,13 +20,54 @@ from .rates import HolderData
 __all__ = ["InitLaw", "RunConfig", "load_config"]
 
 
+_REQUIRED = object()
+
+
+def _number(value, where: str, cast=float):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
+class _Record:
+    """A config mapping whose keys are consumed as they are read, so the
+    keys never read are exactly the unknown ones (typos)."""
+
+    def __init__(self, node, where: str):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{where}: expected a mapping")
+        self._left = dict(node)
+        self.where = where
+
+    def get(self, key: str, default=_REQUIRED):
+        value = self._left.pop(key, None)
+        if value is not None:
+            return value
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.where}.{key} is required")
+        return default
+
+    def num(self, key: str, default=_REQUIRED, cast=float):
+        value = self.get(key, default)
+        return None if value is None else _number(value, f"{self.where}.{key}", cast)
+
+    def done(self):
+        for key in self._left:
+            name = f"{self.where}.{key}" if self.where else str(key)
+            raise ConfigError(f"unknown config key '{name}'")
+
+
 def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSpec:
     if isinstance(node, (int, float)):
         return DistributionSpec(Family.DIRAC, (float(node),), role)
     if not isinstance(node, dict) or "family" not in node or "params" not in node:
         raise ConfigError(f"{where}: expected a number or {{family, params}} record")
+    rec = _Record(node, where)
+    family, params = rec.get("family"), rec.get("params")
+    rec.done()
     try:
-        return DistributionSpec(Family(node["family"]), tuple(node["params"]), role)
+        return DistributionSpec(Family(family), tuple(params), role)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -75,81 +117,88 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
-        def need(section: str) -> dict:
-            if section not in data or not isinstance(data[section], dict):
-                raise ConfigError(f"missing or malformed section '{section}'")
-            return data[section]
+        top = _Record(data, "")
 
-        model = need("model")
-        exp = need("experiment")
-        coup = data.get("coupling") or {}
-        rt = data.get("rates") or {}
-        out = data.get("outputs") or {}
-
-        for key in ("intake", "inter_arrival", "metabolic", "init", "init_tilde"):
-            if key not in model:
-                raise ConfigError(f"model.{key} is required")
-        if "seed" not in exp:
-            raise ConfigError("experiment.seed is mandatory")
-
-        def init_law(node, where) -> InitLaw:
+        def section(name: str, required: bool = False) -> _Record:
+            node = top.get(name, None if required else {})
             if not isinstance(node, dict):
-                raise ConfigError(f"{where}: expected {{x, theta, age}}")
-            return InitLaw(
-                x=_parse_spec(node.get("x", 0.0), f"{where}.x"),
-                theta=_parse_spec(node.get("theta"), f"{where}.theta"),
-                age=_parse_spec(node.get("age", 0.0), f"{where}.age"),
+                raise ConfigError(f"missing or malformed section '{name}'")
+            return _Record(node, name)
+
+        model, exp = section("model", True), section("experiment", True)
+        coup, rt, out = section("coupling"), section("rates"), section("outputs")
+
+        def init_law(key) -> InitLaw:
+            node = model.get(key)
+            if not isinstance(node, dict):
+                raise ConfigError(f"model.{key}: expected {{x, theta, age}}")
+            rec = _Record(node, f"model.{key}")
+            law = InitLaw(
+                x=_parse_spec(rec.get("x", 0.0), f"{rec.where}.x"),
+                theta=_parse_spec(rec.get("theta"), f"{rec.where}.theta"),
+                age=_parse_spec(rec.get("age", 0.0), f"{rec.where}.age"),
             )
+            rec.done()
+            return law
 
         holder = None
-        if model.get("holder"):
-            hd = model["holder"]
+        hd = model.get("holder", None)
+        if hd:
+            hd = _Record(hd, "model.holder")
             holder = HolderData(
-                K=float(hd["K"]),
-                h=float(hd["h"]),
-                M=float(hd["M"]) if hd.get("M") is not None else None,
-                C_tail=float(hd["C_tail"]) if hd.get("C_tail") is not None else None,
-                p_tail=float(hd["p_tail"]) if hd.get("p_tail") is not None else None,
+                K=hd.num("K"),
+                h=hd.num("h"),
+                M=hd.num("M", None),
+                C_tail=hd.num("C_tail", None),
+                p_tail=hd.num("p_tail", None),
             )
+            hd.done()
 
-        horizon = float(exp.get("horizon", 10.0))
-        grid = [float(t) for t in exp.get("grid", [])] or [horizon]
-        if max(grid) > horizon:
-            raise ConfigError("experiment.grid must lie within the horizon")
-        n_replicas = int(exp.get("n_replicas", 1))
-        if n_replicas < 1:
-            raise ConfigError("experiment.n_replicas must be >= 1")
-
-        def opt(v):
-            return None if v is None else float(v)
-
-        return RunConfig(
-            intake=_parse_spec(model["intake"], "model.intake", Role.INTAKE),
+        grid = exp.get("grid", [])
+        if not isinstance(grid, list):
+            raise ConfigError("experiment.grid: expected a list of times")
+        cfg = RunConfig(
+            intake=_parse_spec(model.get("intake"), "model.intake", Role.INTAKE),
             inter_arrival=_parse_spec(
-                model["inter_arrival"], "model.inter_arrival", Role.INTER_ARRIVAL
+                model.get("inter_arrival"), "model.inter_arrival", Role.INTER_ARRIVAL
             ),
-            metabolic=_parse_spec(model["metabolic"], "model.metabolic", Role.METABOLIC),
-            init=init_law(model["init"], "model.init"),
-            init_tilde=init_law(model["init_tilde"], "model.init_tilde"),
+            metabolic=_parse_spec(model.get("metabolic"), "model.metabolic", Role.METABOLIC),
+            init=init_law("init"),
+            init_tilde=init_law("init_tilde"),
             holder=holder,
-            alpha=opt(coup.get("alpha")),
-            beta=opt(coup.get("beta")),
-            epsilon_tv=opt(coup.get("epsilon_tv")),
-            epsilon_age=opt(coup.get("epsilon_age")),
-            b=opt(coup.get("b")),
-            c=opt(coup.get("c")),
-            seed=int(exp["seed"]),
-            horizon=horizon,
-            grid=grid,
-            n_replicas=n_replicas,
-            parallelism=int(exp.get("parallelism", 1)),
-            p=float(rt.get("p", 1.0)),
-            v3=opt(rt.get("v3")),
-            w_eps_frac=float(rt.get("w_eps_frac", 0.05)),
-            renewal_step=float(rt.get("renewal_step", 1e-3)),
-            n_mc_tail=int(rt.get("n_mc_tail", 10**6)),
+            alpha=coup.num("alpha", None),
+            beta=coup.num("beta", None),
+            epsilon_tv=coup.num("epsilon_tv", None),
+            epsilon_age=coup.num("epsilon_age", None),
+            b=coup.num("b", None),
+            c=coup.num("c", None),
+            seed=exp.num("seed", cast=int),
+            horizon=exp.num("horizon", 10.0),
+            grid=[_number(t, "experiment.grid") for t in grid],
+            n_replicas=exp.num("n_replicas", 1, cast=int),
+            parallelism=exp.num("parallelism", 1, cast=int),
+            p=rt.num("p", 1.0),
+            v3=rt.num("v3", None),
+            w_eps_frac=rt.num("w_eps_frac", 0.05),
+            renewal_step=rt.num("renewal_step", 1e-3),
+            n_mc_tail=rt.num("n_mc_tail", 10**6, cast=int),
             out_dir=str(out.get("directory", "out")),
         )
+        for rec in (top, model, exp, coup, rt, out):
+            rec.done()
+        cfg.grid = cfg.grid or [cfg.horizon]
+        for holds, message in (
+            (0.0 < cfg.horizon < math.inf, "experiment.horizon must be positive and finite"),
+            (min(cfg.grid) >= 0.0, "experiment.grid times must be >= 0"),
+            (max(cfg.grid) <= cfg.horizon, "experiment.grid must lie within the horizon"),
+            (cfg.n_replicas >= 1, "experiment.n_replicas must be >= 1"),
+            (0.0 < cfg.w_eps_frac < 1.0, "rates.w_eps_frac must lie in (0, 1)"),
+            (cfg.renewal_step > 0.0, "rates.renewal_step must be > 0"),
+            (cfg.n_mc_tail >= 1, "rates.n_mc_tail must be >= 1"),
+        ):
+            if not holds:
+                raise ConfigError(message)
+        return cfg
 
 
 def load_config(
@@ -169,10 +218,14 @@ def load_config(
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping: {path}")
-    if seed is not None:
-        data.setdefault("experiment", {})["seed"] = int(seed)
-    if replicas is not None:
-        data.setdefault("experiment", {})["n_replicas"] = int(replicas)
-    if out is not None:
-        data.setdefault("outputs", {})["directory"] = str(out)
+    for section, key, value in (
+        ("experiment", "seed", seed),
+        ("experiment", "n_replicas", replicas),
+        ("outputs", "directory", out),
+    ):
+        if value is not None:
+            if data.get(section) is None:  # absent, or present but empty
+                data[section] = {}
+            if isinstance(data[section], dict):  # from_dict rejects the others
+                data[section][key] = value
     return RunConfig.from_dict(data)

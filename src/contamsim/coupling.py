@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "simulate_coupled_full",
     "tv_jump_coupling",
     "run_three_phase",
-    "age_coalescence_algorithm",
 ]
 
 _MAX_REJECTIONS = 10**7
@@ -59,7 +57,6 @@ class CouplingReport:
     tau: float = math.inf
     n_events: int = 0
     phase_outcomes: dict = field(default_factory=dict)
-    bound_sample: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -68,30 +65,17 @@ class CouplingPhaseParams:
 
     ``alpha`` and ``beta`` are the phase-boundary fractions of the
     horizon, ``epsilon_tv`` the closeness threshold entering phase 3.
-    ``epsilon_age``, ``b``, ``c`` tune the age-coalescence algorithm for
-    hazards that can vanish.
     """
 
     alpha: float
     beta: float
     epsilon_tv: float
-    epsilon_age: Optional[float] = None
-    b: Optional[float] = None
-    c: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < self.beta < 1.0:
             raise AssumptionError("phase fractions must satisfy 0 < alpha < beta < 1")
         if not 0.0 < self.epsilon_tv < 1.0:
             raise AssumptionError("closeness threshold must lie in (0, 1)")
-
-    def validate_age_params(self, profile: HazardProfile):
-        if self.epsilon_age is None or self.b is None or self.c is None:
-            raise AssumptionError("age-coalescence tuning (epsilon_age, b, c) is unset")
-        if self.epsilon_age <= profile.a / 2.0:
-            raise AssumptionError("closeness threshold must exceed a/2")
-        if self.c <= self.b + self.epsilon_age:
-            raise AssumptionError("jump-domain end must satisfy c > b + epsilon")
 
 
 # ---------------------------------------------------------------------------
@@ -387,34 +371,4 @@ def run_three_phase(
         "tv_attempt_time": attempt_time,
         "l1_final": l1_final,
     }
-    return report
-
-
-def age_coalescence_algorithm(
-    case: str,
-    params: CouplingPhaseParams,
-    profile: HazardProfile,
-    rng: np.random.Generator,
-    horizon: float = math.inf,
-    a0: float = 0.0,
-    a0_tilde: float = 1.0,
-) -> CouplingReport:
-    """Exact coupled-age run plus one draw of the theoretical bound variable.
-
-    The bound variable is sampled with fresh randomness: the comparison
-    is between laws, not pathwise.
-    """
-    params.validate_age_params(profile)
-    p1, p2 = rates.age_bound_params(case, profile, params.epsilon_age, params.b, params.c)
-    if math.isinf(horizon):
-        # coalescence is a.s. finite; cap generously for the exact run
-        horizon = 1e6
-    report, _ = simulate_coupled_ages(
-        a0, a0_tilde, profile, horizon, rng, stop_at_merge=True
-    )
-    report.bound_sample = float(
-        rates.sample_age_bound(
-            case, p1, p2, params.epsilon_age, params.b, params.c, profile, 1, rng
-        )[0]
-    )
     return report

@@ -10,7 +10,7 @@ and the assembled total-variation / Wasserstein bound curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,6 @@ __all__ = [
     "default_age_params",
     "sample_age_bound",
     "age_bound_tail",
-    "tau_A_tail_bound",
     "fit_dominating_exponential",
     "mean_discount_factor",
     "convergence_bounds",
@@ -48,6 +47,7 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+_TAIL_SEED = 20140611  # fixed stream of the age-tail Monte Carlo sample
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +401,21 @@ def sample_age_bound(
 
     The bound is a geometric mixture of geometric/exponential blocks;
     the exponential rate is zeta(b) in the bounded-hazard regime and
-    zeta(c) otherwise.
+    zeta(c) otherwise.  Each replica's totals are drawn from their
+    closed-form laws: H ~ Geometric(p2) rounds, a sum of H Geometric(p1)
+    block counts, which is H + NegativeBinomial(H, p1), and a sum of that
+    many exponential waits, which is a gamma variate.
     """
     _validate_case(case, profile)
     H = rng.geometric(p2, size=n)
-    bounds_g = np.concatenate([[0], np.cumsum(H)])
-    G = rng.geometric(p1, size=int(H.sum()))
-    inner = np.add.reduceat(G, bounds_g[:-1])  # total inner count per replica
+    blocks = H + rng.negative_binomial(H, p1)
     if case == "i":
-        return c + (2.0 * H - 1.0) * eps + (profile.d - eps) * inner
-    n_inner = int(G.sum())
+        return c + (2.0 * H - 1.0) * eps + (profile.d - eps) * blocks
     rate = profile.zeta(b) if case == "ii" else profile.zeta(c)
-    E = rng.exponential(1.0 / rate, size=n_inner)
-    bounds_e = np.concatenate([[0], np.cumsum(G)])
-    e_per_block = np.add.reduceat(E, bounds_e[:-1])  # one sum per (i) block
-    e_per_rep = np.add.reduceat(e_per_block, bounds_g[:-1])
+    e_per_rep = rng.gamma(blocks, 1.0 / rate)
     if case == "ii":
-        return b * inner + e_per_rep
-    return c - eps + 2.0 * eps * H + (c - eps) * inner + e_per_rep
+        return b * blocks + e_per_rep
+    return c - eps + 2.0 * eps * H + (c - eps) * blocks + e_per_rep
 
 
 def age_bound_tail(
@@ -431,10 +428,9 @@ def age_bound_tail(
     profile: HazardProfile,
     grid: np.ndarray,
     n_mc: int = 10**6,
-    seed: int = 20140611,
 ) -> np.ndarray:
     """Monte Carlo survival function of the bound variable on a grid."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_TAIL_SEED)
     sample = np.sort(sample_age_bound(case, p1, p2, eps, b, c, profile, n_mc, rng))
     grid = np.asarray(grid, dtype=float)
     return 1.0 - np.searchsorted(sample, grid, side="right") / len(sample)
@@ -462,26 +458,6 @@ def fit_dominating_exponential(
     with np.errstate(over="ignore"):
         C = float(np.max(np.where(tail > 0, tail * np.exp(v * grid), 0.0)))
     return max(C, 1.0), float(v)
-
-
-def tau_A_tail_bound(
-    case: str,
-    p1: float,
-    p2: float,
-    eps: float,
-    b: float,
-    c: float,
-    profile: HazardProfile,
-    t: float,
-    n_mc: int = 10**6,
-) -> float:
-    """P(bound variable > t), exact exponential when the hazard floor is
-    positive, Monte Carlo otherwise."""
-    if profile.inf_zeta > 0.0:
-        return math.exp(-profile.inf_zeta * t)
-    return float(
-        age_bound_tail(case, p1, p2, eps, b, c, profile, np.array([t]), n_mc=n_mc)[0]
-    )
 
 
 def age_rate_cap(case: str, p1: float, p2: float, eps: float, profile: HazardProfile) -> Optional[float]:
@@ -558,12 +534,9 @@ class RateReport:
     beta: float
     C1_w1: float
     C2_w1: float
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "extras"}
-        d.update(self.extras)
-        return d
+        return dict(self.__dict__)
 
 
 def _balanced_alpha_beta(v1: float, v2: float, v3: float) -> tuple[float, float]:

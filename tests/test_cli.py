@@ -44,31 +44,43 @@ def test_config_parsing(tmp_path):
     assert cfg.intake.family.value == "uniform"
     assert cfg.init.x.params == (2.0,)
     assert cfg.n_replicas == 120
+    # CLI overrides fill a section that is present but empty
+    data = dict(BASE_CONFIG, experiment=None)
+    path = tmp_path / "empty_experiment.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert load_config(str(path), seed=3).seed == 3
 
 
 def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.yaml"))
-    # missing mandatory seed
-    bad = json.loads(json.dumps(BASE_CONFIG))
-    del bad["experiment"]["seed"]
-    with pytest.raises(ConfigError, match="seed"):
-        RunConfig.from_dict(bad)
-    # malformed distribution record
-    bad = json.loads(json.dumps(BASE_CONFIG))
-    bad["model"]["intake"] = {"family": "uniform"}
-    with pytest.raises(ConfigError, match="model.intake"):
-        RunConfig.from_dict(bad)
-    # unknown family
-    bad = json.loads(json.dumps(BASE_CONFIG))
-    bad["model"]["intake"] = {"family": "cauchy", "params": [0.0, 1.0]}
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict(bad)
-    # grid outside horizon
-    bad = json.loads(json.dumps(BASE_CONFIG))
-    bad["experiment"]["grid"] = [100.0]
-    with pytest.raises(ConfigError, match="grid"):
-        RunConfig.from_dict(bad)
+    delete = object()
+    cases = [  # (section, key, value or delete, expected message)
+        ("experiment", "seed", delete, "seed"),  # the seed is mandatory
+        ("model", "intake", {"family": "uniform"}, "model.intake"),  # no params
+        ("model", "intake", {"family": "cauchy", "params": [0.0, 1.0]}, "cauchy"),
+        ("experiment", "grid", [100.0], "grid"),  # beyond the horizon
+        ("model", "holder", {"h": 1.0, "M": 1.0}, "model.holder.K"),
+        ("experiment", "seed", "abc", "experiment.seed"),
+        ("rates", "renewal_step", 0, "rates.renewal_step"),
+        ("rates", "w_eps_frac", 1.0, "rates.w_eps_frac"),
+        ("rates", "n_mc_tail", 0, "rates.n_mc_tail"),
+        ("experiment", "horizon", -1, "experiment.horizon"),
+        ("experiment", "grid", [-1, 2], "experiment.grid"),
+        ("experiment", "n_replica", 7, "experiment.n_replica"),  # typo of n_replicas
+        ("model", "intake", {"family": "uniform", "params": [0, 1], "scale": 2},
+         "model.intake.scale"),
+    ]
+    for section, key, value, message in cases:
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        if value is delete:
+            del bad[section][key]
+        else:
+            bad.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(bad)
+    with pytest.raises(ConfigError, match="'experimnt'"):  # unknown section
+        RunConfig.from_dict(dict(BASE_CONFIG, experimnt={}))
 
 
 def test_cli_reports_config_error(tmp_path):
@@ -132,6 +144,9 @@ def test_verify_command_and_exit_code(tmp_path):
     cfg = _write_config(tmp_path, {"outputs": {"directory": str(out)}})
     result = CliRunner().invoke(main, ["verify", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
+    # the TV bound is 1 at t = 2 and t = 6: both points are vacuous, not ok
+    assert "TV bound informative at 0 of 2 grid times" in result.output
+    assert result.output.count("[vacuous]") == 2
     for name in ("curves_tv.csv", "curves_w1.csv", "rate_report.json"):
         assert (out / name).exists()
     header = (out / "curves_tv.csv").read_text().splitlines()[0]

@@ -8,7 +8,6 @@ import pytest
 from contamsim import rates
 from contamsim.coupling import (
     CouplingPhaseParams,
-    age_coalescence_algorithm,
     run_three_phase,
     simulate_coupled_ages,
     simulate_coupled_full,
@@ -24,14 +23,6 @@ def test_phase_params_validation():
         CouplingPhaseParams(alpha=0.5, beta=0.3, epsilon_tv=0.1)
     with pytest.raises(AssumptionError):
         CouplingPhaseParams(alpha=0.1, beta=0.5, epsilon_tv=1.5)
-    p = CouplingPhaseParams(alpha=0.1, beta=0.5, epsilon_tv=0.1)
-    prof = hazard_profile(DistributionSpec.shifted_exponential(1.0, 1.0))
-    with pytest.raises(AssumptionError):
-        p.validate_age_params(prof)  # tuning unset
-    bad = CouplingPhaseParams(alpha=0.1, beta=0.5, epsilon_tv=0.1,
-                              epsilon_age=0.4, b=1.5, c=3.0)
-    with pytest.raises(AssumptionError):
-        bad.validate_age_params(prof)  # epsilon below half the dead time
 
 
 def test_equal_ages_coalesce_immediately():
@@ -270,16 +261,6 @@ def test_coalescence_is_absorbing():
                 assert st.y.theta == st.y_tilde.theta
                 assert st.y.age == st.y_tilde.age
     assert found > 100
-
-
-def test_age_algorithm_bound_sample():
-    prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
-    params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.5,
-                                 epsilon_age=0.5, b=1.0, c=2.0)
-    rng = np.random.default_rng(12)
-    rep = age_coalescence_algorithm("iii", params, prof, rng)
-    assert math.isfinite(rep.tau_A)
-    assert rep.bound_sample is not None and rep.bound_sample > 0.0
 
 
 def test_full_coupling_reproducibility():

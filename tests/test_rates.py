@@ -2,9 +2,11 @@
 overlap deficit, age-coalescence parameters and assembled curves."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from contamsim import rates
 from contamsim.distributions import DistributionSpec, hazard_profile
@@ -25,7 +27,6 @@ from contamsim.rates import (
     mean_discount_factor,
     sample_age_bound,
     solve_renewal,
-    tau_A_tail_bound,
 )
 
 EXP1 = DistributionSpec.exponential(1.0)
@@ -278,12 +279,44 @@ def test_bound_sampler_mean_matches_structure():
     assert s.mean() == pytest.approx(ref, abs=4.5 * se)
 
 
-def test_tau_tail_bound_flat_floor():
-    # positive hazard floor: the coalescence tail is exactly exp(-floor*t)
-    prof = hazard_profile(DistributionSpec.exponential(2.0))
-    assert tau_A_tail_bound("ii", 0.5, 0.5, 0.5, 1.0, 2.0, prof, 3.0) == pytest.approx(
-        math.exp(-6.0)
-    )
+def _per_block_age_bound(case, p1, p2, eps, b, c, profile, n, rng):
+    """Oracle: the bound variable composed block by block, with one
+    geometric count per round and one exponential wait per block."""
+    H = rng.geometric(p2, size=n)
+    G = rng.geometric(p1, size=int(H.sum()))
+    blocks = np.add.reduceat(G, np.concatenate([[0], np.cumsum(H)[:-1]]))
+    if case == "i":
+        return c + (2.0 * H - 1.0) * eps + (profile.d - eps) * blocks
+    rate = profile.zeta(b) if case == "ii" else profile.zeta(c)
+    E = rng.exponential(1.0 / rate, size=int(G.sum()))
+    waits = np.add.reduceat(E, np.concatenate([[0], np.cumsum(blocks)[:-1]]))
+    if case == "ii":
+        return b * blocks + waits
+    return c - eps + 2.0 * eps * H + (c - eps) * blocks + waits
+
+
+@pytest.mark.parametrize(
+    "spec, case, eps, b, c",
+    [
+        (DistributionSpec.uniform(0.0, 2.0), "i", 0.8, 0.2, 1.8),
+        (DistributionSpec.shifted_exponential(1.0, 2.0), "ii", 0.55, 1.1, 2.0),
+        (DistributionSpec.weibull(2.0, math.sqrt(2.0)), "iii", 1.0, 0.6, 3.5),
+    ],
+)
+def test_bound_sampler_matches_per_block_composition(spec, case, eps, b, c):
+    # closed-form totals vs the block-by-block oracle: two-sample KS at
+    # the 1 % level; the parameters keep the oracle near 1e6 draws
+    prof = hazard_profile(spec)
+    p1, p2 = age_bound_params(case, prof, eps, b, c)
+    n = 20_000
+    tracemalloc.start()
+    new = sample_age_bound(case, p1, p2, eps, b, c, prof, n, np.random.default_rng(31))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    old = _per_block_age_bound(case, p1, p2, eps, b, c, prof, n, np.random.default_rng(32))
+    assert peak < 8 * new.nbytes  # a few arrays of length n, nothing per block
+    ks = stats.ks_2samp(new, old).statistic
+    assert ks < 1.63 * math.sqrt(2.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +334,7 @@ def test_reference_instance_constants():
     r = b.report
     assert r.rho == pytest.approx(0.5, abs=1e-9)
     assert r.v1 == pytest.approx(1.0)
+    assert r.C1 == 1.0  # positive hazard floor: exact exponential tail
     assert r.v2_prime == pytest.approx(0.5, abs=1e-9)
     assert r.v_prime == pytest.approx(0.25, abs=1e-9)
     assert r.v2 == pytest.approx(0.25, abs=1e-9)
