@@ -24,10 +24,17 @@ _REQUIRED = object()
 
 
 def _number(value, where: str, cast=float):
+    """``value`` as a float, or with ``cast=int`` as an int; an integer
+    key takes an integral float such as 1.0e6 but rejects 2.5."""
     try:
-        return cast(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if cast is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)
 
 
 class _Record:

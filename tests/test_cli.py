@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import contamsim
 from contamsim.cli import main
 from contamsim.config import RunConfig, load_config
 from contamsim.errors import ConfigError
@@ -70,6 +74,12 @@ def test_config_errors(tmp_path):
         ("experiment", "n_replica", 7, "experiment.n_replica"),  # typo of n_replicas
         ("model", "intake", {"family": "uniform", "params": [0, 1], "scale": 2},
          "model.intake.scale"),
+        # an integer key rejects a value it would have to truncate
+        ("experiment", "seed", 2.7, "experiment.seed"),
+        ("experiment", "n_replicas", 2.5, "experiment.n_replicas"),
+        ("experiment", "parallelism", 1.5, "experiment.parallelism"),
+        ("rates", "n_mc_tail", 1000.5, "rates.n_mc_tail"),
+        ("rates", "n_mc_tail", float("inf"), "rates.n_mc_tail"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -81,6 +91,21 @@ def test_config_errors(tmp_path):
             RunConfig.from_dict(bad)
     with pytest.raises(ConfigError, match="'experimnt'"):  # unknown section
         RunConfig.from_dict(dict(BASE_CONFIG, experimnt={}))
+    # ... but takes an integral float
+    cfg = RunConfig.from_dict(dict(BASE_CONFIG, rates={"n_mc_tail": 1.0e6}))
+    assert cfg.n_mc_tail == 10**6 and isinstance(cfg.n_mc_tail, int)
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # importing scipy.signal adds about 0.7 s to the start-up of every command
+    src = str(Path(contamsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, contamsim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_reports_config_error(tmp_path):

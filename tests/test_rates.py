@@ -119,6 +119,49 @@ def test_renewal_solver_rejects_supercritical_tilt():
     assert np.all(np.isfinite(sol.Z))
 
 
+def _forward_substitution(kernel, w_shift, grid_step, horizon, forcing=None):
+    """The O(n^2) point-by-point solve of the trapezoid-discretized
+    tilted renewal equation; the reference for solve_renewal."""
+    grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
+    n, h = len(grid), grid_step
+    tilt = np.exp(w_shift * grid)
+    jp = np.array([kernel.density(t) for t in grid]) * tilt
+    zp = np.array([(forcing or kernel.forcing)(t) for t in grid]) * tilt
+    Zp = np.empty(n)
+    Zp[0] = zp[0]
+    denom = 1.0 - 0.5 * h * jp[0]
+    for i in range(1, n):
+        acc = 0.5 * h * jp[i] * Zp[0]
+        if i > 1:
+            acc += h * np.dot(jp[1:i], Zp[i - 1 : 0 : -1])
+        Zp[i] = (zp[i] + acc) / denom
+    return Zp
+
+
+def test_renewal_solver_matches_forward_substitution():
+    weibull = RenewalKernel(DistributionSpec.weibull(2.0, 1.0),
+                            DistributionSpec.gamma(2.0, 0.1), 1.0)
+    instances = [  # (kernel, w_shift, forcing, dri)
+        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.0, None, False),
+        (RenewalKernel(DistributionSpec.gamma(2.0, 0.5), DIRAC1, 1.0), 0.5, None, False),
+        (weibull, 0.95 * find_w(weibull), None, False),
+        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.3, lambda t: math.exp(-2.0 * t), False),
+        (RenewalKernel(EXP1, DIRAC1, 1.0), 1.5, None, True),  # supercritical, vouched for
+    ]
+    block = rates._RENEWAL_BLOCK
+    step = 0.01
+    for kernel, shift, forcing, dri in instances:
+        for n in (1, 2, block, block + 1, 999):
+            horizon = (n - 1) * step
+            sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon,
+                                forcing=forcing, dri=dri)
+            ref = _forward_substitution(kernel, shift, step, horizon, forcing)
+            assert len(sol.grid) == len(ref) == n
+            assert np.max(np.abs(sol.Z_tilted - ref)) <= 1e-12 * np.max(np.abs(ref))
+            if kernel is weibull:
+                assert sol.C == 1.0  # the tilted solution peaks at t = 0
+
+
 def test_exponential_case_decay_values():
     # lam (1 - E[e^{-t Theta}] under Exp(lam) times): closed values
     assert exponential_case_decay(1.0, DIRAC1) == pytest.approx(0.5, abs=1e-9)
