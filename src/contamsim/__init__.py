@@ -19,7 +19,6 @@ from .coupling import (
     CouplingPhaseParams,
     CouplingReport,
     run_three_phase,
-    simulate_coupled_ages,
     simulate_coupled_full,
     tv_jump_coupling,
 )

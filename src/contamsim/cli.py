@@ -221,7 +221,7 @@ def simulate(config_path, seed, replicas, out, quiet):
 
 @main.command(name="dump-paths")
 @_common
-@click.option("--replica", type=int, default=0, show_default=True)
+@click.option("--replica", type=click.IntRange(min=0), default=0, show_default=True)
 def dump_paths(config_path, seed, replicas, out, quiet, replica):
     """Write the full event log of one replica."""
     cfg = load_config(config_path, seed, replicas, out)

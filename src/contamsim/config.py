@@ -198,7 +198,9 @@ class RunConfig:
             (0.0 < cfg.horizon < math.inf, "experiment.horizon must be positive and finite"),
             (min(cfg.grid) >= 0.0, "experiment.grid times must be >= 0"),
             (max(cfg.grid) <= cfg.horizon, "experiment.grid must lie within the horizon"),
+            (cfg.seed >= 0, "experiment.seed must be >= 0"),
             (cfg.n_replicas >= 1, "experiment.n_replicas must be >= 1"),
+            (cfg.parallelism >= 1, "experiment.parallelism must be >= 1"),
             (0.0 < cfg.w_eps_frac < 1.0, "rates.w_eps_frac must lie in (0, 1)"),
             (cfg.renewal_step > 0.0, "rates.renewal_step must be > 0"),
             (cfg.n_mc_tail >= 1, "rates.n_mc_tail must be >= 1"),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionSpec, HazardProfile, hazard_profile
-from .errors import AssumptionError, NoDensityError
+from .errors import AssumptionError, ContamsimError, NoDensityError
 from .pdmp import ProcessState
 from . import rates
 
@@ -30,9 +30,7 @@ __all__ = [
     "CoupledState",
     "CouplingReport",
     "CouplingPhaseParams",
-    "AgeTrajectory",
     "CoupledTrajectory",
-    "simulate_coupled_ages",
     "simulate_coupled_full",
     "tv_jump_coupling",
     "run_three_phase",
@@ -79,65 +77,6 @@ class CouplingPhaseParams:
 
 
 # ---------------------------------------------------------------------------
-# Coupled ages
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AgeTrajectory:
-    events: list  # (time, common_flag)
-    final: tuple  # ages at the horizon
-
-
-def simulate_coupled_ages(
-    a0: float,
-    a0_tilde: float,
-    profile: HazardProfile,
-    horizon: float,
-    rng: np.random.Generator,
-    stop_at_merge: bool = False,
-) -> tuple[CouplingReport, AgeTrajectory]:
-    """Run the coupled age pair until the horizon.
-
-    Both marginals are renewal age processes for the profile's law; the
-    first common jump is the coalescence time of the pair.  With
-    ``stop_at_merge`` the run ends at that jump, which is all the
-    coalescence-time studies need.
-    """
-    a, at = float(a0), float(a0_tilde)
-    t = 0.0
-    events: list = []
-    tau_A = math.inf
-    merged = a == at
-    if merged:
-        tau_A = 0.0
-    inverse = profile.inverse
-    zeta = profile.zeta
-    while not (merged and stop_at_merge):
-        elder, younger = (a, at) if a > at else (at, a)
-        s = inverse(elder, rng.exponential())
-        if t + s > horizon:
-            a += horizon - t
-            at += horizon - t
-            break
-        t += s
-        if merged or rng.random() * zeta(elder + s) < zeta(younger + s):
-            if not merged:
-                merged = True
-                tau_A = t
-            a = at = 0.0
-            events.append((t, True))
-        else:
-            if a > at:
-                a, at = 0.0, younger + s
-            else:
-                a, at = younger + s, 0.0
-            events.append((t, False))
-    report = CouplingReport(tau_A=tau_A, tau=tau_A, n_events=len(events))
-    return report, AgeTrajectory(events=events, final=(a, at))
-
-
-# ---------------------------------------------------------------------------
 # Maximal jump coupling
 # ---------------------------------------------------------------------------
 
@@ -179,7 +118,9 @@ def _rejection_draw(F: DistributionSpec, target, rng: np.random.Generator) -> fl
         fv = f(v)
         if fv > 0.0 and rng.random() * fv <= target(v, fv):
             return v
-    raise RuntimeError("rejection sampler failed to accept")
+    raise ContamsimError(
+        f"jump-coupling rejection sampler accepted none of {_MAX_REJECTIONS} proposals"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +145,18 @@ def simulate_coupled_full(
     rng: np.random.Generator,
     tv_from: float = math.inf,
     record_times: tuple = (),
+    stop_at_merge: bool = False,
 ) -> tuple[CouplingReport, CoupledTrajectory]:
     """Simulate the coupled pair (Y, Y~) up to the horizon.
 
     Each component alone is a contaminant process for (F, G, H).  Common
     jumps share the intake and the new metabolic rate; from ``tv_from``
     on, common jumps instead use :func:`tv_jump_coupling`, which is what
-    can produce full coalescence.
+    can produce full coalescence.  With ``stop_at_merge`` the run ends at
+    the first common jump (the age-coalescence time ``tau_A``), and the
+    final state is the one just after that jump.  Point-mass intake and
+    rate laws draw nothing, so with them the run consumes the generator
+    exactly as the age pair alone does.
     """
     init.validate()
     init_tilde.validate()
@@ -224,6 +170,8 @@ def simulate_coupled_full(
     ages_merged = ag == agt
     if ages_merged:
         tau_A = 0.0
+        if stop_at_merge:
+            horizon = 0.0
     fully_merged = ages_merged and x == xt and th == tht
     if fully_merged:
         tau = 0.0
@@ -266,9 +214,6 @@ def simulate_coupled_full(
         n_events += 1
         # the uniform is drawn only while the ages differ
         if ages_merged or rng.random() * zeta(elder + s) < zeta(younger + s):
-            if not ages_merged:
-                ages_merged = True
-                tau_A = tev
             ag = agt = 0.0
             thn = H.sample(rng)
             if fully_merged:
@@ -290,6 +235,12 @@ def simulate_coupled_full(
                     fully_merged = True
                     tau = tev
             th = tht = thn
+            if not ages_merged:
+                ages_merged = True
+                tau_A = tev
+                if stop_at_merge:
+                    horizon = tev
+                    break
         else:
             u = F.sample(rng)
             thn = H.sample(rng)

@@ -11,7 +11,7 @@ and its inverse, which is what the exact event-time generation uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -30,10 +30,7 @@ __all__ = [
     "DistributionSpec",
     "HazardProfile",
     "hazard_profile",
-    "integrated_hazard_inverse",
 ]
-
-_BISECT_TOL = 1e-10
 
 
 class Family(str, Enum):
@@ -186,33 +183,21 @@ class DistributionSpec:
             return p[0]
         return p[0] + 1.0 / p[1]
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, size: int | None = None):
+        """One variate as a float, or with ``size`` an array of that many
+        variates: the same draws as ``size`` successive scalar calls."""
         f, p = self.family, self.params
         if f is Family.EXPONENTIAL:
-            return rng.exponential(1.0 / p[0])
+            return rng.exponential(1.0 / p[0], size)
         if f is Family.GAMMA:
-            return rng.gamma(p[0], p[1])
+            return rng.gamma(p[0], p[1], size)
         if f is Family.UNIFORM:
-            return rng.uniform(p[0], p[1])
+            return rng.uniform(p[0], p[1], size)
         if f is Family.WEIBULL:
-            return p[1] * rng.weibull(p[0])
+            return p[1] * rng.weibull(p[0], size)
         if f is Family.DIRAC:
-            return p[0]
-        return p[0] + rng.exponential(1.0 / p[1])
-
-    def sample_n(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        f, p = self.family, self.params
-        if f is Family.EXPONENTIAL:
-            return rng.exponential(1.0 / p[0], size=n)
-        if f is Family.GAMMA:
-            return rng.gamma(p[0], p[1], size=n)
-        if f is Family.UNIFORM:
-            return rng.uniform(p[0], p[1], size=n)
-        if f is Family.WEIBULL:
-            return p[1] * rng.weibull(p[0], size=n)
-        if f is Family.DIRAC:
-            return np.full(n, p[0])
-        return p[0] + rng.exponential(1.0 / p[1], size=n)
+            return p[0] if size is None else np.full(size, p[0])
+        return p[0] + rng.exponential(1.0 / p[1], size)
 
     def density(self, x: float) -> float:
         f, p = self.family, self.params
@@ -261,14 +246,12 @@ class DistributionSpec:
         f, p = self.family, self.params
         if x < self.support()[0]:
             return 1.0
-        if f is Family.GAMMA:
-            return float(special.gammaincc(p[0], x / p[1]))
-        return 1.0 - self.cdf(x) if f is Family.UNIFORM else self._survival_exp(x)
-
-    def _survival_exp(self, x: float) -> float:
-        f, p = self.family, self.params
         if f is Family.EXPONENTIAL:
             return math.exp(-p[0] * x)
+        if f is Family.GAMMA:
+            return float(special.gammaincc(p[0], x / p[1]))
+        if f is Family.UNIFORM:
+            return 1.0 - self.cdf(x)
         if f is Family.WEIBULL:
             return math.exp(-((x / p[1]) ** p[0]))
         if f is Family.DIRAC:
@@ -381,63 +364,16 @@ class HazardProfile:
             return self.inf_zeta
         return None
 
-    @staticmethod
-    def from_zeta(
-        zeta: Callable[[float], float],
-        a: float = 0.0,
-        d: float = math.inf,
-        inf_zeta: float | None = None,
-        sup_zeta: float | None = None,
-    ) -> "HazardProfile":
-        """Numeric profile for an arbitrary non-decreasing rate function.
-
-        Cumulative hazard by adaptive quadrature, inversion by monotone
-        bisection to absolute tolerance 1e-10.
-        """
-
-        def cumulative(a0: float, s: float) -> float:
-            if s <= 0.0:
-                return 0.0
-            val, _ = integrate.quad(lambda u: zeta(a0 + u), 0.0, s, limit=200)
-            return val
-
-        def inverse(a0: float, target: float) -> float:
-            if target <= 0.0:
-                return 0.0
-            hi = max(1.0, a0) if math.isinf(d) else d - a0
-            if math.isinf(d):
-                while cumulative(a0, hi) < target:
-                    hi *= 2.0
-                    if hi > 1e12:
-                        raise HazardDomainError("cumulative hazard never reaches target")
-            lo = 0.0
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if cumulative(a0, mid) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        return HazardProfile(
-            zeta=zeta,
-            cumulative=cumulative,
-            inverse=inverse,
-            a=a,
-            d=d,
-            inf_zeta=zeta(a) if inf_zeta is None else inf_zeta,
-            sup_zeta=sup_zeta if sup_zeta is not None else math.inf,
-        )
-
 
 def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     """Build the hazard profile of an inter-arrival law.
 
     Uses closed-form cumulative hazard and inversion for every family;
     the gamma family inverts through the regularized incomplete gamma.
+    The spec is re-tagged as an inter-arrival law, which rejects the laws
+    without a non-decreasing hazard.
     """
-    if spec.family is Family.DIRAC:
-        raise DistributionError("a point mass admits no hazard rate")
+    spec = replace(spec, role=Role.INTER_ARRIVAL)
     f, p = spec.family, spec.params
 
     if f is Family.EXPONENTIAL:
@@ -455,10 +391,6 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 
     if f is Family.WEIBULL:
         k, s_ = p
-        if k < 1.0:
-            raise DistributionError(
-                "inter-arrival hazard must be non-decreasing; weibull needs shape >= 1"
-            )
 
         def zeta(t, k=k, s_=s_):
             if t < 0:
@@ -499,8 +431,6 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 
     if f is Family.UNIFORM:
         lo, hi = p
-        if lo < 0:
-            raise DistributionError("inter-arrival law needs support in [0, inf)")
 
         def zeta(t, lo=lo, hi=hi):
             if t < lo:
@@ -528,12 +458,8 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
             sup_zeta=math.inf, spec=spec,
         )
 
-    # gamma, shape >= 1
+    # gamma, shape >= 1: the hazard increases to 1/scale
     k, s_ = p
-    if k < 1.0:
-        raise DistributionError(
-            "inter-arrival hazard must be non-decreasing; gamma needs shape >= 1"
-        )
 
     def zeta(t, spec=spec):
         if t < 0:
@@ -551,24 +477,8 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     def inverse(a0, target, spec=spec):
         return spec.inverse_survival(spec.survival(a0) * math.exp(-target)) - a0
 
-    sup = 1.0 / s_ if k == 1.0 else (math.inf if k < 1.0 else 1.0 / s_)
-    # shape > 1: hazard increases to 1/scale
     return HazardProfile(
         zeta=zeta, cumulative=cumulative, inverse=inverse,
         a=0.0, d=math.inf, inf_zeta=zeta(0.0) if k == 1.0 else 0.0,
-        sup_zeta=sup, spec=spec,
+        sup_zeta=1.0 / s_, spec=spec,
     )
-
-
-# ---------------------------------------------------------------------------
-# Free-function interface
-# ---------------------------------------------------------------------------
-
-
-def integrated_hazard_inverse(profile: HazardProfile, a0: float, target: float) -> float:
-    """Residual waiting time from age a0 for integrated hazard to hit target."""
-    if a0 < 0:
-        raise DistributionError("age must be non-negative")
-    if target <= 0:
-        raise DistributionError("target must be positive")
-    return profile.inverse(a0, target)

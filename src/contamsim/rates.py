@@ -41,7 +41,6 @@ __all__ = [
     "sample_age_bound",
     "age_bound_tail",
     "fit_dominating_exponential",
-    "mean_discount_factor",
     "convergence_bounds",
     "exp_case_bounds",
 ]
@@ -92,6 +91,8 @@ class RenewalKernel:
         return j, z
 
     def mass(self) -> float:
+        """The mean discount factor E[exp(-p*Theta*DeltaT)], Theta ~ H and
+        DeltaT ~ G independent."""
         return self.psi(0.0)
 
     def domain_sup(self) -> float:
@@ -199,7 +200,6 @@ def solve_renewal(
     w_shift: float = 0.0,
     grid_step: float = 1e-3,
     horizon: float = 10.0,
-    forcing: Optional[Callable[[float], float]] = None,
     dri: bool = False,
 ) -> RenewalSolution:
     """Solve the tilted renewal equation Z' = z' + J' * Z' on a grid.
@@ -227,10 +227,7 @@ def solve_renewal(
     tilt = np.exp(w_shift * grid)
     j, z = kernel.on_grid(grid)
     hj = grid_step * (j * tilt)  # the tilted kernel times the trapezoid step
-    if forcing is None:
-        zp = z * tilt
-    else:
-        zp = np.array([forcing(t) for t in grid]) * tilt
+    zp = z * tilt
     Zp = np.empty(n)
     Zp[0] = zp[0]
     rhs = zp + 0.5 * hj * Zp[0]
@@ -245,15 +242,7 @@ def exponential_case_decay(lam: float, H: DistributionSpec, p: float = 1.0) -> f
     """Decay exponent lam * (1 - E[exp(-p*Theta*DeltaT)]) for G = Exp(lam)."""
     if lam <= 0:
         raise AssumptionError("rate must be positive")
-    val, _ = integrate.quad(
-        lambda t: lam * math.exp(-lam * t) * H.laplace(-p * t), 0.0, math.inf, limit=200
-    )
-    return lam * (1.0 - val)
-
-
-def mean_discount_factor(G: DistributionSpec, H: DistributionSpec, p: float = 1.0) -> float:
-    """E[exp(-p*Theta*DeltaT)] for independent DeltaT ~ G, Theta ~ H."""
-    return RenewalKernel(G, H, p).mass()
+    return lam * (1.0 - RenewalKernel(DistributionSpec.exponential(lam), H, p).mass())
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +250,17 @@ def mean_discount_factor(G: DistributionSpec, H: DistributionSpec, p: float = 1.
 # ---------------------------------------------------------------------------
 
 
-def eta(eps: float, F: DistributionSpec, method: str = "auto") -> float:
-    """Half L1 distance between the intake density and its eps-shift."""
+def eta(eps: float, F: DistributionSpec) -> float:
+    """Half L1 distance between the intake density and its eps-shift:
+    in closed form for the box and exponential families, otherwise by
+    quadrature."""
     if not F.has_density:
         raise NoDensityError("eta requires an intake law with a density")
     eps = abs(float(eps))
     if eps == 0.0:
         return 0.0
-    if method not in ("auto", "closed", "quad"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "quad":
-        closed = _eta_closed(eps, F)
-        if closed is not None:
-            return closed
-        if method == "closed":
-            raise ValueError(f"no closed form for {F.family.value}")
-    return _eta_quad(eps, F)
+    closed = _eta_closed(eps, F)
+    return _eta_quad(eps, F) if closed is None else closed
 
 
 def _eta_closed(eps: float, F: DistributionSpec) -> Optional[float]:
@@ -737,7 +721,7 @@ def exp_case_bounds(
     """
     if holder.M is None:
         raise AssumptionError("the intake density must have compact support here")
-    rho = 1.0 - mean_discount_factor(DistributionSpec.exponential(lam), H, 1.0)
+    rho = 1.0 - RenewalKernel(DistributionSpec.exponential(lam), H, 1.0).mass()
     h = holder.h
     K, M = holder.K, holder.M
     km = K * (M + 1.0) / 2.0

@@ -19,7 +19,6 @@ from contamsim.cli import main as cli_main
 from contamsim.config import load_config
 from contamsim.coupling import (
     CouplingPhaseParams,
-    simulate_coupled_ages,
     simulate_coupled_full,
     tv_jump_coupling,
 )
@@ -31,6 +30,17 @@ REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.
 UNIF01 = DistributionSpec.uniform(0.0, 1.0)
 EXP1 = DistributionSpec.exponential(1.0)
 DIRAC1 = DistributionSpec.dirac(1.0)
+DIRAC0 = DistributionSpec.dirac(0.0)
+
+
+def _age_coalescence_time(a0, a0_tilde, prof, rng) -> float:
+    """First common jump of the coupled age pair; the point-mass intake
+    and rate laws draw nothing, so only the ages consume the stream."""
+    rep, _ = simulate_coupled_full(
+        ProcessState(0.0, 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
+        DIRAC0, prof, DIRAC1, 1e9, rng, stop_at_merge=True,
+    )
+    return rep.tau_A
 
 
 def _report(num: int, desc: str, ok: bool):
@@ -50,8 +60,7 @@ def test_criterion_01_constant_hazard_coalescence():
     rng = np.random.default_rng(101)
     taus = np.empty(n)
     for i in range(n):
-        rep, _ = simulate_coupled_ages(0.0, 0.7, prof, 1e9, rng, stop_at_merge=True)
-        taus[i] = rep.tau_A
+        taus[i] = _age_coalescence_time(0.0, 0.7, prof, rng)
     mean_ok = abs(taus.mean() - 1.0) <= 3.0 * taus.std(ddof=1) / math.sqrt(n)
     s = np.sort(taus)
     emp = np.arange(1, n + 1) / n
@@ -81,8 +90,7 @@ def test_criterion_02_age_bound_domination_linear_hazard():
     rng = np.random.default_rng(102)
     taus = np.empty(n)
     for i in range(n):
-        rep, _ = simulate_coupled_ages(0.0, 1.0, prof, 1e9, rng, stop_at_merge=True)
-        taus[i] = rep.tau_A
+        taus[i] = _age_coalescence_time(0.0, 1.0, prof, rng)
     bound = rates.sample_age_bound("iii", p1, p2, eps, b, c, prof, n,
                                    np.random.default_rng(103))
     grid = np.linspace(0.5, 20.0, 20)
@@ -178,9 +186,9 @@ def test_criterion_06_eta_closed_forms():
     eps_grid = np.linspace(1e-3, 1.5, 1000)
     worst = 0.0
     for e in eps_grid:
-        worst = max(worst, abs(rates.eta(e, UNIF01, method="quad") - min(1.0, e)))
+        worst = max(worst, abs(rates._eta_quad(e, UNIF01) - min(1.0, e)))
         worst = max(
-            worst, abs(rates.eta(e, EXP1, method="quad") - (1.0 - math.exp(-e)))
+            worst, abs(rates._eta_quad(e, EXP1) - (1.0 - math.exp(-e)))
         )
     elapsed = time.monotonic() - t0
     _report(

@@ -80,6 +80,9 @@ def test_config_errors(tmp_path):
         ("experiment", "parallelism", 1.5, "experiment.parallelism"),
         ("rates", "n_mc_tail", 1000.5, "rates.n_mc_tail"),
         ("rates", "n_mc_tail", float("inf"), "rates.n_mc_tail"),
+        # the replica streams need a non-negative seed; no worker is no run
+        ("experiment", "seed", -1, "experiment.seed"),
+        ("experiment", "parallelism", 0, "experiment.parallelism"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -114,6 +117,19 @@ def test_cli_reports_config_error(tmp_path):
     result = CliRunner().invoke(main, ["rates", "--config", str(path)])
     assert result.exit_code == 2
     assert "experiment" in result.output
+
+
+def test_cli_rejects_negative_seed_and_replica(tmp_path):
+    cfg = str(_write_config(tmp_path, {"outputs": {"directory": str(tmp_path / "out")}}))
+    for args, message in (
+        (["simulate", "--config", cfg, "--replicas", "3", "--seed", "-1"], "experiment.seed"),
+        (["dump-paths", "--config", cfg, "--replica", "-2"], "--replica"),
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert not isinstance(result.exception, ValueError)
 
 
 def test_rates_command(tmp_path):

@@ -5,17 +5,29 @@ import math
 import numpy as np
 import pytest
 
-from contamsim import rates
+from contamsim import coupling, rates
 from contamsim.coupling import (
     CouplingPhaseParams,
     run_three_phase,
-    simulate_coupled_ages,
     simulate_coupled_full,
     tv_jump_coupling,
 )
 from contamsim.distributions import DistributionSpec, hazard_profile
-from contamsim.errors import AssumptionError, NoDensityError
+from contamsim.errors import AssumptionError, ContamsimError, NoDensityError
 from contamsim.pdmp import ProcessState, simulate_path
+
+# Point-mass intakes and rates draw nothing, so a coupled run with them
+# is the coupled age pair alone, draw for draw.
+NO_INTAKE = DistributionSpec.dirac(0.0)
+UNIT_RATE = DistributionSpec.dirac(1.0)
+
+
+def _ages(a0, a0_tilde, prof, horizon, rng, stop_at_merge=False):
+    """Run the coupled age pair from ages (a0, a0_tilde)."""
+    return simulate_coupled_full(
+        ProcessState(0.0, 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
+        NO_INTAKE, prof, UNIT_RATE, horizon, rng, stop_at_merge=stop_at_merge,
+    )
 
 
 def test_phase_params_validation():
@@ -27,7 +39,7 @@ def test_phase_params_validation():
 
 def test_equal_ages_coalesce_immediately():
     prof = hazard_profile(DistributionSpec.exponential(1.0))
-    rep, _ = simulate_coupled_ages(0.7, 0.7, prof, 10.0, np.random.default_rng(0))
+    rep, _ = _ages(0.7, 0.7, prof, 10.0, np.random.default_rng(0))
     assert rep.tau_A == 0.0
 
 
@@ -38,7 +50,7 @@ def test_constant_hazard_coalescence_is_memoryless():
     rng = np.random.default_rng(1)
     taus = []
     for _ in range(30_000):
-        rep, _ = simulate_coupled_ages(0.0, 1.3, prof, 1e9, rng, stop_at_merge=True)
+        rep, _ = _ages(0.0, 1.3, prof, 1e9, rng, stop_at_merge=True)
         taus.append(rep.tau_A)
         assert rep.n_events == 1
     taus = np.sort(taus)
@@ -49,19 +61,19 @@ def test_constant_hazard_coalescence_is_memoryless():
 
 def test_only_elder_jumps_alone():
     # a lone jump resets the elder age, never the younger: when the one
-    # event in a short window is lone, the initially-younger component
-    # has simply aged through the window while the elder restarted
+    # event in a short window is lone (the ages did not merge), the
+    # initially-younger component has simply aged through the window
+    # while the elder restarted
     prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
     rng = np.random.default_rng(2)
     horizon = 0.1
     seen_lone = 0
     for _ in range(2000):
-        rep, traj = simulate_coupled_ages(0.0, 5.0, prof, horizon, rng)
-        if len(traj.events) == 1 and not traj.events[0][1]:
+        rep, traj = _ages(0.0, 5.0, prof, horizon, rng)
+        if rep.n_events == 1 and math.isinf(rep.tau_A):
             seen_lone += 1
-            t1 = traj.events[0][0]
-            assert traj.final[0] == pytest.approx(horizon, abs=1e-12)
-            assert traj.final[1] == pytest.approx(horizon - t1, abs=1e-12)
+            assert traj.final.y.age == pytest.approx(horizon, abs=1e-12)
+            assert 0.0 <= traj.final.y_tilde.age < horizon
     assert seen_lone > 200
 
 
@@ -78,9 +90,9 @@ def test_common_jump_probability_matches_hazard_ratio():
         # draw the first event time with the elder's hazard, exactly
         s = prof.inverse(a0t, rng.exponential())
         probs.append(prof.zeta(a0 + s) / prof.zeta(a0t + s))
-        rep, traj = simulate_coupled_ages(a0, a0t, prof, 1e9, rng, stop_at_merge=True)
-        # first event common?
-        if traj.events and traj.events[0][1]:
+        rep, _ = _ages(a0, a0t, prof, 1e9, rng, stop_at_merge=True)
+        # the run stops at the first common jump: was it the first event?
+        if rep.n_events == 1:
             hits += 1
     p_ref = float(np.mean(probs))
     se = math.sqrt(p_ref * (1 - p_ref) / n)
@@ -115,6 +127,44 @@ def test_marginal_age_law_is_preserved():
     fb = np.searchsorted(b, grid, side="right") / len(b)
     d = np.max(np.abs(fa - fb))
     assert d <= 1.95 * math.sqrt(2.0 / 8000)
+
+
+def test_stop_at_merge():
+    prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
+    F = DistributionSpec.uniform(0.0, 1.0)
+    H = DistributionSpec.uniform(0.5, 1.5)
+    stopped_early = 0
+    for k in range(200):
+        init = ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.8)
+        full, _ = simulate_coupled_full(*init, F, prof, H, 30.0,
+                                        np.random.default_rng([9, k]))
+        rep, traj = simulate_coupled_full(*init, F, prof, H, 30.0,
+                                          np.random.default_rng([9, k]),
+                                          stop_at_merge=True)
+        # the run is the same up to the first common jump
+        assert rep.tau_A == full.tau_A
+        if math.isfinite(rep.tau_A):
+            stopped_early += rep.n_events < full.n_events
+            # the final state is the one just after the common jump
+            for state in (traj.final.y, traj.final.y_tilde):
+                assert state.t == rep.tau_A
+                assert state.age == 0.0
+            assert traj.final.y.theta == traj.final.y_tilde.theta
+    assert stopped_early > 100
+    # equal initial ages: stopped at time 0, before any event
+    rep, traj = simulate_coupled_full(
+        ProcessState(2.0, 1.0, 0.4), ProcessState(4.0, 1.0, 0.4),
+        F, prof, H, 30.0, np.random.default_rng(12), stop_at_merge=True,
+    )
+    assert rep.tau_A == 0.0 and rep.n_events == 0
+    assert traj.final.y.t == 0.0 and traj.final.y.x == 2.0
+
+
+def test_rejection_sampler_exhaustion_is_a_package_error(monkeypatch):
+    monkeypatch.setattr(coupling, "_MAX_REJECTIONS", 0)
+    F = DistributionSpec.uniform(0.0, 1.0)
+    with pytest.raises(ContamsimError, match="rejection sampler"):
+        tv_jump_coupling(0.0, 0.3, F, np.random.default_rng(13))
 
 
 def test_gap_contracts_exactly_after_full_age_merge():

@@ -8,10 +8,8 @@ import pytest
 from contamsim.distributions import (
     DistributionSpec,
     Family,
-    HazardProfile,
     Role,
     hazard_profile,
-    integrated_hazard_inverse,
 )
 from contamsim.errors import DistributionError, HazardDomainError, NoDensityError
 
@@ -39,6 +37,18 @@ def test_role_constraints():
     # but they are fine in other roles
     DistributionSpec.gamma(0.5, 1.0, role=Role.INTAKE)
     DistributionSpec.dirac(1.0, role=Role.METABOLIC)
+    # hazard_profile applies the inter-arrival checks whatever the tag
+    for spec in [
+        DistributionSpec.dirac(1.0),
+        DistributionSpec.gamma(0.5, 1.0),
+        DistributionSpec.weibull(0.5, 1.0),
+        DistributionSpec.uniform(-1.0, 1.0),
+        DistributionSpec.dirac(1.0, role=Role.METABOLIC),
+    ]:
+        with pytest.raises(DistributionError):
+            hazard_profile(spec)
+    prof = hazard_profile(DistributionSpec.gamma(2.0, 1.0, role=Role.INTAKE))
+    assert prof.spec.role is Role.INTER_ARRIVAL and prof.sup_zeta == 1.0
 
 
 def test_point_mass_basics():
@@ -69,7 +79,7 @@ def test_means():
         DistributionSpec.weibull(2.0, 1.5),
         DistributionSpec.shifted_exponential(1.0, 2.0),
     ]:
-        xs = spec.sample_n(200_000, rng)
+        xs = spec.sample(rng, 200_000)
         # CLT band at ~4 standard errors
         se = xs.std() / math.sqrt(len(xs))
         assert abs(xs.mean() - spec.mean()) < 4.5 * se
@@ -164,7 +174,7 @@ def test_sampling_matches_cdf():
         DistributionSpec.weibull(2.0, 1.0),
         DistributionSpec.shifted_exponential(1.0, 2.0),
     ]:
-        xs = np.sort(spec.sample_n(n, rng))
+        xs = np.sort(spec.sample(rng, n))
         cdf = np.array([spec.cdf(x) for x in xs])
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
@@ -227,17 +237,6 @@ def test_hazard_inverse_roundtrip():
                 assert prof.cumulative(a0, s) == pytest.approx(target, abs=1e-8)
 
 
-def test_numeric_profile_matches_closed_form():
-    # generic quadrature/bisection profile vs the closed Rayleigh one
-    num = HazardProfile.from_zeta(lambda t: max(t, 0.0))
-    closed = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
-    for a0 in (0.0, 0.5, 2.0):
-        for target in (0.2, 1.0, 4.0):
-            assert num.inverse(a0, target) == pytest.approx(
-                closed.inverse(a0, target), abs=1e-7
-            )
-
-
 def test_residual_sampling_is_conditional_law():
     # inverting the integrated hazard from age a0 samples T - a0 | T > a0
     spec = DistributionSpec.gamma(2.0, 1.0)
@@ -251,17 +250,27 @@ def test_residual_sampling_is_conditional_law():
     assert np.max(np.abs(emp - cond)) <= 1.63 / math.sqrt(n)
 
 
-def test_integrated_hazard_inverse_validation():
-    prof = hazard_profile(DistributionSpec.exponential(1.0))
-    with pytest.raises(DistributionError):
-        integrated_hazard_inverse(prof, -1.0, 1.0)
-    with pytest.raises(DistributionError):
-        integrated_hazard_inverse(prof, 0.0, 0.0)
-    assert integrated_hazard_inverse(prof, 0.0, 2.0) == pytest.approx(2.0)
-
-
 def test_reproducible_sampling():
     spec = DistributionSpec.gamma(2.0, 1.0)
-    a = spec.sample_n(100, np.random.default_rng([5, 1]))
-    b = spec.sample_n(100, np.random.default_rng([5, 1]))
+    a = spec.sample(np.random.default_rng([5, 1]), 100)
+    b = spec.sample(np.random.default_rng([5, 1]), 100)
     assert np.array_equal(a, b)
+
+
+def test_batch_and_scalar_sampling_share_one_stream():
+    # a batch of n variates is the same draws as n scalar calls
+    for spec in [
+        DistributionSpec.exponential(2.0),
+        DistributionSpec.gamma(2.5, 0.8),
+        DistributionSpec.uniform(0.5, 2.0),
+        DistributionSpec.weibull(1.7, 1.2),
+        DistributionSpec.dirac(3.0),
+        DistributionSpec.shifted_exponential(1.0, 2.0),
+    ]:
+        batch = spec.sample(np.random.default_rng([6, 2]), 50)
+        rng = np.random.default_rng([6, 2])
+        scalars = [spec.sample(rng) for _ in range(50)]
+        assert all(type(x) is float for x in scalars), spec.family
+        assert isinstance(batch, np.ndarray) and batch.shape == (50,)
+        assert np.array_equal(batch, scalars), spec.family
+

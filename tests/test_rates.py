@@ -24,7 +24,6 @@ from contamsim.rates import (
     exponential_case_decay,
     find_w,
     convergence_bounds,
-    mean_discount_factor,
     sample_age_bound,
     solve_renewal,
 )
@@ -43,7 +42,6 @@ def test_kernel_mass_closed_form():
     # E[e^{-Theta DT}] = 1/2 for DT ~ Exp(1), Theta = 1
     k = RenewalKernel(EXP1, DIRAC1, 1.0)
     assert k.mass() == pytest.approx(0.5)
-    assert mean_discount_factor(EXP1, DIRAC1) == pytest.approx(0.5)
     with pytest.raises(AssumptionError):
         RenewalKernel(EXP1, DIRAC1, 0.5)
 
@@ -104,12 +102,6 @@ def test_renewal_solver_tilted_oracle():
     assert sol.C <= 1.0 + 1e-6
 
 
-def test_renewal_solver_zero_forcing():
-    k = RenewalKernel(EXP1, DIRAC1, 1.0)
-    sol = solve_renewal(k, forcing=lambda t: 0.0, horizon=2.0, grid_step=1e-2)
-    assert np.max(np.abs(sol.Z)) == 0.0
-
-
 def test_renewal_solver_rejects_supercritical_tilt():
     k = RenewalKernel(EXP1, DIRAC1, 1.0)
     with pytest.raises(AssumptionError):
@@ -119,14 +111,14 @@ def test_renewal_solver_rejects_supercritical_tilt():
     assert np.all(np.isfinite(sol.Z))
 
 
-def _forward_substitution(kernel, w_shift, grid_step, horizon, forcing=None):
+def _forward_substitution(kernel, w_shift, grid_step, horizon):
     """The O(n^2) point-by-point solve of the trapezoid-discretized
     tilted renewal equation; the reference for solve_renewal."""
     grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
     n, h = len(grid), grid_step
     tilt = np.exp(w_shift * grid)
     jp = np.array([kernel.density(t) for t in grid]) * tilt
-    zp = np.array([(forcing or kernel.forcing)(t) for t in grid]) * tilt
+    zp = np.array([kernel.forcing(t) for t in grid]) * tilt
     Zp = np.empty(n)
     Zp[0] = zp[0]
     denom = 1.0 - 0.5 * h * jp[0]
@@ -141,21 +133,20 @@ def _forward_substitution(kernel, w_shift, grid_step, horizon, forcing=None):
 def test_renewal_solver_matches_forward_substitution():
     weibull = RenewalKernel(DistributionSpec.weibull(2.0, 1.0),
                             DistributionSpec.gamma(2.0, 0.1), 1.0)
-    instances = [  # (kernel, w_shift, forcing, dri)
-        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.0, None, False),
-        (RenewalKernel(DistributionSpec.gamma(2.0, 0.5), DIRAC1, 1.0), 0.5, None, False),
-        (weibull, 0.95 * find_w(weibull), None, False),
-        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.3, lambda t: math.exp(-2.0 * t), False),
-        (RenewalKernel(EXP1, DIRAC1, 1.0), 1.5, None, True),  # supercritical, vouched for
+    instances = [  # (kernel, w_shift, dri)
+        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.0, False),
+        (RenewalKernel(DistributionSpec.gamma(2.0, 0.5), DIRAC1, 1.0), 0.5, False),
+        (weibull, 0.95 * find_w(weibull), False),
+        (RenewalKernel(EXP1, DIRAC1, 1.0), 1.5, True),  # supercritical, vouched for
     ]
     block = rates._RENEWAL_BLOCK
     step = 0.01
-    for kernel, shift, forcing, dri in instances:
+    for kernel, shift, dri in instances:
         for n in (1, 2, block, block + 1, 999):
             horizon = (n - 1) * step
             sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon,
-                                forcing=forcing, dri=dri)
-            ref = _forward_substitution(kernel, shift, step, horizon, forcing)
+                                dri=dri)
+            ref = _forward_substitution(kernel, shift, step, horizon)
             assert len(sol.grid) == len(ref) == n
             assert np.max(np.abs(sol.Z_tilted - ref)) <= 1e-12 * np.max(np.abs(ref))
             if kernel is weibull:
@@ -191,8 +182,8 @@ def test_eta_closed_forms():
 def test_eta_quadrature_matches_closed_forms():
     for spec in (UNIF01, EXP1, DistributionSpec.uniform(0.5, 2.0)):
         for e in np.linspace(0.01, 1.2, 40):
-            assert eta(e, spec, method="quad") == pytest.approx(
-                eta(e, spec, method="auto"), abs=1e-6
+            assert rates._eta_quad(e, spec) == pytest.approx(
+                eta(e, spec), abs=1e-6
             )
 
 
