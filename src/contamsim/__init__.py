@@ -13,13 +13,12 @@ from .errors import (
     HazardDomainError,
     NoDensityError,
 )
-from .pdmp import EventLog, ProcessState, simulate_path, state_at
+from .pdmp import EventLog, ProcessState, simulate_path
 from .coupling import (
-    CoupledState,
     CouplingPhaseParams,
     CouplingReport,
     run_three_phase,
-    simulate_coupled_full,
+    simulate_coupled,
     tv_jump_coupling,
 )
 from .rates import (
@@ -42,7 +41,6 @@ from .estimators import (
     DominanceReport,
     EmpiricalCurve,
     survival_compare,
-    tv_histogram,
     tv_via_coupling,
     w1_sorted,
     wilson_interval,

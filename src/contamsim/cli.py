@@ -28,9 +28,8 @@ from . import estimators, rates, runner
 from .config import RunConfig, load_config
 from .coupling import CouplingPhaseParams
 from .errors import ConfigError, ContamsimError
-from .pdmp import simulate_path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +57,18 @@ def _jsonable(x):
     return x
 
 
-def _write_csv(path: Path, fieldnames: list, rows: list):
+def _write_csv(path: Path, table: dict):
+    """Write ``table``, a mapping of column name to values, as CSV."""
+    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+        writer.writerow(table)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+
+
+def _transpose(rows: list) -> dict:
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 def _write_json(path: Path, payload: dict):
@@ -208,14 +212,13 @@ def rates_cmd(config_path, seed, replicas, out, quiet):
 def simulate(config_path, seed, replicas, out, quiet):
     """Simulate an ensemble of single trajectories."""
     cfg = load_config(config_path, seed, replicas, out)
-    rows = runner.marginal_rows(cfg)
+    table = runner.marginal_rows(cfg)
     path = Path(cfg.out_dir) / "paths_summary.csv"
-    _write_csv(path, ["replica_id", "x", "theta", "age", "n_events"], rows)
+    _write_csv(path, table)
     if not quiet:
-        xs = np.array([r["x"] for r in rows])
         click.echo(
-            f"simulate: {len(rows)} replicas, mean final quantity "
-            f"{_fmt(float(xs.mean()))} -> {path}"
+            f"simulate: {len(table['x'])} replicas, mean final quantity "
+            f"{_fmt(float(table['x'].mean()))} -> {path}"
         )
 
 
@@ -223,23 +226,18 @@ def simulate(config_path, seed, replicas, out, quiet):
 @_common
 @click.option("--replica", type=click.IntRange(min=0), default=0, show_default=True)
 def dump_paths(config_path, seed, replicas, out, quiet, replica):
-    """Write the full event log of one replica."""
+    """Write the full event log of one replica: the replica's block of
+    ``simulate`` is run again, recording its events."""
     cfg = load_config(config_path, seed, replicas, out)
-    rng = runner.replica_rng(cfg, 0, replica)
-    init = cfg.init.sample(rng)
-    log, final = simulate_path(
-        init, cfg.intake, cfg.inter_arrival, cfg.metabolic, cfg.horizon, rng
-    )
-    rows = [
-        {"t": t, "intake": u, "theta_after": th}
-        for t, u, th in zip(log.jump_times, log.intakes, log.thetas)
-    ]
+    block, row = divmod(replica, runner.CHUNK)
+    log, final = runner.marginal_block(cfg, 0, block, record=True)
+    times, intakes, thetas = log.of(row)
     path = Path(cfg.out_dir) / f"path_{replica}.csv"
-    _write_csv(path, ["t", "intake", "theta_after"], rows)
+    _write_csv(path, {"t": times, "intake": intakes, "theta_after": thetas})
     if not quiet:
         click.echo(
-            f"dump-paths: replica {replica}, {log.n_events()} events, "
-            f"final quantity {_fmt(final.x)} -> {path}"
+            f"dump-paths: replica {replica}, {len(times)} events, "
+            f"final quantity {_fmt(float(final.x[row]))} -> {path}"
         )
 
 
@@ -250,19 +248,14 @@ def couple(config_path, seed, replicas, out, quiet):
     cfg = load_config(config_path, seed, replicas, out)
     bounds = _bounds(cfg)
     params = _phase_params(cfg, bounds, cfg.horizon)
-    rows = runner.coupled_rows(cfg, stream=len(cfg.grid), horizon=cfg.horizon, params=params)
+    table = runner.coupled_rows(cfg, stream=len(cfg.grid), horizon=cfg.horizon, params=params)
     path = Path(cfg.out_dir) / "coupling_reports.csv"
-    fields = [
-        "replica_id", "tau_A", "tau", "n_events",
-        "age_merge_by_alpha", "close_at_beta", "jump_by_horizon",
-        "merged_at_first_attempt", "gap_at_beta", "l1_final",
-    ]
-    _write_csv(path, fields, rows)
+    _write_csv(path, table)
     if not quiet:
-        merged = sum(1 for r in rows if r["tau"] <= cfg.horizon)
+        merged = int((table["tau"] <= cfg.horizon).sum())
         click.echo(
-            f"couple: {merged}/{len(rows)} replicas coalesced by t={_fmt(cfg.horizon)} "
-            f"-> {path}"
+            f"couple: {merged}/{len(table['tau'])} replicas coalesced by "
+            f"t={_fmt(cfg.horizon)} -> {path}"
         )
 
 
@@ -284,11 +277,12 @@ def verify(config_path, seed, replicas, out, quiet):
     informative = 0
     for gi, t in enumerate(cfg.grid):
         params = _phase_params(cfg, bounds, t)
-        rows = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
-        taus = [r["tau"] for r in rows]
-        curve = estimators.tv_via_coupling(taus, [t])
+        table = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
+        curve = estimators.tv_via_coupling(table["tau"], [t])
         tv_bound = bounds.tv(t)
         tv_ok = curve.ci_low[0] <= tv_bound
+        # a TV bound of 1 holds for any estimate, so it verifies nothing
+        vacuous = tv_bound >= 1.0
         tv_rows.append(
             {
                 "t": t,
@@ -297,10 +291,10 @@ def verify(config_path, seed, replicas, out, quiet):
                 "ci_high": float(curve.ci_high[0]),
                 "bound_value": tv_bound,
                 "bound_provenance": bounds.tv.provenance,
+                "vacuous": vacuous,
             }
         )
-        gaps = np.array([r["l1_final"] for r in rows])
-        mean, half = estimators.mean_with_ci(gaps)
+        mean, half = estimators.mean_with_ci(table["l1_final"])
         w1_bound = bounds.w1(t)
         w1_ok = mean - half <= w1_bound
         w1_rows.append(
@@ -314,8 +308,6 @@ def verify(config_path, seed, replicas, out, quiet):
             }
         )
         ok = ok and tv_ok and w1_ok
-        # a TV bound of 1 holds for any estimate, so it verifies nothing
-        vacuous = tv_bound >= 1.0
         informative += not vacuous
         if not quiet:
             tv_status = "vacuous" if vacuous else ("ok" if tv_ok else "VIOLATED")
@@ -326,9 +318,8 @@ def verify(config_path, seed, replicas, out, quiet):
                 f"[{'ok' if w1_ok else 'VIOLATED'}]"
             )
 
-    fields = ["t", "estimate", "ci_low", "ci_high", "bound_value", "bound_provenance"]
-    _write_csv(out_dir / "curves_tv.csv", fields, tv_rows)
-    _write_csv(out_dir / "curves_w1.csv", fields, w1_rows)
+    _write_csv(out_dir / "curves_tv.csv", _transpose(tv_rows))
+    _write_csv(out_dir / "curves_w1.csv", _transpose(w1_rows))
     if not quiet:
         click.echo(f"verify: TV bound informative at {informative} of {len(cfg.grid)} grid times")
         click.echo("verify: bounds dominate" if ok else "verify: bound violation detected")

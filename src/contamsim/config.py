@@ -87,10 +87,11 @@ class InitLaw:
     theta: DistributionSpec
     age: DistributionSpec
 
-    def sample(self, rng):
+    def sample(self, rng, size: int | None = None):
+        """One initial state, or with ``size`` a batch of that many."""
         from .pdmp import ProcessState
 
-        return ProcessState(self.x.sample(rng), self.theta.sample(rng), self.age.sample(rng))
+        return ProcessState(*(law.sample(rng, size) for law in (self.x, self.theta, self.age)))
 
     def x_mean(self) -> float:
         return self.x.mean()

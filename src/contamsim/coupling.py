@@ -21,17 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, HazardProfile, hazard_profile
+from .distributions import DistributionSpec, Family, HazardProfile, hazard_profile
 from .errors import AssumptionError, ContamsimError, NoDensityError
-from .pdmp import ProcessState
+from .pdmp import EventLog, ProcessState
 from . import rates
 
 __all__ = [
-    "CoupledState",
     "CouplingReport",
     "CouplingPhaseParams",
-    "CoupledTrajectory",
-    "simulate_coupled_full",
+    "simulate_coupled",
     "tv_jump_coupling",
     "run_three_phase",
 ]
@@ -40,21 +38,24 @@ _MAX_REJECTIONS = 10**7
 
 
 @dataclass
-class CoupledState:
-    y: ProcessState
-    y_tilde: ProcessState
-    ages_merged: bool = False
-    fully_merged: bool = False
-
-
-@dataclass
 class CouplingReport:
-    """Outcome of one coupled run; infinite times mean "not within horizon"."""
+    """Outcome of a batch of coupled runs, one entry per run; infinite
+    times mean "not within the horizon"."""
 
-    tau_A: float = math.inf
-    tau: float = math.inf
-    n_events: int = 0
+    tau_A: np.ndarray  # first common jump: the ages coalesce
+    tau: np.ndarray  # full coalescence
+    log: EventLog  # events of each pair; recorded, the jumps of Y
+    tv_attempt_time: np.ndarray  # first maximal-coupling attempt
+    tv_first_attempt_merged: np.ndarray
+    gap: np.ndarray  # |X - X~| at the requested gap time
+    y: ProcessState  # the states at the end of each run
+    y_tilde: ProcessState
     phase_outcomes: dict = field(default_factory=dict)
+
+    @property
+    def n_events(self) -> int:
+        """The events of all runs together."""
+        return self.log.n_events()
 
 
 @dataclass(frozen=True)
@@ -82,60 +83,98 @@ class CouplingPhaseParams:
 
 
 def tv_jump_coupling(
-    x_minus: float,
-    x_tilde_minus: float,
+    x_minus: np.ndarray,
+    x_tilde_minus: np.ndarray,
     F: DistributionSpec,
     rng: np.random.Generator,
-) -> tuple[float, float, bool]:
-    """Couple the two post-jump quantities with maximal merge probability.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Couple the post-jump quantities of pairs with maximal merge probability.
 
+    ``x_minus`` and ``x_tilde_minus`` hold one pre-jump pair per entry.
     Marginally each quantity gains an intake drawn from F; the landing
-    points coincide with probability 1 - eta(|gap|).  Sampling is by
-    composition: the overlap component and the two residual components
-    are drawn by rejection against F itself.
+    points of a pair coincide with probability 1 - eta(|gap|).  The box
+    and (shifted) exponential intakes draw by composition, each component
+    in closed form: the overlap, or else the two residuals.  The other
+    laws draw by rejection against F.  Returns the post-jump quantities
+    and whether each pair merged.
     """
     if not F.has_density:
         raise NoDensityError("the jump coupling needs an intake law with a density")
-    delta = x_tilde_minus - x_minus
-    if delta == 0.0:
-        u = F.sample(rng)
-        return x_minus + u, x_minus + u, True
-    p_merge = 1.0 - rates.eta(abs(delta), F)
-    f = F.density
-    if rng.random() < p_merge:
-        v = _rejection_draw(F, lambda v, fv: min(fv, f(v - delta)), rng)
-        return x_minus + v, x_minus + v, True
-    u = _rejection_draw(F, lambda v, fv: fv - min(fv, f(v - delta)), rng)
-    u_tilde = _rejection_draw(F, lambda v, fv: fv - min(fv, f(v + delta)), rng)
-    return x_minus + u, x_tilde_minus + u_tilde, False
+    x = np.asarray(x_minus, dtype=float)
+    x_tilde = np.asarray(x_tilde_minus, dtype=float)
+    if F.family in (Family.GAMMA, Family.WEIBULL):
+        return _rejection_coupling(x, x_tilde, F, rng)
+    delta = x_tilde - x
+    merged = rng.random(delta.shape) < 1.0 - rates.eta(delta, F)
+    apart = ~merged
+    u = np.empty(delta.shape)
+    u[merged] = _overlap(F, delta[merged], rng)
+    u[apart] = _residual(F, delta[apart], rng)
+    x_new = x + u
+    x_tilde_new = x_new.copy()
+    x_tilde_new[apart] = x_tilde[apart] + _residual(F, -delta[apart], rng)
+    return x_new, x_tilde_new, merged
 
 
-def _rejection_draw(F: DistributionSpec, target, rng: np.random.Generator) -> float:
-    """Draw from the density prop. to ``target(v, f(v))`` <= f(v), proposing from F."""
-    f = F.density
+def _overlap(F: DistributionSpec, delta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Intakes v of Y in merging pairs: density prop. to min(f(v), f(v - delta)),
+    where delta is the gap x~ - x."""
+    if F.family is Family.UNIFORM:
+        lo, hi = F.params
+        return lo + np.maximum(delta, 0.0) + (hi - lo - np.abs(delta)) * rng.random(delta.size)
+    # both land at max(x, x~) + shift + Exp(rate)
+    shift, rate = F.support()[0], F.params[-1]
+    return shift + np.maximum(delta, 0.0) + rng.exponential(1.0 / rate, delta.size)
+
+
+def _residual(F: DistributionSpec, delta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Intakes v of Y in pairs that do not merge: density prop. to
+    f(v) - min(f(v), f(v - delta)); Y~'s are the same law at -delta."""
+    if F.family is Family.UNIFORM:
+        # the part of [lo, hi] that the shifted box leaves uncovered
+        lo, hi = F.params
+        d = np.minimum(np.abs(delta), hi - lo) * rng.random(delta.size)
+        return np.where(delta >= 0.0, lo + d, hi - d)
+    # behind (delta > 0): F cut to [shift, shift + delta); ahead: F itself
+    shift, rate = F.support()[0], F.params[-1]
+    mass = np.where(delta > 0.0, -np.expm1(-rate * np.maximum(delta, 0.0)), 1.0)
+    return shift - np.log1p(-mass * rng.random(delta.size)) / rate
+
+
+def _rejection_coupling(x, x_tilde, F: DistributionSpec, rng) -> tuple:
+    """The maximal coupling by rejection (Thorisson, "Coupling,
+    Stationarity, and Regeneration", Springer 2000): Y's intake v ~ F
+    lands Y~ on the same point with probability min(1, f(v - delta)/f(v));
+    the Y~ of a pair that does not merge proposes intakes w ~ F until
+    U f(w) > f(w + delta).  A pair needs one round on average, and eta
+    is never computed."""
+    f, delta = F.density, x_tilde - x
+    v = F.sample(rng, x.size)
+    merged = rng.random(x.size) * f(v) <= f(v - delta)
+    x_new = x + v
+    x_tilde_new = x_new.copy()
+    todo = np.flatnonzero(~merged)
     for _ in range(_MAX_REJECTIONS):
-        v = F.sample(rng)
-        fv = f(v)
-        if fv > 0.0 and rng.random() * fv <= target(v, fv):
-            return v
-    raise ContamsimError(
-        f"jump-coupling rejection sampler accepted none of {_MAX_REJECTIONS} proposals"
-    )
+        if not todo.size:
+            break
+        w = F.sample(rng, todo.size)
+        ok = rng.random(todo.size) * f(w) > f(w + delta[todo])
+        x_tilde_new[todo[ok]] = x_tilde[todo[ok]] + w[ok]
+        todo = todo[~ok]
+    if todo.size:
+        raise ContamsimError(
+            f"jump-coupling rejection sampler accepted no proposal for {todo.size} "
+            f"pairs in {_MAX_REJECTIONS} rounds"
+        )
+    return x_new, x_tilde_new, merged
 
 
 # ---------------------------------------------------------------------------
-# Full coupled process
+# The coupled kernel
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CoupledTrajectory:
-    snapshot_times: list
-    snapshots: list  # CoupledState at each requested time
-    final: CoupledState
-
-
-def simulate_coupled_full(
+def simulate_coupled(
     init: ProcessState,
     init_tilde: ProcessState,
     F: DistributionSpec,
@@ -144,133 +183,148 @@ def simulate_coupled_full(
     horizon: float,
     rng: np.random.Generator,
     tv_from: float = math.inf,
-    record_times: tuple = (),
+    gap_time: float = math.inf,
     stop_at_merge: bool = False,
-) -> tuple[CouplingReport, CoupledTrajectory]:
-    """Simulate the coupled pair (Y, Y~) up to the horizon.
+    record: bool = False,
+) -> CouplingReport:
+    """Simulate coupled pairs (Y, Y~) up to the horizon, one pair per
+    entry of the initial states.
 
     Each component alone is a contaminant process for (F, G, H).  Common
     jumps share the intake and the new metabolic rate; from ``tv_from``
     on, common jumps instead use :func:`tv_jump_coupling`, which is what
-    can produce full coalescence.  With ``stop_at_merge`` the run ends at
-    the first common jump (the age-coalescence time ``tau_A``), and the
-    final state is the one just after that jump.  Point-mass intake and
-    rate laws draw nothing, so with them the run consumes the generator
-    exactly as the age pair alone does.
+    can produce full coalescence.  The report's ``gap`` is |X - X~| at
+    ``gap_time`` (at most the horizon).  With ``stop_at_merge`` a run
+    ends at its first common jump (the age-coalescence time ``tau_A``),
+    in the state just after that jump.  With ``record`` the log keeps
+    every jump of Y.
+
+    The pairs move in lockstep: each step draws, one array per law, the
+    next event of every pair still running.  Point-mass intake and rate
+    laws draw nothing, so with them only the age pairs use the stream.
     """
     init.validate()
     init_tilde.validate()
     profile = G if isinstance(G, HazardProfile) else hazard_profile(G)
-    x, th, ag = init.x, init.theta, init.age
-    xt, tht, agt = init_tilde.x, init_tilde.theta, init_tilde.age
-    t = 0.0
-    tau_A = math.inf
-    tau = math.inf
-    n_events = 0
-    ages_merged = ag == agt
-    if ages_merged:
-        tau_A = 0.0
-        if stop_at_merge:
-            horizon = 0.0
-    fully_merged = ages_merged and x == xt and th == tht
-    if fully_merged:
-        tau = 0.0
-    attempt_time = math.inf
-    attempt_success = False
+    start = (init.x, init.theta, init.age, init_tilde.x, init_tilde.theta, init_tilde.age)
+    n = max(np.size(v) for v in start)
+    # rows: x, theta, age, x~, theta~, age~ and the time of the last event;
+    # one column per pair still running
+    S = np.zeros((7, n))
+    for row, v in enumerate(start):
+        S[row] = v
+    ages_met = S[2] == S[5]
+    met = ages_met & (S[0] == S[3]) & (S[1] == S[4])
+    tau_A = np.where(ages_met, 0.0, math.inf)
+    tau = np.where(met, 0.0, math.inf)
+    events = np.zeros(n, dtype=np.int64)
+    attempt = np.full(n, math.inf)
+    attempt_ok = np.zeros(n, dtype=bool)
+    gap = np.full(n, math.inf)
+    final = np.empty((7, n))
+    run = np.arange(n)  # the pair of each column
+    jumps = []  # with record: (run, time, intake, theta) of Y's jumps, per step
 
-    rec = sorted(record_times)
-    rec_idx = 0
-    snap_times: list = []
-    snaps: list = []
+    def retire(done, end):
+        """Write the states of the columns ``done`` at time ``end``, and drop them."""
+        nonlocal S, ages_met, met, run
+        x, th, ag, xt, tht, agt, t = S[:, done]
+        dt = end - t
+        final[:, run[done]] = (
+            x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, t + dt
+        )
+        keep = ~done
+        S, ages_met, met, run = S[:, keep], ages_met[keep], met[keep], run[keep]
 
-    def record_up_to(limit: float):
-        nonlocal rec_idx
-        while rec_idx < len(rec) and rec[rec_idx] < limit:
-            r = rec[rec_idx]
-            dt = r - t
-            snap_times.append(r)
-            snaps.append(
-                CoupledState(
-                    ProcessState(x * math.exp(-th * dt), th, ag + dt, r),
-                    ProcessState(xt * math.exp(-tht * dt), tht, agt + dt, r),
-                    ages_merged,
-                    fully_merged,
-                )
-            )
-            rec_idx += 1
-
-    inverse = profile.inverse
-    zeta = profile.zeta
-    while True:
-        elder, younger = (ag, agt) if ag > agt else (agt, ag)
-        s = inverse(elder, rng.exponential())
+    if stop_at_merge:
+        retire(ages_met.copy(), 0.0)
+    step = 0
+    while run.size:
+        x, th, ag, xt, tht, agt, t = S
+        elder = np.maximum(ag, agt)
+        s = profile.inverse(elder, rng.exponential(size=run.size))
         tev = t + s
-        if tev > horizon:
-            break
-        record_up_to(tev)
-        x *= math.exp(-th * s)
-        xt *= math.exp(-tht * s)
-        t = tev
-        n_events += 1
-        # the uniform is drawn only while the ages differ
-        if ages_merged or rng.random() * zeta(elder + s) < zeta(younger + s):
-            ag = agt = 0.0
-            thn = H.sample(rng)
-            if fully_merged:
-                x += F.sample(rng)
-                xt = x
-            elif tev >= tv_from:
-                x, xt, ok = tv_jump_coupling(x, xt, F, rng)
-                if attempt_time == math.inf:
-                    attempt_time = tev
-                    attempt_success = ok
-                if ok:
-                    fully_merged = True
-                    tau = tev
-            else:
-                u = F.sample(rng)
-                x += u
-                xt += u
-                if x == xt:
-                    fully_merged = True
-                    tau = tev
-            th = tht = thn
-            if not ages_merged:
-                ages_merged = True
-                tau_A = tev
-                if stop_at_merge:
-                    horizon = tev
-                    break
-        else:
-            u = F.sample(rng)
-            thn = H.sample(rng)
-            if ag > agt:
-                ag, agt = 0.0, younger + s
-                x += u
-                th = thn
-            else:
-                ag, agt = younger + s, 0.0
-                xt += u
-                tht = thn
+        if gap_time <= horizon:
+            seen = (t <= gap_time) & (gap_time < tev)
+            dt = gap_time - t[seen]
+            gap[run[seen]] = np.abs(
+                x[seen] * np.exp(-th[seen] * dt) - xt[seen] * np.exp(-tht[seen] * dt)
+            )
+        out = tev > horizon
+        if out.any():
+            events[run[out]] = step
+            retire(out, horizon)
+            s, tev, elder = s[~out], tev[~out], elder[~out]
+            if not run.size:
+                break
+            x, th, ag, xt, tht, agt, t = S
+        step += 1
+        younger = np.minimum(ag, agt)
+        x *= np.exp(-th * s)
+        xt *= np.exp(-tht * s)
+        t[:] = tev
+        before = x.copy() if record else None
+        # the event has the elder's hazard; it is common with probability
+        # zeta(younger)/zeta(elder), drawn only while the ages differ
+        common = ages_met.copy()
+        apart = np.flatnonzero(~ages_met)
+        if apart.size:
+            e, y = elder[apart] + s[apart], younger[apart] + s[apart]
+            common[apart] = rng.random(apart.size) * profile.zeta(e) < profile.zeta(y)
+        y_jumps = common | (ag > agt) if record else None  # a lone jump is the elder's
 
-    record_up_to(horizon * (1.0 + 1e-15) if horizon in rec else horizon)
-    dt = horizon - t
-    final = CoupledState(
-        ProcessState(x * math.exp(-th * dt), th, ag + dt, horizon),
-        ProcessState(xt * math.exp(-tht * dt), tht, agt + dt, horizon),
-        ages_merged,
-        fully_merged,
-    )
-    report = CouplingReport(
-        tau_A=tau_A,
-        tau=tau,
-        n_events=n_events,
-        phase_outcomes={
-            "tv_attempt_time": attempt_time,
-            "tv_first_attempt_merged": attempt_success,
-        },
-    )
-    return report, CoupledTrajectory(snap_times, snaps, final)
+        c = np.flatnonzero(common)
+        theta_new = H.sample(rng, c.size)
+        fused, unmet = c[met[c]], c[~met[c]]
+        if fused.size:
+            x[fused] += F.sample(rng, fused.size)
+            xt[fused] = x[fused]
+        if unmet.size:
+            late = tev[unmet] >= tv_from
+            shared, tv = unmet[~late], unmet[late]
+            u = F.sample(rng, shared.size)
+            x[shared] += u
+            xt[shared] += u
+            won = shared[x[shared] == xt[shared]]
+            if tv.size:
+                x[tv], xt[tv], ok = tv_jump_coupling(x[tv], xt[tv], F, rng)
+                first = np.isinf(attempt[run[tv]])
+                attempt[run[tv[first]]] = tev[tv[first]]
+                attempt_ok[run[tv[first]]] = ok[first]
+                won = np.concatenate([won, tv[ok]])
+            met[won] = True
+            tau[run[won]] = tev[won]
+        th[c] = tht[c] = theta_new
+        ag[c] = agt[c] = 0.0
+        fresh = common & ~ages_met
+        ages_met |= common
+        tau_A[run[fresh]] = tev[fresh]
+
+        lone = np.flatnonzero(~common)
+        if lone.size:
+            u, theta_new = F.sample(rng, lone.size), H.sample(rng, lone.size)
+            y_elder = ag[lone] > agt[lone]
+            a, b = lone[y_elder], lone[~y_elder]
+            agt[a], ag[a] = younger[a] + s[a], 0.0
+            x[a] += u[y_elder]
+            th[a] = theta_new[y_elder]
+            ag[b], agt[b] = younger[b] + s[b], 0.0
+            xt[b] += u[~y_elder]
+            tht[b] = theta_new[~y_elder]
+        if record:
+            j = np.flatnonzero(y_jumps)
+            jumps.append((run[j], t[j], x[j] - before[j], th[j]))
+        if stop_at_merge and fresh.any():
+            events[run[fresh]] = step
+            retire(fresh, t[fresh])
+
+    log = EventLog(events)
+    if record:
+        cols = [np.concatenate(c) for c in zip(*jumps)] or [np.empty(0)] * 4
+        order = np.argsort(cols[0], kind="stable")
+        log = EventLog(events, *(c[order] for c in cols))
+    y, y_tilde = ProcessState(*final[0:3], final[6]), ProcessState(*final[3:6], final[6])
+    return CouplingReport(tau_A, tau, log, attempt, attempt_ok, gap, y, y_tilde)
 
 
 def run_three_phase(
@@ -283,43 +337,26 @@ def run_three_phase(
     horizon: float,
     rng: np.random.Generator,
 ) -> CouplingReport:
-    """Run the three-phase coupling for one horizon and report the tree.
+    """Run the three-phase coupling of a batch of pairs for one horizon.
 
     Phase boundaries are alpha*horizon and beta*horizon; from the second
-    boundary on, common jumps use the maximal jump coupling.  The report
-    carries the four tree outcomes and bounds the total variation at the
-    horizon through the indicator of non-coalescence.
+    boundary on, common jumps use the maximal jump coupling.  The report's
+    ``phase_outcomes`` hold, per pair, the four tree outcomes, the gap at
+    the second boundary and the L1 distance of the states at the horizon
+    (the columns of ``coupling_reports.csv``, in order); the indicator of
+    non-coalescence bounds the total variation there.
     """
     beta_t = params.beta * horizon
-    report, traj = simulate_coupled_full(
-        init,
-        init_tilde,
-        F,
-        G,
-        H,
-        horizon,
-        rng,
-        tv_from=beta_t,
-        record_times=(beta_t,),
+    rep = simulate_coupled(
+        init, init_tilde, F, G, H, horizon, rng, tv_from=beta_t, gap_time=beta_t
     )
-    gap_at_beta = math.inf
-    for r, st in zip(traj.snapshot_times, traj.snapshots):
-        if r == beta_t:
-            gap_at_beta = abs(st.y.x - st.y_tilde.x)
-    attempt_time = report.phase_outcomes.get("tv_attempt_time", math.inf)
-    fy, fyt = traj.final.y, traj.final.y_tilde
-    l1_final = (
-        abs(fy.x - fyt.x) + abs(fy.theta - fyt.theta) + abs(fy.age - fyt.age)
-    )
-    report.phase_outcomes = {
-        "age_merge_by_alpha": report.tau_A <= params.alpha * horizon,
-        "close_at_beta": gap_at_beta < params.epsilon_tv,
-        "jump_by_horizon": attempt_time <= horizon,
-        "merged_at_first_attempt": report.phase_outcomes.get(
-            "tv_first_attempt_merged", False
-        ),
-        "gap_at_beta": gap_at_beta,
-        "tv_attempt_time": attempt_time,
-        "l1_final": l1_final,
+    y, yt = rep.y, rep.y_tilde
+    rep.phase_outcomes = {
+        "age_merge_by_alpha": rep.tau_A <= params.alpha * horizon,
+        "close_at_beta": rep.gap < params.epsilon_tv,
+        "jump_by_horizon": rep.tv_attempt_time <= horizon,
+        "merged_at_first_attempt": rep.tv_first_attempt_merged,
+        "gap_at_beta": rep.gap,
+        "l1_final": np.abs(y.x - yt.x) + np.abs(y.theta - yt.theta) + np.abs(y.age - yt.age),
     }
-    return report
+    return rep

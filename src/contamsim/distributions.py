@@ -33,6 +33,18 @@ __all__ = [
 ]
 
 
+def _arg(value):
+    """An argument of the laws as float64: a numpy scalar for a float (its
+    arithmetic is much faster than a 0-d array's), else an array."""
+    return np.asarray(value, dtype=float)[()]
+
+
+def _in_kind(value):
+    """A 0-d result as a float, an array as it is: the laws answer a float
+    with a float and an array with an array."""
+    return value if getattr(value, "ndim", 0) else float(value)
+
+
 class Family(str, Enum):
     EXPONENTIAL = "exponential"
     GAMMA = "gamma"
@@ -199,123 +211,106 @@ class DistributionSpec:
             return p[0] if size is None else np.full(size, p[0])
         return p[0] + rng.exponential(1.0 / p[1], size)
 
-    def density(self, x: float) -> float:
+    def density(self, x):
         f, p = self.family, self.params
         if f is Family.DIRAC:
             raise NoDensityError("a point mass has no density")
-        if f is Family.EXPONENTIAL:
-            return p[0] * math.exp(-p[0] * x) if x >= 0 else 0.0
+        x = _arg(x)
+        lo = self.support()[0]
+        z = np.maximum(x, lo)  # clipped into the support, so that no branch warns
         if f is Family.GAMMA:
-            if x < 0:
-                return 0.0
             k, s = p
-            if x == 0.0:
-                return 1.0 / s if k == 1.0 else (math.inf if k < 1.0 else 0.0)
-            return x ** (k - 1.0) * math.exp(-x / s) / (math.gamma(k) * s**k)
-        if f is Family.UNIFORM:
-            lo, hi = p
-            return 1.0 / (hi - lo) if lo <= x <= hi else 0.0
-        if f is Family.WEIBULL:
-            if x < 0:
-                return 0.0
+            val = np.exp(special.xlogy(k - 1.0, z / s) - z / s - math.lgamma(k)) / s
+        elif f is Family.UNIFORM:
+            val = np.where(x <= p[1], 1.0 / (p[1] - p[0]), 0.0)
+        elif f is Family.WEIBULL:
             k, s = p
-            if x == 0.0:
-                return 1.0 / s if k == 1.0 else (math.inf if k < 1.0 else 0.0)
-            return (k / s) * (x / s) ** (k - 1.0) * math.exp(-((x / s) ** k))
-        shift, m = p
-        return m * math.exp(-m * (x - shift)) if x >= shift else 0.0
+            val = (k / s) * np.exp(special.xlogy(k - 1.0, z / s) - (z / s) ** k)
+        else:  # (shifted) exponential: the rate is the last parameter
+            val = p[-1] * np.exp(-p[-1] * (z - lo))
+        return _in_kind(np.where(x < lo, 0.0, val))
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x):
+        return self._distribution(x, upper=False)
+
+    def survival(self, x):
+        return self._distribution(x, upper=True)
+
+    def _distribution(self, x, upper: bool):
+        """P(X > x) with ``upper``, else P(X <= x)."""
         f, p = self.family, self.params
-        if x < self.support()[0]:
-            return 0.0
-        if f is Family.EXPONENTIAL:
-            return -math.expm1(-p[0] * x)
+        x = _arg(x)
+        lo = self.support()[0]
+        z = np.maximum(x, lo)
         if f is Family.GAMMA:
-            return float(special.gammainc(p[0], x / p[1]))
-        if f is Family.UNIFORM:
-            lo, hi = p
-            return min(1.0, (x - lo) / (hi - lo))
-        if f is Family.WEIBULL:
-            return -math.expm1(-((x / p[1]) ** p[0]))
-        if f is Family.DIRAC:
-            return 1.0
-        return -math.expm1(-p[1] * (x - p[0]))
+            val = (special.gammaincc if upper else special.gammainc)(p[0], z / p[1])
+        elif f is Family.UNIFORM:
+            val = np.clip(((p[1] - z) if upper else (z - p[0])) / (p[1] - p[0]), 0.0, 1.0)
+        elif f is Family.DIRAC:
+            val = 0.0 if upper else 1.0
+        else:  # the survival is exp(-e)
+            e = (z / p[1]) ** p[0] if f is Family.WEIBULL else p[-1] * (z - lo)
+            val = np.exp(-e) if upper else -np.expm1(-e)
+        return _in_kind(np.where(x < lo, float(upper), val))
 
-    def survival(self, x: float) -> float:
-        f, p = self.family, self.params
-        if x < self.support()[0]:
-            return 1.0
-        if f is Family.EXPONENTIAL:
-            return math.exp(-p[0] * x)
-        if f is Family.GAMMA:
-            return float(special.gammaincc(p[0], x / p[1]))
-        if f is Family.UNIFORM:
-            return 1.0 - self.cdf(x)
-        if f is Family.WEIBULL:
-            return math.exp(-((x / p[1]) ** p[0]))
-        if f is Family.DIRAC:
-            return 0.0
-        return math.exp(-p[1] * (x - p[0]))
-
-    def inverse_survival(self, s: float) -> float:
+    def inverse_survival(self, s):
         """Smallest x with survival(x) <= s, for s in (0, 1]."""
         f, p = self.family, self.params
-        if not 0.0 < s <= 1.0:
+        s = np.asarray(s, dtype=float)
+        if not np.all((0.0 < s) & (s <= 1.0)):
             raise DistributionError("survival level must lie in (0, 1]")
-        if f is Family.EXPONENTIAL:
-            return -math.log(s) / p[0]
         if f is Family.GAMMA:
-            return float(special.gammainccinv(p[0], s)) * p[1]
-        if f is Family.UNIFORM:
-            lo, hi = p
-            return hi - s * (hi - lo)
-        if f is Family.WEIBULL:
-            return p[1] * (-math.log(s)) ** (1.0 / p[0])
-        if f is Family.DIRAC:
-            return p[0]
-        return p[0] - math.log(s) / p[1]
+            x = special.gammainccinv(p[0], s) * p[1]
+        elif f is Family.UNIFORM:
+            x = p[1] - s * (p[1] - p[0])
+        elif f is Family.WEIBULL:
+            x = p[1] * (-np.log(s)) ** (1.0 / p[0])
+        elif f is Family.DIRAC:
+            x = np.full(s.shape, p[0])
+        else:
+            x = self.support()[0] - np.log(s) / p[-1]
+        return _in_kind(np.asarray(x))
 
-    def laplace(self, u: float) -> float:
+    def laplace(self, u):
         """Moment transform E[e^{uX}]; +inf outside its domain of finiteness
         and where the value exceeds the largest float."""
+        f, p = self.family, self.params
+        u = _arg(u)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            if f is Family.GAMMA:
+                k, s = p
+                val = np.where(u < 1.0 / s, (1.0 - s * u) ** (-k), math.inf)
+            elif f is Family.UNIFORM:
+                lo, hi = p
+                val = np.exp(u * lo) * np.expm1(u * (hi - lo)) / (u * (hi - lo))
+            elif f is Family.WEIBULL:
+                val = np.array([self._weibull_laplace(v) for v in u.ravel()]).reshape(u.shape)
+            elif f is Family.DIRAC:
+                val = np.exp(u * p[0])
+            else:  # (shifted) exponential
+                m = p[-1]
+                val = np.where(u < m, np.exp(u * self.support()[0]) * m / (m - u), math.inf)
+        return _in_kind(np.where(u == 0.0, 1.0, val))
+
+    def _weibull_laplace(self, u: float) -> float:
+        k, s = self.params
+        if u > 0 and k < 1.0:
+            return math.inf
+        if u > 0 and k == 1.0:
+            return 1.0 / (1.0 - s * u) if u < 1.0 / s else math.inf
+
+        def integrand(x, k=k, s=s, u=u):
+            if x <= 0.0:
+                return 0.0
+            # combined exponent avoids overflow of exp(u*x) alone
+            e = u * x - (x / s) ** k
+            return 0.0 if e < -745.0 else (k / s) * (x / s) ** (k - 1.0) * math.exp(e)
+
         try:
-            return self._laplace(u)
+            val, _ = integrate.quad(integrand, 0.0, math.inf, limit=200)
         except OverflowError:
             return math.inf
-
-    def _laplace(self, u: float) -> float:
-        f, p = self.family, self.params
-        if u == 0.0:
-            return 1.0
-        if f is Family.EXPONENTIAL:
-            lam = p[0]
-            return lam / (lam - u) if u < lam else math.inf
-        if f is Family.GAMMA:
-            k, s = p
-            return (1.0 - s * u) ** (-k) if u < 1.0 / s else math.inf
-        if f is Family.UNIFORM:
-            lo, hi = p
-            return (math.exp(u * hi) - math.exp(u * lo)) / (u * (hi - lo))
-        if f is Family.WEIBULL:
-            k, s = p
-            if u > 0 and k < 1.0:
-                return math.inf
-            if u > 0 and k == 1.0:
-                return 1.0 / (1.0 - s * u) if u < 1.0 / s else math.inf
-            def integrand(x, k=k, s=s, u=u):
-                if x <= 0.0:
-                    return 0.0
-                # combined exponent avoids overflow of exp(u*x) alone
-                e = u * x - (x / s) ** k
-                return 0.0 if e < -745.0 else (k / s) * (x / s) ** (k - 1.0) * math.exp(e)
-
-            val, _ = integrate.quad(integrand, 0.0, math.inf, limit=200)
-            return val
-        if f is Family.DIRAC:
-            return math.exp(u * p[0])
-        shift, m = p
-        return math.exp(u * shift) * m / (m - u) if u < m else math.inf
+        return val
 
     def laplace_domain_sup(self) -> float:
         """sup{u : E[e^{uX}] < inf}."""
@@ -368,36 +363,24 @@ class HazardProfile:
 def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     """Build the hazard profile of an inter-arrival law.
 
-    Uses closed-form cumulative hazard and inversion for every family;
-    the gamma family inverts through the regularized incomplete gamma.
-    The spec is re-tagged as an inter-arrival law, which rejects the laws
-    without a non-decreasing hazard.
+    Every family has a closed-form cumulative hazard and inverse; the
+    gamma family works with the logarithm of the regularized incomplete
+    gamma, so that ages far in the tail neither underflow nor leave the
+    support.  ``zeta``, ``cumulative`` and ``inverse`` take floats or
+    arrays.  The spec is re-tagged as an inter-arrival law, which rejects
+    the laws without a non-decreasing hazard.
     """
     spec = replace(spec, role=Role.INTER_ARRIVAL)
     f, p = spec.family, spec.params
-
-    if f is Family.EXPONENTIAL:
-        lam = p[0]
-        return HazardProfile(
-            zeta=lambda t: lam,
-            cumulative=lambda a0, s: lam * s,
-            inverse=lambda a0, target: target / lam,
-            a=0.0,
-            d=math.inf,
-            inf_zeta=lam,
-            sup_zeta=lam,
-            spec=spec,
-        )
 
     if f is Family.WEIBULL:
         k, s_ = p
 
         def zeta(t, k=k, s_=s_):
-            if t < 0:
-                return 0.0
-            if t == 0.0:
-                return 1.0 / s_ if k == 1.0 else 0.0
-            return (k / s_) * (t / s_) ** (k - 1.0)
+            t = _arg(t)
+            # 0**0 = 1 gives the rate 1/s_ at age 0 when k == 1
+            rate = (k / s_) * (np.maximum(t, 0.0) / s_) ** (k - 1.0)
+            return _in_kind(np.where(t < 0, 0.0, rate))
 
         def cumulative(a0, s, k=k, s_=s_):
             return ((a0 + s) / s_) ** k - (a0 / s_) ** k
@@ -411,17 +394,17 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
             sup_zeta=(1.0 / s_ if k == 1.0 else math.inf), spec=spec,
         )
 
-    if f is Family.SHIFTED_EXPONENTIAL:
-        shift, m = p
+    if f in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
+        shift, m = spec.support()[0], p[-1]  # exponential: no shift
 
         def zeta(t, shift=shift, m=m):
-            return m if t >= shift else 0.0
+            return _in_kind(np.where(np.asarray(t) >= shift, m, 0.0))
 
         def cumulative(a0, s, shift=shift, m=m):
-            return m * max(0.0, a0 + s - max(a0, shift))
+            return _in_kind(m * np.maximum(0.0, a0 + s - np.maximum(a0, shift)))
 
         def inverse(a0, target, shift=shift, m=m):
-            return max(0.0, shift - a0) + target / m
+            return _in_kind(np.maximum(0.0, shift - a0) + target / m)
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -433,24 +416,20 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
         lo, hi = p
 
         def zeta(t, lo=lo, hi=hi):
-            if t < lo:
-                return 0.0
-            if t >= hi:
+            t = _arg(t)
+            if np.any(t >= hi):
                 raise HazardDomainError(f"hazard is infinite at ages >= {hi}")
-            return 1.0 / (hi - t)
+            return _in_kind(np.where(t < lo, 0.0, 1.0 / (hi - t)))
 
         def cumulative(a0, s, lo=lo, hi=hi):
-            t0 = max(a0, lo)
-            t1 = a0 + s
-            if t1 <= t0:
-                return 0.0
-            if t1 >= hi:
-                return math.inf
-            return math.log((hi - t0) / (hi - t1))
+            t0 = np.maximum(a0, lo)
+            t1 = np.asarray(a0 + s, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = np.where(t1 >= hi, math.inf, np.log((hi - t0) / (hi - t1)))
+            return _in_kind(np.where(t1 <= t0, 0.0, val))
 
         def inverse(a0, target, lo=lo, hi=hi):
-            t0 = max(a0, lo)
-            return (hi - (hi - t0) * math.exp(-target)) - a0
+            return _in_kind(hi - (hi - np.maximum(a0, lo)) * np.exp(-target) - a0)
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -460,25 +439,62 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 
     # gamma, shape >= 1: the hazard increases to 1/scale
     k, s_ = p
+    log_gamma_k = special.gammaln(k)
 
-    def zeta(t, spec=spec):
-        if t < 0:
-            return 0.0
-        sv = spec.survival(t)
-        if sv <= 0.0:
-            raise HazardDomainError("hazard evaluated beyond the support")
-        return spec.density(t) / sv
+    def zeta(t, k=k, s_=s_):
+        t = _arg(t)
+        z = np.maximum(t, 0.0) / s_
+        log_pdf = special.xlogy(k - 1.0, z) - z - log_gamma_k
+        return _in_kind(np.where(t < 0, 0.0, np.exp(log_pdf - _gamma_log_sf(k, z)) / s_))
 
-    def cumulative(a0, s, spec=spec):
-        if s <= 0.0:
-            return 0.0
-        return math.log(spec.survival(a0)) - math.log(spec.survival(a0 + s))
+    def cumulative(a0, s, k=k, s_=s_):
+        s = np.asarray(s, dtype=float)
+        val = _gamma_log_sf(k, a0 / s_) - _gamma_log_sf(k, (a0 + s) / s_)
+        return _in_kind(np.where(s <= 0.0, 0.0, val))
 
-    def inverse(a0, target, spec=spec):
-        return spec.inverse_survival(spec.survival(a0) * math.exp(-target)) - a0
+    def inverse(a0, target, k=k, s_=s_):
+        level = np.asarray(_gamma_log_sf(k, np.asarray(a0) / s_) - target)
+        z = np.asarray(special.gammainccinv(k, np.exp(level)))
+        far = level < _LOG_SF_FAR
+        if np.any(far):
+            # Newton on log Q(k, z) = level from its leading asymptotics;
+            # d/dz log Q = -(the hazard of the unit-scale law)
+            lv = level[far]
+            zf = -lv + special.xlogy(k - 1.0, -lv) - log_gamma_k
+            for _ in range(8):
+                log_sf = _gamma_log_sf(k, zf)
+                hz = np.exp(special.xlogy(k - 1.0, zf) - zf - log_gamma_k - log_sf)
+                zf = zf + (log_sf - lv) / hz
+            z[far] = zf
+        return _in_kind(z * s_ - a0)
 
     return HazardProfile(
         zeta=zeta, cumulative=cumulative, inverse=inverse,
         a=0.0, d=math.inf, inf_zeta=zeta(0.0) if k == 1.0 else 0.0,
         sup_zeta=1.0 / s_, spec=spec,
     )
+
+
+# Where log Q(k, z) falls below this, Q is too small for gammaincc (it
+# underflows past z ~ 745) and its asymptotic series takes over.
+_LOG_SF_FAR = -600.0
+
+
+def _gamma_log_sf(k: float, z):
+    """log Q(k, z) for the regularized upper incomplete gamma Q, without
+    underflow: far in the tail Q(k, z) = z^(k-1) e^(-z) / Gamma(k) *
+    sum_j (k-1)(k-2)...(k-j) / z^j, whose terms shrink like (k/z)^j."""
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.asarray(special.gammaincc(k, z), dtype=float))
+    far = out < _LOG_SF_FAR
+    if np.any(far):
+        zf = z[far]
+        term = np.ones_like(zf)
+        total = np.ones_like(zf)
+        for j in range(1, 30):
+            term = term * (k - j) / zf
+            total += term
+        out = np.array(out)
+        out[far] = special.xlogy(k - 1.0, zf) - zf - special.gammaln(k) + np.log(total)
+    return out[()]

@@ -2,15 +2,14 @@
 
 The total-variation estimate used against theoretical curves is the
 coupling tail P(tau > t): it is an upper bound on the distance with a
-clean binomial error.  The histogram estimate is kept for diagnostics
-only, since its binning bias has no theoretical control here.
+clean binomial error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,6 @@ __all__ = [
     "wilson_interval",
     "tv_via_coupling",
     "w1_sorted",
-    "tv_histogram",
     "survival_compare",
     "mean_with_ci",
 ]
@@ -61,11 +59,10 @@ class EmpiricalCurve:
     estimator_kind: str
 
 
-def tv_via_coupling(taus_or_reports: Iterable, grid: Sequence[float]) -> EmpiricalCurve:
-    """Fraction of replicas not yet coalesced at each grid time."""
-    taus = np.array(
-        [r.tau if hasattr(r, "tau") else float(r) for r in taus_or_reports], dtype=float
-    )
+def tv_via_coupling(taus: Sequence[float], grid: Sequence[float]) -> EmpiricalCurve:
+    """Fraction of replicas not yet coalesced at each grid time, from
+    their coalescence times."""
+    taus = np.asarray(taus, dtype=float)
     if len(taus) == 0:
         raise ContamsimError("no coupling replicas given")
     grid = np.asarray(grid, dtype=float)
@@ -87,29 +84,6 @@ def w1_sorted(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:
     if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
         raise ContamsimError("need two equal-size non-empty 1-D samples")
     return float(np.abs(np.sort(a) - np.sort(b)).mean())
-
-
-def tv_histogram(
-    samples_a: Sequence[float], samples_b: Sequence[float], bins=None
-) -> float:
-    """Half L1 distance of normalized histograms on a common binning.
-
-    Diagnostics only: this is an upward-biased consistent proxy, never
-    compared against theoretical curves.
-    """
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    pooled = np.concatenate([a, b])
-    if bins is None:
-        # Freedman-Diaconis on the pooled sample
-        iqr = np.subtract(*np.percentile(pooled, [75, 25]))
-        width = 2.0 * iqr / len(pooled) ** (1.0 / 3.0)
-        span = pooled.max() - pooled.min()
-        bins = max(1, int(math.ceil(span / width))) if width > 0 and span > 0 else 1
-    edges = np.histogram_bin_edges(pooled, bins=bins)
-    ha, _ = np.histogram(a, bins=edges)
-    hb, _ = np.histogram(b, bins=edges)
-    return 0.5 * float(np.abs(ha / len(a) - hb / len(b)).sum())
 
 
 @dataclass

@@ -5,48 +5,64 @@ at an intake the quantity jumps by U ~ F, the age resets to 0 and the
 metabolic rate is redrawn from H.  Event times are generated by exact
 inversion of the integrated hazard of the inter-intake law G, so there
 is no discretization anywhere.
+
+A batch of runs is one call: the states below hold one entry per run,
+and the runs move forward in lockstep, one event per step, in the
+coupled kernel of :mod:`contamsim.coupling` (a single process is a
+coupled pair whose two copies start, and so stay, equal).
 """
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .distributions import DistributionSpec, HazardProfile, hazard_profile
 from .errors import ContamsimError
 
-__all__ = ["ProcessState", "EventLog", "simulate_path", "state_at"]
+__all__ = ["ProcessState", "EventLog", "simulate_path"]
 
 
 @dataclass
 class ProcessState:
-    x: float
-    theta: float
-    age: float
-    t: float = 0.0
+    """The state of one run (floats) or of a batch of runs (arrays)."""
+
+    x: np.ndarray
+    theta: np.ndarray
+    age: np.ndarray
+    t: np.ndarray = 0.0
 
     def validate(self):
-        if self.x < 0 or self.theta <= 0 or self.age < 0:
+        if np.any(self.x < 0) or np.any(self.theta <= 0) or np.any(self.age < 0):
             raise ContamsimError("invalid process state")
 
 
 @dataclass
 class EventLog:
-    """Ordered intake events of one trajectory."""
+    """Intake events of a batch of runs.
 
-    jump_times: list = field(default_factory=list)
-    intakes: list = field(default_factory=list)
-    thetas: list = field(default_factory=list)
-    horizon: float = 0.0
+    ``counts[i]`` is the number of events of run i.  A recorded log also
+    holds every jump of the first component, grouped by run and in time
+    order within a run: its run, time, intake (the jump of the quantity)
+    and the metabolic rate drawn at it.
+    """
+
+    counts: np.ndarray
+    runs: Optional[np.ndarray] = None
+    jump_times: Optional[np.ndarray] = None
+    intakes: Optional[np.ndarray] = None
+    thetas: Optional[np.ndarray] = None
 
     def n_events(self) -> int:
-        return len(self.jump_times)
+        """The events of all runs together."""
+        return int(self.counts.sum())
 
-    def count_up_to(self, t: float) -> int:
-        return bisect_right(self.jump_times, t)
+    def of(self, run: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Jump times, intakes and new rates of one run of a recorded log."""
+        lo, hi = np.searchsorted(self.runs, [run, run + 1])
+        return self.jump_times[lo:hi], self.intakes[lo:hi], self.thetas[lo:hi]
 
 
 def simulate_path(
@@ -56,54 +72,19 @@ def simulate_path(
     H: DistributionSpec,
     horizon: float,
     rng: np.random.Generator,
+    record: bool = False,
 ) -> tuple[EventLog, ProcessState]:
-    """Simulate one trajectory up to the horizon.
+    """Simulate one run per entry of ``init`` up to the horizon.
 
-    Returns the event log and the state at the horizon.  The waiting
-    time to the first intake is the residual time of G from the initial
-    age, so an initial age of 0 makes the first inter-intake time a
-    plain draw from G.
+    Returns the event log (with every event when ``record``) and the
+    states at the horizon.  The waiting time to the first intake is the
+    residual time of G from the initial age, so an initial age of 0 makes
+    the first inter-intake time a plain draw from G.
     """
+    from .coupling import simulate_coupled  # here: coupling imports this module
+
     if horizon <= 0:
         raise ContamsimError("horizon must be positive")
-    init.validate()
     profile = G if isinstance(G, HazardProfile) else hazard_profile(G)
-    log = EventLog(horizon=horizon)
-    x, theta, age, t = init.x, init.theta, init.age, 0.0
-    while True:
-        s = profile.inverse(age, rng.exponential())
-        if t + s > horizon:
-            break
-        t += s
-        u = F.sample(rng)
-        x = x * math.exp(-theta * s) + u
-        theta = H.sample(rng)
-        age = 0.0
-        log.jump_times.append(t)
-        log.intakes.append(u)
-        log.thetas.append(theta)
-    final = ProcessState(
-        x * math.exp(-theta * (horizon - t)), theta, age + (horizon - t), horizon
-    )
-    return log, final
-
-
-def state_at(log: EventLog, init: ProcessState, t: float) -> ProcessState:
-    """Exact state at time t, cadlag at jump times."""
-    if t < 0 or t > log.horizon:
-        raise ContamsimError(f"time {t} outside simulated horizon {log.horizon}")
-    n = log.count_up_to(t)
-    if n == 0:
-        s = t
-        return ProcessState(init.x * math.exp(-init.theta * s), init.theta, init.age + s, t)
-    # reconstruct x just after the n-th jump
-    x = init.x
-    theta = init.theta
-    prev = 0.0
-    for i in range(n):
-        ti = log.jump_times[i]
-        x = x * math.exp(-theta * (ti - prev)) + log.intakes[i]
-        theta = log.thetas[i]
-        prev = ti
-    s = t - prev
-    return ProcessState(x * math.exp(-theta * s), theta, s, t)
+    rep = simulate_coupled(init, init, F, profile, H, horizon, rng, record=record)
+    return rep.log, rep.y

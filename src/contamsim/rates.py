@@ -10,7 +10,7 @@ and the assembled total-variation / Wasserstein bound curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +67,9 @@ class RenewalKernel:
     G: DistributionSpec
     H: DistributionSpec
     p: float = 1.0
+    # j at the nodes of psi's quadrature: find_w calls psi some 35 times,
+    # and the calls share all but a few hundred nodes
+    _j_at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -83,12 +86,9 @@ class RenewalKernel:
         return self.discount(t) * self.G.survival(t)
 
     def on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``density`` and ``forcing`` on ``grid``, one discount per point."""
-        ts = grid.tolist()  # Python floats: the scalar laws are faster on them
-        disc = np.array([self.discount(t) for t in ts])
-        j = disc * np.array([self.G.density(t) for t in ts])
-        z = disc * np.array([self.G.survival(t) for t in ts])
-        return j, z
+        """``density`` and ``forcing`` on ``grid``, sharing one discount."""
+        disc = self.discount(grid)
+        return disc * self.G.density(grid), disc * self.G.survival(grid)
 
     def mass(self) -> float:
         """The mean discount factor E[exp(-p*Theta*DeltaT)], Theta ~ H and
@@ -106,13 +106,15 @@ class RenewalKernel:
         if u >= self.domain_sup():
             return math.inf
         lo, hi = self.G.support()
+        j = self._j_at
+
+        def integrand(x):
+            if x not in j:
+                j[x] = self.density(x)
+            return math.exp(u * x) * j[x]
+
         try:
-            val, _ = integrate.quad(
-                lambda x: math.exp(u * x) * self.discount(x) * self.G.density(x),
-                lo,
-                hi,
-                **_QUAD_OPTS,
-            )
+            val, _ = integrate.quad(integrand, lo, hi, **_QUAD_OPTS)
         except Exception:
             return math.inf
         return val
@@ -250,31 +252,44 @@ def exponential_case_decay(lam: float, H: DistributionSpec, p: float = 1.0) -> f
 # ---------------------------------------------------------------------------
 
 
-def eta(eps: float, F: DistributionSpec) -> float:
-    """Half L1 distance between the intake density and its eps-shift:
-    in closed form for the box and exponential families, otherwise by
-    quadrature."""
+def eta(eps, F: DistributionSpec):
+    """Half L1 distance between the intake density and its eps-shift, for
+    a float or elementwise for an array of eps: in closed form for the box
+    and exponential families, otherwise from the distribution function at
+    the crossing of the two densities."""
     if not F.has_density:
         raise NoDensityError("eta requires an intake law with a density")
-    eps = abs(float(eps))
-    if eps == 0.0:
-        return 0.0
-    closed = _eta_closed(eps, F)
-    return _eta_quad(eps, F) if closed is None else closed
-
-
-def _eta_closed(eps: float, F: DistributionSpec) -> Optional[float]:
+    eps = np.abs(np.asarray(eps, dtype=float))
     if F.family is Family.UNIFORM:
         lo, hi = F.params
-        return min(1.0, eps / (hi - lo))
-    if F.family is Family.EXPONENTIAL:
-        return -math.expm1(-F.params[0] * eps)
-    if F.family is Family.SHIFTED_EXPONENTIAL:
-        return -math.expm1(-F.params[1] * eps)
-    return None
+        val = np.minimum(1.0, eps / (hi - lo))
+    elif F.family in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
+        val = -np.expm1(-F.params[-1] * eps)
+    else:
+        val = _eta_unimodal(eps, F)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def _eta_unimodal(eps: np.ndarray, F: DistributionSpec) -> np.ndarray:
+    """eta for the gamma and Weibull laws.  Both are unimodal, so
+    f(u) - f(u - eps) is positive left of one point c in [mode, mode + eps]
+    and negative right of it: eta = P(X < c) - P(X + eps < c), and the
+    bisection's error in c moves eta only to second order."""
+    k, s = F.params
+    if F.family is Family.GAMMA:
+        mode = s * max(k - 1.0, 0.0)
+    else:
+        mode = s * max(1.0 - 1.0 / k, 0.0) ** (1.0 / k)
+    lo, hi = np.full(eps.shape, mode), mode + eps
+    for _ in range(64):
+        c = 0.5 * (lo + hi)
+        rising = F.density(c) > F.density(c - eps)
+        lo, hi = np.where(rising, c, lo), np.where(rising, hi, c)
+    return F.cdf(hi) - F.cdf(hi - eps)
 
 
 def _eta_quad(eps: float, F: DistributionSpec) -> float:
+    """eta by quadrature of |f(u) - f(u - eps)|, the oracle of the tests."""
     lo, hi = F.support()
     pts = sorted({lo, lo + eps} | ({hi, hi + eps} if math.isfinite(hi) else set()))
     integrand = lambda u: abs(F.density(u) - F.density(u - eps))
@@ -336,7 +351,7 @@ def eta_envelope(
         return rate, 1.0  # 1 - exp(-r*eps) <= r*eps
     # numeric fit, then inflate C so the envelope dominates on the grid
     eps_grid = np.geomspace(eps_max * 1e-3, eps_max, n_grid)
-    vals = np.array([eta(e, F) for e in eps_grid])
+    vals = eta(eps_grid, F)
     mask = vals > 0
     slope, icept = np.polyfit(np.log(eps_grid[mask]), np.log(vals[mask]), 1)
     v = max(min(slope, 1.0), 1e-6)

@@ -1,13 +1,14 @@
-"""Deterministic, optionally parallel replica execution.
+"""Deterministic, optionally parallel replica execution in blocks.
 
-Every replica owns an independent random stream keyed by
-``(seed, stream, replica_id)``, so results are byte-identical whatever
-the worker count or chunking.
+Block b holds the replica ids [CHUNK*b, CHUNK*b + CHUNK) and draws from
+one random stream keyed by ``(seed, stream, b)``.  A block is always
+simulated in full, in one lockstep batch, and its rows past
+``n_replicas`` are dropped; so row k depends neither on the replica count
+nor on the worker count, and artifacts are byte-identical across both.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -15,93 +16,78 @@ import numpy as np
 from .config import RunConfig
 from .coupling import CouplingPhaseParams, run_three_phase
 from .distributions import hazard_profile
-from .pdmp import simulate_path
+from .pdmp import EventLog, ProcessState, simulate_path
 
-__all__ = ["coupled_rows", "marginal_rows", "replica_rng", "CHUNK"]
+__all__ = ["coupled_rows", "marginal_rows", "marginal_block", "block_rng", "CHUNK"]
 
 CHUNK = 512
 
 
-def replica_rng(cfg: RunConfig, stream: int, rid: int) -> np.random.Generator:
-    """The random stream of one replica, keyed by (seed, stream, replica id)."""
-    return np.random.default_rng([cfg.seed, stream, rid])
+def block_rng(cfg: RunConfig, stream: int, block: int) -> np.random.Generator:
+    """The random stream of one block, keyed by (seed, stream, block)."""
+    return np.random.default_rng([cfg.seed, stream, block])
 
 
-def _coupled_chunk(args) -> list:
-    cfg, stream, horizon, params, start, stop = args
+def _table(cfg: RunConfig, block: int, columns: dict) -> dict:
+    """The rows of one block that are replicas of the run, with their ids."""
+    start = block * CHUNK
+    keep = min(CHUNK, cfg.n_replicas - start)
+    return {"replica_id": np.arange(start, start + keep),
+            **{name: col[:keep] for name, col in columns.items()}}
+
+
+def _coupled_chunk(args) -> dict:
+    cfg, stream, horizon, params, block = args
+    rng = block_rng(cfg, stream, block)
+    init = cfg.init.sample(rng, CHUNK)
+    init_tilde = cfg.init_tilde.sample(rng, CHUNK)
     G = hazard_profile(cfg.inter_arrival)
-    rows = []
-    for rid in range(start, stop):
-        rng = replica_rng(cfg, stream, rid)
-        init = cfg.init.sample(rng)
-        init_tilde = cfg.init_tilde.sample(rng)
-        rep = run_three_phase(
-            init, init_tilde, params, cfg.intake, G, cfg.metabolic, horizon, rng
-        )
-        po = rep.phase_outcomes
-        rows.append(
-            {
-                "replica_id": rid,
-                "tau_A": rep.tau_A,
-                "tau": rep.tau,
-                "n_events": rep.n_events,
-                "age_merge_by_alpha": int(po["age_merge_by_alpha"]),
-                "close_at_beta": int(po["close_at_beta"]),
-                "jump_by_horizon": int(po["jump_by_horizon"]),
-                "merged_at_first_attempt": int(po["merged_at_first_attempt"]),
-                "gap_at_beta": po["gap_at_beta"],
-                "l1_final": po["l1_final"],
-            }
-        )
-    return rows
+    rep = run_three_phase(init, init_tilde, params, cfg.intake, G, cfg.metabolic, horizon, rng)
+    return _table(cfg, block, {
+        "tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes,
+    })
 
 
-def _marginal_chunk(args) -> list:
-    cfg, stream, start, stop = args
+def marginal_block(
+    cfg: RunConfig, stream: int, block: int, record: bool = False
+) -> tuple[EventLog, ProcessState]:
+    """Simulate one full block of single trajectories to the horizon."""
+    rng = block_rng(cfg, stream, block)
+    init = cfg.init.sample(rng, CHUNK)
     G = hazard_profile(cfg.inter_arrival)
-    rows = []
-    for rid in range(start, stop):
-        rng = replica_rng(cfg, stream, rid)
-        init = cfg.init.sample(rng)
-        log, final = simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng)
-        rows.append(
-            {
-                "replica_id": rid,
-                "x": final.x,
-                "theta": final.theta,
-                "age": final.age,
-                "n_events": log.n_events(),
-            }
-        )
-    return rows
+    return simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng, record=record)
 
 
-def _run(cfg: RunConfig, worker, payloads: list) -> list:
+def _marginal_chunk(args) -> dict:
+    cfg, stream, block = args
+    log, final = marginal_block(cfg, stream, block)
+    return _table(cfg, block, {
+        "x": final.x, "theta": final.theta, "age": final.age, "n_events": log.counts,
+    })
+
+
+def _run(cfg: RunConfig, worker, payloads: list) -> dict:
     if cfg.parallelism > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            chunks = list(pool.map(worker, payloads))
+            tables = list(pool.map(worker, payloads))
     else:
-        chunks = [worker(p) for p in payloads]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: r["replica_id"])
-    return rows
+        tables = [worker(p) for p in payloads]
+    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+
+
+def _blocks(cfg: RunConfig) -> range:
+    return range(-(-cfg.n_replicas // CHUNK))
 
 
 def coupled_rows(
     cfg: RunConfig, stream: int, horizon: float, params: CouplingPhaseParams
-) -> list:
-    """Three-phase coupling ensemble for one horizon; one dict per replica."""
-    payloads = [
-        (cfg, stream, horizon, params, start, min(start + CHUNK, cfg.n_replicas))
-        for start in range(0, cfg.n_replicas, CHUNK)
-    ]
-    return _run(cfg, _coupled_chunk, payloads)
+) -> dict:
+    """Three-phase coupling ensemble for one horizon: a table mapping each
+    column name to an array with one entry per replica."""
+    return _run(cfg, _coupled_chunk, [(cfg, stream, horizon, params, b) for b in _blocks(cfg)])
 
 
-def marginal_rows(cfg: RunConfig, stream: int = 0) -> list:
-    """Single-process ensemble at the configured horizon."""
-    payloads = [
-        (cfg, stream, start, min(start + CHUNK, cfg.n_replicas))
-        for start in range(0, cfg.n_replicas, CHUNK)
-    ]
-    return _run(cfg, _marginal_chunk, payloads)
+def marginal_rows(cfg: RunConfig, stream: int = 0) -> dict:
+    """Single-process ensemble at the configured horizon, as a table like
+    :func:`coupled_rows`'s."""
+    return _run(cfg, _marginal_chunk, [(cfg, stream, b) for b in _blocks(cfg)])

@@ -19,7 +19,7 @@ from contamsim.cli import main as cli_main
 from contamsim.config import load_config
 from contamsim.coupling import (
     CouplingPhaseParams,
-    simulate_coupled_full,
+    simulate_coupled,
     tv_jump_coupling,
 )
 from contamsim.distributions import DistributionSpec, hazard_profile
@@ -33,11 +33,11 @@ DIRAC1 = DistributionSpec.dirac(1.0)
 DIRAC0 = DistributionSpec.dirac(0.0)
 
 
-def _age_coalescence_time(a0, a0_tilde, prof, rng) -> float:
-    """First common jump of the coupled age pair; the point-mass intake
+def _age_coalescence_times(a0, a0_tilde, prof, n, rng) -> np.ndarray:
+    """First common jumps of n coupled age pairs; the point-mass intake
     and rate laws draw nothing, so only the ages consume the stream."""
-    rep, _ = simulate_coupled_full(
-        ProcessState(0.0, 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
+    rep = simulate_coupled(
+        ProcessState(np.zeros(n), 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
         DIRAC0, prof, DIRAC1, 1e9, rng, stop_at_merge=True,
     )
     return rep.tau_A
@@ -58,9 +58,7 @@ def test_criterion_01_constant_hazard_coalescence():
     n = 100_000
     prof = hazard_profile(EXP1)
     rng = np.random.default_rng(101)
-    taus = np.empty(n)
-    for i in range(n):
-        taus[i] = _age_coalescence_time(0.0, 0.7, prof, rng)
+    taus = _age_coalescence_times(0.0, 0.7, prof, n, rng)
     mean_ok = abs(taus.mean() - 1.0) <= 3.0 * taus.std(ddof=1) / math.sqrt(n)
     s = np.sort(taus)
     emp = np.arange(1, n + 1) / n
@@ -88,9 +86,7 @@ def test_criterion_02_age_bound_domination_linear_hazard():
     p1, p2 = rates.age_bound_params("iii", prof, eps, b, c)
     plug_ok = abs(p1 - 0.2212) < 5e-4 and abs(p2 - 0.0439) < 5e-4
     rng = np.random.default_rng(102)
-    taus = np.empty(n)
-    for i in range(n):
-        taus[i] = _age_coalescence_time(0.0, 1.0, prof, rng)
+    taus = _age_coalescence_times(0.0, 1.0, prof, n, rng)
     bound = rates.sample_age_bound("iii", p1, p2, eps, b, c, prof, n,
                                    np.random.default_rng(103))
     grid = np.linspace(0.5, 20.0, 20)
@@ -114,16 +110,14 @@ def test_criterion_03_wasserstein_contraction_memoryless():
     n = 100_000
     rng = np.random.default_rng(104)
     checkpoints = (2.0, 4.0, 8.0)
-    gaps = {t: np.empty(n) for t in checkpoints}
-    for i in range(n):
+    gaps = {}
+    for t in checkpoints:
         # equal initial ages force age coalescence at time zero
-        _, traj = simulate_coupled_full(
-            ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
-            UNIF01, EXP1, DIRAC1, 8.0, rng, record_times=(2.0, 4.0),
+        rep = simulate_coupled(
+            ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
+            UNIF01, EXP1, DIRAC1, t, rng,
         )
-        for t, st in zip(traj.snapshot_times, traj.snapshots):
-            gaps[t][i] = abs(st.y.x - st.y_tilde.x)
-        gaps[8.0][i] = abs(traj.final.y.x - traj.final.y_tilde.x)
+        gaps[t] = np.abs(rep.y.x - rep.y_tilde.x)
     ok = True
     msgs = []
     for t in checkpoints:
@@ -208,13 +202,9 @@ def test_criterion_07_tv_jump_coupling_box():
     t0 = time.monotonic()
     n = 100_000
     rng = np.random.default_rng(107)
-    merged = 0
-    intakes = np.empty(2 * n)
-    for i in range(n):
-        x, xt, ok = tv_jump_coupling(0.0, 0.3, UNIF01, rng)
-        merged += ok
-        intakes[2 * i] = x
-        intakes[2 * i + 1] = xt - 0.3
+    x, xt, ok = tv_jump_coupling(np.zeros(n), np.full(n, 0.3), UNIF01, rng)
+    merged = int(ok.sum())
+    intakes = np.concatenate([x, xt - 0.3])
     se = math.sqrt(0.7 * 0.3 / n)
     freq_ok = abs(merged / n - 0.7) <= 2.0 * se
     s = np.sort(intakes)
@@ -254,11 +244,9 @@ def _reference_run() -> dict:
                       1e-300), 1.0 - 1e-12)
         params = CouplingPhaseParams(alpha=bounds.report.alpha,
                                      beta=bounds.report.beta, epsilon_tv=eps)
-        rows = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
-        taus = [r["tau"] for r in rows]
-        tails[t] = estimators.tv_via_coupling(taus, [t])
-        gaps = np.array([r["l1_final"] for r in rows])
-        w1_est[t] = estimators.mean_with_ci(gaps)
+        table = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
+        tails[t] = estimators.tv_via_coupling(table["tau"], [t])
+        w1_est[t] = estimators.mean_with_ci(table["l1_final"])
     _REFERENCE_RUN.update(cfg=cfg, bounds=bounds, tails=tails, w1=w1_est)
     return _REFERENCE_RUN
 
@@ -322,7 +310,7 @@ def test_criterion_10_determinism(tmp_path):
         cfg_path = tmp_path / f"cfg_{tag}.yaml"
         cfg_path.write_text(yaml.safe_dump(data))
         # reduced replica count keeps the three full pipeline runs quick;
-        # per-replica streams make the result independent of the count
+        # per-block streams make each replica independent of the count
         result = runner_cli.invoke(
             cli_main,
             ["verify", "--config", str(cfg_path), "--replicas", "2000", "--quiet"],

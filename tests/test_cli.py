@@ -137,7 +137,7 @@ def test_rates_command(tmp_path):
     result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "out" / "rate_report.json").read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     consts = payload["constants"]
     assert consts["rho"] == pytest.approx(0.5)
     assert consts["alpha"] == pytest.approx(1.0 / 7.0)
@@ -191,7 +191,9 @@ def test_verify_command_and_exit_code(tmp_path):
     for name in ("curves_tv.csv", "curves_w1.csv", "rate_report.json"):
         assert (out / name).exists()
     header = (out / "curves_tv.csv").read_text().splitlines()[0]
-    assert header == "t,estimate,ci_low,ci_high,bound_value,bound_provenance"
+    assert header == "t,estimate,ci_low,ci_high,bound_value,bound_provenance,vacuous"
+    assert [line.split(",")[-1] for line in (out / "curves_tv.csv").read_text().splitlines()[1:]] \
+        == ["1", "1"]
 
 
 def test_replica_override(tmp_path):
@@ -241,6 +243,41 @@ def test_byte_identical_reruns_and_parallelism(tmp_path):
     summary = outputs["a"]["paths_summary.csv"].decode().splitlines()
     assert summary[0].split(",")[-1] == "n_events"
     assert len(events) == int(summary[1 + 5].split(",")[-1])
+
+
+def test_block_contract(tmp_path):
+    # replicas run in blocks of 512, each from its own stream, so row k
+    # does not depend on the replica count; 700 and 1100 end mid-block
+    runner = CliRunner()
+    texts = {}
+    for n in (700, 1100):
+        out = tmp_path / f"out_{n}"
+        cfg = _write_config(tmp_path, {"outputs": {"directory": str(out)}}, name=f"cfg_{n}.yaml")
+        for command in ("simulate", "couple"):
+            result = runner.invoke(
+                main, [command, "--config", str(cfg), "--replicas", str(n), "--quiet"]
+            )
+            assert result.exit_code == 0, result.output
+        texts[n] = {name: (out / name).read_text().splitlines()
+                    for name in ("paths_summary.csv", "coupling_reports.csv")}
+    for name, lines in texts[700].items():
+        assert len(lines) == 1 + 700 and len(texts[1100][name]) == 1 + 1100
+        assert lines == texts[1100][name][: 1 + 700], name
+    # dump-paths replays a row of the first block and one of the second
+    summary = texts[1100]["paths_summary.csv"]
+    for k in (5, 600):
+        result = runner.invoke(
+            main, ["dump-paths", "--config", str(tmp_path / "cfg_1100.yaml"), "--replica", str(k)]
+        )
+        assert result.exit_code == 0, result.output
+        events = (tmp_path / "out_1100" / f"path_{k}.csv").read_text().splitlines()
+        assert events[0] == "t,intake,theta_after"
+        replica_id, x, _, age, n_events = summary[1 + k].split(",")
+        assert int(replica_id) == k and len(events) - 1 == int(n_events)
+        # the last event time and the final age add up to the horizon
+        last = float(events[-1].split(",")[0]) if len(events) > 1 else 0.0
+        assert last + float(age) == pytest.approx(6.0, abs=1e-9)
+        assert f"final quantity {x} " in result.output
 
 
 def test_seed_changes_results(tmp_path):

@@ -9,7 +9,7 @@ from contamsim import coupling, rates
 from contamsim.coupling import (
     CouplingPhaseParams,
     run_three_phase,
-    simulate_coupled_full,
+    simulate_coupled,
     tv_jump_coupling,
 )
 from contamsim.distributions import DistributionSpec, hazard_profile
@@ -22,10 +22,10 @@ NO_INTAKE = DistributionSpec.dirac(0.0)
 UNIT_RATE = DistributionSpec.dirac(1.0)
 
 
-def _ages(a0, a0_tilde, prof, horizon, rng, stop_at_merge=False):
-    """Run the coupled age pair from ages (a0, a0_tilde)."""
-    return simulate_coupled_full(
-        ProcessState(0.0, 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
+def _ages(a0, a0_tilde, prof, horizon, rng, stop_at_merge=False, n=1):
+    """Run n coupled age pairs from ages (a0, a0_tilde)."""
+    return simulate_coupled(
+        ProcessState(np.zeros(n), 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
         NO_INTAKE, prof, UNIT_RATE, horizon, rng, stop_at_merge=stop_at_merge,
     )
 
@@ -39,8 +39,8 @@ def test_phase_params_validation():
 
 def test_equal_ages_coalesce_immediately():
     prof = hazard_profile(DistributionSpec.exponential(1.0))
-    rep, _ = _ages(0.7, 0.7, prof, 10.0, np.random.default_rng(0))
-    assert rep.tau_A == 0.0
+    rep = _ages(0.7, 0.7, prof, 10.0, np.random.default_rng(0))
+    assert rep.tau_A[0] == 0.0
 
 
 def test_constant_hazard_coalescence_is_memoryless():
@@ -48,12 +48,9 @@ def test_constant_hazard_coalescence_is_memoryless():
     lam = 2.0
     prof = hazard_profile(DistributionSpec.exponential(lam))
     rng = np.random.default_rng(1)
-    taus = []
-    for _ in range(30_000):
-        rep, _ = _ages(0.0, 1.3, prof, 1e9, rng, stop_at_merge=True)
-        taus.append(rep.tau_A)
-        assert rep.n_events == 1
-    taus = np.sort(taus)
+    rep = _ages(0.0, 1.3, prof, 1e9, rng, stop_at_merge=True, n=30_000)
+    assert np.all(rep.log.counts == 1)
+    taus = np.sort(rep.tau_A)
     cdf = 1.0 - np.exp(-lam * taus)
     emp = np.arange(1, len(taus) + 1) / len(taus)
     assert np.max(np.abs(emp - cdf)) <= 1.63 / math.sqrt(len(taus))
@@ -67,14 +64,14 @@ def test_only_elder_jumps_alone():
     prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
     rng = np.random.default_rng(2)
     horizon = 0.1
-    seen_lone = 0
-    for _ in range(2000):
-        rep, traj = _ages(0.0, 5.0, prof, horizon, rng)
-        if rep.n_events == 1 and math.isinf(rep.tau_A):
-            seen_lone += 1
-            assert traj.final.y.age == pytest.approx(horizon, abs=1e-12)
-            assert 0.0 <= traj.final.y_tilde.age < horizon
-    assert seen_lone > 200
+    for young, old, ages in ((0.0, 5.0, lambda r: (r.y.age, r.y_tilde.age)),
+                             (5.0, 0.0, lambda r: (r.y_tilde.age, r.y.age))):
+        rep = _ages(young, old, prof, horizon, rng, n=2000)
+        lone = (rep.log.counts == 1) & np.isinf(rep.tau_A)
+        younger, elder = (a[lone] for a in ages(rep))
+        assert np.allclose(younger, horizon, rtol=0.0, atol=1e-12)
+        assert np.all((0.0 <= elder) & (elder < horizon))
+        assert lone.sum() > 200
 
 
 def test_common_jump_probability_matches_hazard_ratio():
@@ -84,17 +81,12 @@ def test_common_jump_probability_matches_hazard_ratio():
     rng = np.random.default_rng(3)
     n = 60_000
     a0, a0t = 0.5, 1.5
-    hits = 0
-    probs = []
-    for _ in range(n):
-        # draw the first event time with the elder's hazard, exactly
-        s = prof.inverse(a0t, rng.exponential())
-        probs.append(prof.zeta(a0 + s) / prof.zeta(a0t + s))
-        rep, _ = _ages(a0, a0t, prof, 1e9, rng, stop_at_merge=True)
-        # the run stops at the first common jump: was it the first event?
-        if rep.n_events == 1:
-            hits += 1
-    p_ref = float(np.mean(probs))
+    # draw the first event times with the elder's hazard, exactly
+    s = prof.inverse(a0t, rng.exponential(size=n))
+    p_ref = float(np.mean(prof.zeta(a0 + s) / prof.zeta(a0t + s)))
+    rep = _ages(a0, a0t, prof, 1e9, rng, stop_at_merge=True, n=n)
+    # each run stops at its first common jump: was it the first event?
+    hits = int((rep.log.counts == 1).sum())
     se = math.sqrt(p_ref * (1 - p_ref) / n)
     assert hits / n == pytest.approx(p_ref, abs=4.5 * se)
 
@@ -108,19 +100,13 @@ def test_marginal_age_law_is_preserved():
     H = DistributionSpec.dirac(1.0)
     rng = np.random.default_rng(4)
     t_obs = 8.0
-    coupled_ages = []
-    for _ in range(8000):
-        _, traj = simulate_coupled_full(
-            ProcessState(1.0, 1.0, 0.0), ProcessState(2.0, 1.0, 0.9),
-            F, prof, H, t_obs, rng,
-        )
-        coupled_ages.append(traj.final.y.age)
-    single_ages = []
-    for _ in range(8000):
-        _, final = simulate_path(ProcessState(1.0, 1.0, 0.0), F, prof, H, t_obs, rng)
-        single_ages.append(final.age)
-    a = np.sort(coupled_ages)
-    b = np.sort(single_ages)
+    coupled = simulate_coupled(
+        ProcessState(np.ones(8000), 1.0, 0.0), ProcessState(2.0, 1.0, 0.9),
+        F, prof, H, t_obs, rng,
+    )
+    _, single = simulate_path(ProcessState(np.ones(8000), 1.0, 0.0), F, prof, H, t_obs, rng)
+    a = np.sort(coupled.y.age)
+    b = np.sort(single.age)
     # two-sample KS at the 0.1% level
     grid = np.unique(np.concatenate([a, b]))
     fa = np.searchsorted(a, grid, side="right") / len(a)
@@ -129,42 +115,84 @@ def test_marginal_age_law_is_preserved():
     assert d <= 1.95 * math.sqrt(2.0 / 8000)
 
 
+def test_coupled_components_keep_their_laws():
+    # with random rates, lone jumps and the maximal coupling from t = 1,
+    # each component's state at t = 3 has the law of a single run from its
+    # own start (two-sample KS at the 0.1% level on x, theta and age)
+    prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
+    F = DistributionSpec.uniform(0.0, 1.0)
+    H = DistributionSpec.uniform(0.5, 1.5)
+    n, horizon = 20_000, 3.0
+    starts = ProcessState(np.full(n, 1.0), 1.0, 0.0), ProcessState(np.full(n, 3.0), 0.6, 2.0)
+    rng = np.random.default_rng(17)
+    rep = simulate_coupled(*starts, F, prof, H, horizon, rng, tv_from=1.0)
+    assert np.isfinite(rep.tau).any() and (rep.log.counts > 1).any()
+    for coupled, start in zip((rep.y, rep.y_tilde), starts):
+        _, single = simulate_path(start, F, prof, H, horizon, rng)
+        for a, b in ((coupled.x, single.x), (coupled.theta, single.theta),
+                     (coupled.age, single.age)):
+            a, b = np.sort(a), np.sort(b)
+            grid = np.unique(np.concatenate([a, b]))
+            d = np.max(np.abs(np.searchsorted(a, grid, side="right")
+                              - np.searchsorted(b, grid, side="right"))) / n
+            assert d <= 1.95 * math.sqrt(2.0 / n)
+
+
+def test_recorded_jumps_replay_the_first_component():
+    # the recorded jumps of Y (common and lone) rebuild its final quantity
+    prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
+    F, H = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.uniform(0.5, 1.5)
+    horizon = 4.0
+    rep = simulate_coupled(
+        ProcessState(np.full(50, 2.0), 1.0, 0.0), ProcessState(4.0, 0.7, 1.5),
+        F, prof, H, horizon, np.random.default_rng(18), tv_from=2.0, record=True,
+    )
+    assert np.all(rep.log.counts >= np.bincount(rep.log.runs, minlength=50))
+    for k in range(50):
+        x, theta, prev = 2.0, 1.0, 0.0
+        for t, u, th in zip(*rep.log.of(k)):
+            x, theta, prev = x * math.exp(-theta * (t - prev)) + u, th, t
+        assert x * math.exp(-theta * (horizon - prev)) == pytest.approx(rep.y.x[k], rel=1e-12)
+        assert theta == rep.y.theta[k]
+
+
 def test_stop_at_merge():
     prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
     F = DistributionSpec.uniform(0.0, 1.0)
     H = DistributionSpec.uniform(0.5, 1.5)
     stopped_early = 0
     for k in range(200):
+        # one pair per run, so that both runs draw the same numbers up to
+        # the merge (in a batch, a stopped pair changes the later draws)
         init = ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.8)
-        full, _ = simulate_coupled_full(*init, F, prof, H, 30.0,
-                                        np.random.default_rng([9, k]))
-        rep, traj = simulate_coupled_full(*init, F, prof, H, 30.0,
-                                          np.random.default_rng([9, k]),
-                                          stop_at_merge=True)
+        full = simulate_coupled(*init, F, prof, H, 30.0, np.random.default_rng([9, k]))
+        rep = simulate_coupled(*init, F, prof, H, 30.0, np.random.default_rng([9, k]),
+                               stop_at_merge=True)
         # the run is the same up to the first common jump
-        assert rep.tau_A == full.tau_A
-        if math.isfinite(rep.tau_A):
+        assert rep.tau_A[0] == full.tau_A[0]
+        if math.isfinite(rep.tau_A[0]):
             stopped_early += rep.n_events < full.n_events
             # the final state is the one just after the common jump
-            for state in (traj.final.y, traj.final.y_tilde):
-                assert state.t == rep.tau_A
-                assert state.age == 0.0
-            assert traj.final.y.theta == traj.final.y_tilde.theta
+            for state in (rep.y, rep.y_tilde):
+                assert state.t[0] == rep.tau_A[0]
+                assert state.age[0] == 0.0
+            assert rep.y.theta[0] == rep.y_tilde.theta[0]
     assert stopped_early > 100
     # equal initial ages: stopped at time 0, before any event
-    rep, traj = simulate_coupled_full(
+    rep = simulate_coupled(
         ProcessState(2.0, 1.0, 0.4), ProcessState(4.0, 1.0, 0.4),
         F, prof, H, 30.0, np.random.default_rng(12), stop_at_merge=True,
     )
-    assert rep.tau_A == 0.0 and rep.n_events == 0
-    assert traj.final.y.t == 0.0 and traj.final.y.x == 2.0
+    assert rep.tau_A[0] == 0.0 and rep.n_events == 0
+    assert rep.y.t[0] == 0.0 and rep.y.x[0] == 2.0
 
 
 def test_rejection_sampler_exhaustion_is_a_package_error(monkeypatch):
+    # the box and exponential intakes draw in closed form; gamma rejects
     monkeypatch.setattr(coupling, "_MAX_REJECTIONS", 0)
-    F = DistributionSpec.uniform(0.0, 1.0)
+    F = DistributionSpec.gamma(2.0, 1.0)
     with pytest.raises(ContamsimError, match="rejection sampler"):
-        tv_jump_coupling(0.0, 0.3, F, np.random.default_rng(13))
+        tv_jump_coupling(np.zeros(4), np.full(4, 5.0), F, np.random.default_rng(13))
 
 
 def test_gap_contracts_exactly_after_full_age_merge():
@@ -174,42 +202,40 @@ def test_gap_contracts_exactly_after_full_age_merge():
     G = DistributionSpec.exponential(1.0)
     H = DistributionSpec.uniform(0.5, 1.5)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        rep, traj = simulate_coupled_full(
-            ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
-            F, G, H, 6.0, rng,
-        )
-        fin = traj.final
-        assert fin.y.theta == fin.y_tilde.theta
-        assert fin.y.age == fin.y_tilde.age
-        # reconstruct the decay factor from the realized gap
-        gap0 = 2.0
-        gap = abs(fin.y.x - fin.y_tilde.x)
-        assert gap <= gap0 * (1.0 + 1e-12)
-        # independent pathwise check at a recorded midpoint
-        rep2, traj2 = simulate_coupled_full(
-            ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
-            F, G, H, 6.0, np.random.default_rng([77, _]), record_times=(3.0,),
-        )
-        st = traj2.snapshots[0]
-        g_mid = abs(st.y.x - st.y_tilde.x)
-        g_end = abs(traj2.final.y.x - traj2.final.y_tilde.x)
-        # between 3.0 and 6.0 the same rates apply on both paths
-        assert g_end <= g_mid * (1.0 + 1e-12)
+    rep = simulate_coupled(
+        ProcessState(np.full(50, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
+        F, G, H, 6.0, rng,
+    )
+    assert np.array_equal(rep.y.theta, rep.y_tilde.theta)
+    assert np.array_equal(rep.y.age, rep.y_tilde.age)
+    # reconstruct the decay factor from the realized gap
+    gap0 = 2.0
+    gap = np.abs(rep.y.x - rep.y_tilde.x)
+    assert np.all(gap <= gap0 * (1.0 + 1e-12))
+    # independent pathwise check at a midpoint
+    rep2 = simulate_coupled(
+        ProcessState(np.full(50, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
+        F, G, H, 6.0, np.random.default_rng(77), gap_time=3.0,
+    )
+    g_mid = rep2.gap
+    g_end = np.abs(rep2.y.x - rep2.y_tilde.x)
+    # between 3.0 and 6.0 the same rates apply on both paths
+    assert np.all(g_end <= g_mid * (1.0 + 1e-12))
+    assert np.all(g_end < g_mid)  # the common rate is at least 0.5
 
 
 def test_tv_jump_coupling_requires_density():
     with pytest.raises(NoDensityError):
-        tv_jump_coupling(0.0, 1.0, DistributionSpec.dirac(1.0),
+        tv_jump_coupling(np.zeros(1), np.ones(1), DistributionSpec.dirac(1.0),
                          np.random.default_rng(0))
 
 
 def test_tv_jump_coupling_zero_gap_always_merges():
     rng = np.random.default_rng(6)
-    F = DistributionSpec.uniform(0.0, 1.0)
-    for _ in range(100):
-        x, xt, ok = tv_jump_coupling(1.0, 1.0, F, rng)
-        assert ok and x == xt
+    for F in (DistributionSpec.uniform(0.0, 1.0), DistributionSpec.exponential(1.0),
+              DistributionSpec.gamma(2.0, 1.0)):
+        x, xt, ok = tv_jump_coupling(np.ones(100), np.ones(100), F, rng)
+        assert ok.all() and np.array_equal(x, xt)
 
 
 def test_tv_jump_coupling_box_example():
@@ -217,13 +243,9 @@ def test_tv_jump_coupling_box_example():
     F = DistributionSpec.uniform(0.0, 1.0)
     rng = np.random.default_rng(7)
     n = 100_000
-    merged = 0
-    xs, xts = [], []
-    for _ in range(n):
-        x, xt, ok = tv_jump_coupling(0.0, 0.3, F, rng)
-        merged += ok
-        xs.append(x)       # = intake of the first component
-        xts.append(xt - 0.3)
+    xs, xts, ok = tv_jump_coupling(np.zeros(n), np.full(n, 0.3), F, rng)
+    xts = xts - 0.3  # xs is the intake of the first component
+    merged = ok.sum()
     se = math.sqrt(0.7 * 0.3 / n)
     assert merged / n == pytest.approx(0.7, abs=4.5 * se)
     # both marginal intakes must remain Uniform(0,1)
@@ -237,19 +259,34 @@ def test_tv_jump_coupling_exponential_marginals():
     F = DistributionSpec.exponential(1.0)
     rng = np.random.default_rng(8)
     n = 50_000
-    merged = 0
-    xs = []
-    for _ in range(n):
-        x, xt, ok = tv_jump_coupling(0.0, 0.5, F, rng)
-        merged += ok
-        xs.append(xt - 0.5)
+    x, xt, ok = tv_jump_coupling(np.zeros(n), np.full(n, 0.5), F, rng)
+    merged = ok.sum()
     p_ref = math.exp(-0.5)  # 1 - eta for the memoryless intake
     se = math.sqrt(p_ref * (1 - p_ref) / n)
     assert merged / n == pytest.approx(p_ref, abs=4.5 * se)
-    sample = np.sort(xs)
     emp = np.arange(1, n + 1) / n
-    cdf = 1.0 - np.exp(-np.maximum(sample, 0.0))
-    assert np.max(np.abs(emp - cdf)) <= 1.63 / math.sqrt(n)
+    for sample in (np.sort(x), np.sort(xt - 0.5)):
+        cdf = 1.0 - np.exp(-np.maximum(sample, 0.0))
+        assert np.max(np.abs(emp - cdf)) <= 1.63 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("F", [DistributionSpec.shifted_exponential(0.5, 2.0),
+                               DistributionSpec.gamma(2.0, 1.0),
+                               DistributionSpec.weibull(1.5, 1.0)])
+def test_tv_jump_coupling_keeps_marginals(F):
+    # closed form (shifted exponential) and rejection (gamma, Weibull):
+    # the merge frequency is 1 - eta and both intakes keep the law F
+    rng = np.random.default_rng(16)
+    n = 50_000
+    gap = 0.4
+    x, xt, ok = tv_jump_coupling(np.zeros(n), np.full(n, gap), F, rng)
+    p_ref = 1.0 - rates.eta(gap, F)
+    se = math.sqrt(p_ref * (1 - p_ref) / n)
+    assert ok.mean() == pytest.approx(p_ref, abs=4.5 * se)
+    assert np.array_equal(x[ok], xt[ok])
+    emp = np.arange(1, n + 1) / n
+    for sample in (np.sort(x), np.sort(xt - gap)):
+        assert np.max(np.abs(emp - F.cdf(sample))) <= 1.63 / math.sqrt(n)
 
 
 def test_three_phase_trivial_pair():
@@ -259,11 +296,11 @@ def test_three_phase_trivial_pair():
     H = DistributionSpec.dirac(1.0)
     params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.5)
     rep = run_three_phase(
-        ProcessState(1.0, 1.0, 0.0), ProcessState(1.0, 1.0, 0.0),
+        ProcessState(np.ones(10), 1.0, 0.0), ProcessState(1.0, 1.0, 0.0),
         params, F, G, H, 5.0, np.random.default_rng(9),
     )
-    assert rep.tau == 0.0
-    assert rep.phase_outcomes["age_merge_by_alpha"]
+    assert np.all(rep.tau == 0.0)
+    assert np.all(rep.phase_outcomes["age_merge_by_alpha"])
 
 
 def test_three_phase_age_merge_probability():
@@ -275,16 +312,14 @@ def test_three_phase_age_merge_probability():
     params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.5)
     rng = np.random.default_rng(10)
     n = 20_000
-    hits = 0
-    for _ in range(n):
-        rep = run_three_phase(
-            ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
-            params, F, G, H, horizon, rng,
-        )
-        hits += rep.phase_outcomes["age_merge_by_alpha"]
-        if math.isfinite(rep.tau):
-            assert rep.tau >= params.beta * horizon  # merges only in phase 3
-            assert rep.tau <= horizon
+    rep = run_three_phase(
+        ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
+        params, F, G, H, horizon, rng,
+    )
+    hits = rep.phase_outcomes["age_merge_by_alpha"].sum()
+    tau = rep.tau[np.isfinite(rep.tau)]
+    assert np.all(tau >= params.beta * horizon)  # merges only in phase 3
+    assert np.all(tau <= horizon)
     p_ref = 1.0 - math.exp(-params.alpha * horizon)
     se = math.sqrt(p_ref * (1 - p_ref) / n)
     assert hits / n == pytest.approx(p_ref, abs=4.5 * se)
@@ -296,21 +331,16 @@ def test_coalescence_is_absorbing():
     G = DistributionSpec.exponential(1.0)
     H = DistributionSpec.uniform(0.5, 1.5)
     rng = np.random.default_rng(11)
-    found = 0
-    for k in range(300):
-        rep, traj = simulate_coupled_full(
-            ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.3),
-            F, G, H, 20.0, rng, tv_from=0.0, record_times=(5.0, 10.0, 15.0, 20.0),
+    for horizon in (5.0, 10.0, 15.0, 20.0):
+        rep = simulate_coupled(
+            ProcessState(np.full(300, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.3),
+            F, G, H, horizon, rng, tv_from=0.0,
         )
-        if not math.isfinite(rep.tau):
-            continue
-        found += 1
-        for st in traj.snapshots:
-            if st.y.t > rep.tau:
-                assert st.y.x == st.y_tilde.x
-                assert st.y.theta == st.y_tilde.theta
-                assert st.y.age == st.y_tilde.age
-    assert found > 100
+        merged = rep.tau < horizon
+        for a, b in ((rep.y.x, rep.y_tilde.x), (rep.y.theta, rep.y_tilde.theta),
+                     (rep.y.age, rep.y_tilde.age)):
+            assert np.array_equal(a[merged], b[merged])
+        assert merged.sum() > 100
 
 
 def test_full_coupling_reproducibility():
@@ -319,9 +349,30 @@ def test_full_coupling_reproducibility():
     H = DistributionSpec.uniform(0.5, 1.5)
     runs = []
     for _ in range(2):
-        rep, traj = simulate_coupled_full(
-            ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
+        rep = simulate_coupled(
+            ProcessState(np.full(20, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
             F, G, H, 12.0, np.random.default_rng([3, 1, 4]), tv_from=6.0,
         )
-        runs.append((rep.tau_A, rep.tau, rep.n_events, traj.final.y.x))
-    assert runs[0] == runs[1]
+        runs.append(np.concatenate([rep.tau_A, rep.tau, rep.log.counts, rep.y.x]))
+    assert np.array_equal(runs[0], runs[1])
+
+
+@pytest.mark.parametrize("lam, mu, theta", [(1.0, 1.0, 1.0), (2.0, 0.5, 0.5)])
+def test_coupled_components_keep_gamma_ou_law(lam, mu, theta):
+    # each component alone is the Gamma-OU process of
+    # test_pdmp.test_gamma_ou_stationary_law, whose law at t = 30 is
+    # Gamma(lam/theta, mu); the pairs start apart in quantity and age and
+    # use the maximal jump coupling (exponential intakes) from t = 10
+    F = DistributionSpec.exponential(1.0 / mu)
+    G = DistributionSpec.exponential(lam)
+    H = DistributionSpec.dirac(theta)
+    n = 4000
+    rep = simulate_coupled(
+        ProcessState(np.zeros(n), theta, 0.0), ProcessState(3.0, theta, 0.5),
+        F, G, H, 30.0, np.random.default_rng(15), tv_from=10.0,
+    )
+    assert np.isfinite(rep.tau).mean() > 0.5
+    for xs in (np.sort(rep.y.x), np.sort(rep.y_tilde.x)):
+        cdf = DistributionSpec.gamma(lam / theta, mu).cdf(xs)
+        d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert d <= 1.63 / math.sqrt(n)

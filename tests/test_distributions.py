@@ -175,7 +175,7 @@ def test_sampling_matches_cdf():
         DistributionSpec.shifted_exponential(1.0, 2.0),
     ]:
         xs = np.sort(spec.sample(rng, n))
-        cdf = np.array([spec.cdf(x) for x in xs])
+        cdf = spec.cdf(xs)
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
         d = max(np.max(np.abs(emp_hi - cdf)), np.max(np.abs(emp_lo - cdf)))
@@ -244,8 +244,8 @@ def test_residual_sampling_is_conditional_law():
     rng = np.random.default_rng(3)
     a0 = 1.0
     n = 50_000
-    xs = np.sort([prof.inverse(a0, rng.exponential()) for _ in range(n)])
-    cond = np.array([spec.survival(a0 + x) / spec.survival(a0) for x in xs])
+    xs = np.sort(prof.inverse(a0, rng.exponential(size=n)))
+    cond = spec.survival(a0 + xs) / spec.survival(a0)
     emp = 1.0 - np.arange(1, n + 1) / n
     assert np.max(np.abs(emp - cond)) <= 1.63 / math.sqrt(n)
 
@@ -274,3 +274,60 @@ def test_batch_and_scalar_sampling_share_one_stream():
         assert isinstance(batch, np.ndarray) and batch.shape == (50,)
         assert np.array_equal(batch, scalars), spec.family
 
+
+
+def test_gamma_hazard_far_in_the_tail():
+    # the survival of gamma(3, 1) underflows past age ~745; the cumulative
+    # hazard, its inverse and the rate work in log space instead
+    prof = hazard_profile(DistributionSpec.gamma(3.0, 1.0))
+    targets = np.array([1.0, 100.0, 800.0])
+    for a0 in (0.0, 2.5):
+        for e in targets:
+            s = prof.inverse(a0, e)
+            assert s > 0 and prof.cumulative(a0, s) == pytest.approx(e, rel=1e-9)
+        s = prof.inverse(np.full(3, a0), targets)
+        assert s.shape == (3,)
+        assert np.allclose(prof.cumulative(np.full(3, a0), s), targets, rtol=1e-9)
+    assert 0.0 < prof.zeta(800.0) <= 1.0
+    # shape 3: Q(3, z) = exp(-z) (1 + z + z^2/2) in closed form
+    z = np.array([1.0, 30.0, 800.0, 5000.0])
+    poly = 1.0 + z + z * z / 2.0
+    assert np.allclose(prof.cumulative(0.0, z), z - np.log(poly), rtol=1e-12, atol=0.0)
+    assert np.allclose(prof.zeta(z), z * z / 2.0 / poly, rtol=1e-12, atol=0.0)
+    rates = prof.zeta(np.array([0.0, 1.0, 800.0, 5000.0]))
+    assert rates[0] == 0.0 and np.all(np.diff(rates) > 0) and np.all(rates <= 1.0)
+    # where the survival does not underflow, the rate is density / survival
+    spec = DistributionSpec.gamma(2.5, 0.8)
+    ts = np.linspace(0.1, 40.0, 30)
+    assert np.allclose(hazard_profile(spec).zeta(ts), spec.density(ts) / spec.survival(ts),
+                       rtol=1e-12, atol=0.0)
+
+
+def test_laws_take_arrays():
+    # every law answers an array elementwise, as the scalar calls do
+    xs = np.array([-0.5, 0.0, 0.4, 1.0, 2.2, 7.0])
+    us = np.array([-3.0, -0.2, 0.0, 0.3])
+    for spec in [
+        DistributionSpec.exponential(2.0),
+        DistributionSpec.gamma(2.5, 0.8),
+        DistributionSpec.uniform(0.5, 2.0),
+        DistributionSpec.weibull(1.7, 1.2),
+        DistributionSpec.dirac(1.0),
+        DistributionSpec.shifted_exponential(1.0, 2.0),
+    ]:
+        methods = [spec.cdf, spec.survival] + ([spec.density] if spec.has_density else [])
+        for method in methods:
+            assert np.array_equal(method(xs), [method(float(x)) for x in xs]), spec.family
+        assert np.array_equal(spec.laplace(us), [spec.laplace(float(u)) for u in us])
+        levels = np.array([1.0, 0.5, 1e-3])
+        assert np.array_equal(spec.inverse_survival(levels),
+                              [spec.inverse_survival(float(s)) for s in levels])
+        if spec.family.value == "dirac":
+            continue
+        prof = hazard_profile(spec)
+        ages = np.array([0.0, 0.3, 0.45, 1.1])
+        targets = np.array([0.2, 1.0, 3.0, 0.05])
+        assert np.array_equal(prof.zeta(ages), [prof.zeta(float(a)) for a in ages])
+        s = prof.inverse(ages, targets)
+        assert np.array_equal(s, [prof.inverse(float(a), float(e)) for a, e in zip(ages, targets)])
+        assert np.allclose(prof.cumulative(ages, s), targets, rtol=1e-9)

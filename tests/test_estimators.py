@@ -10,7 +10,6 @@ from contamsim.errors import ContamsimError
 from contamsim.estimators import (
     mean_with_ci,
     survival_compare,
-    tv_histogram,
     tv_via_coupling,
     w1_sorted,
     wilson_interval,
@@ -96,19 +95,6 @@ def test_w1_brute_force_oracle():
             for perm in itertools.permutations(b)
         )
         assert w1_sorted(a, b) == pytest.approx(best, abs=1e-12)
-
-
-def test_tv_histogram_examples():
-    rng = np.random.default_rng(4)
-    a = rng.uniform(0.0, 1.0, 100_000)
-    # half-shifted boxes overlap on half their mass: distance ~ 0.5
-    b = rng.uniform(0.5, 1.5, 100_000)
-    assert tv_histogram(a, b, bins=40) == pytest.approx(0.5, abs=0.02)
-    # identical laws: distance near 0; disjoint supports: exactly 1
-    assert tv_histogram(a, rng.uniform(0.0, 1.0, 100_000), bins=40) < 0.02
-    assert tv_histogram(a, a + 10.0, bins=40) == 1.0
-    # automatic binning stays in range
-    assert 0.0 <= tv_histogram(a, b) <= 1.0
 
 
 def test_survival_compare_orders_exponentials():

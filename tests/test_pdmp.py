@@ -7,7 +7,7 @@ import pytest
 
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.errors import ContamsimError
-from contamsim.pdmp import EventLog, ProcessState, simulate_path, state_at
+from contamsim.pdmp import ProcessState, simulate_path
 
 
 def _laws(lam=1.0):
@@ -36,12 +36,12 @@ def test_zero_intake_pure_decay():
     rng = np.random.default_rng(1)
     init = ProcessState(3.0, 2.0, 0.0)
     log, final = simulate_path(init, F, G, H, 5.0, rng)
-    assert final.x == pytest.approx(3.0 * math.exp(-2.0 * 5.0), rel=1e-12)
-    assert final.t == 5.0
+    assert final.x[0] == pytest.approx(3.0 * math.exp(-2.0 * 5.0), rel=1e-12)
+    assert final.t[0] == 5.0
     # quantity along the path is non-increasing when intakes vanish
     prev = init.x
-    for t in np.linspace(0.0, 5.0, 50):
-        cur = state_at(log, init, t).x
+    for t in np.linspace(0.1, 5.0, 50):
+        cur = simulate_path(init, F, G, H, t, rng)[1].x[0]
         assert cur <= prev + 1e-15
         prev = cur
 
@@ -51,11 +51,9 @@ def test_event_count_is_poisson():
     F, G, H = _laws(lam=2.0)
     rng = np.random.default_rng(2)
     horizon = 3.0
-    counts = []
-    for _ in range(20_000):
-        log, _ = simulate_path(ProcessState(1.0, 1.0, 0.0), F, G, H, horizon, rng)
-        counts.append(log.n_events())
-    counts = np.array(counts)
+    log, _ = simulate_path(ProcessState(np.ones(20_000), 1.0, 0.0), F, G, H, horizon, rng)
+    counts = log.counts
+    assert log.n_events() == counts.sum() and type(log.n_events()) is int
     mu = 2.0 * horizon
     assert counts.mean() == pytest.approx(mu, abs=4.5 * math.sqrt(mu / len(counts)))
     # chi-square goodness of fit on the bulk cells
@@ -76,10 +74,10 @@ def test_residual_first_wait_uses_initial_age():
     H = DistributionSpec.dirac(1.0)
     rng = np.random.default_rng(3)
     # from age 0 the first event comes essentially at the shift
-    log, _ = simulate_path(ProcessState(0.0, 1.0, 0.0), F, G, H, 6.0, rng)
+    log, _ = simulate_path(ProcessState(0.0, 1.0, 0.0), F, G, H, 6.0, rng, record=True)
     assert log.jump_times[0] == pytest.approx(5.0, abs=0.05)
     # from age 5 it comes almost immediately
-    log, _ = simulate_path(ProcessState(0.0, 1.0, 5.0), F, G, H, 6.0, rng)
+    log, _ = simulate_path(ProcessState(0.0, 1.0, 5.0), F, G, H, 6.0, rng, record=True)
     assert log.jump_times[0] < 0.05
 
 
@@ -89,7 +87,7 @@ def test_stationary_mean_time_average():
     F, G, H = _laws(lam=1.0)
     rng = np.random.default_rng(4)
     horizon = 40_000.0
-    log, _ = simulate_path(ProcessState(0.0, 1.0, 0.0), F, G, H, horizon, rng)
+    log, _ = simulate_path(ProcessState(0.0, 1.0, 0.0), F, G, H, horizon, rng, record=True)
     # exact integral of the path: sum over inter-event segments
     init = ProcessState(0.0, 1.0, 0.0)
     total = 0.0
@@ -107,60 +105,27 @@ def test_stationary_mean_time_average():
     assert total / horizon == pytest.approx(0.5, abs=0.02)
 
 
-def test_state_at_recovers_jumps():
-    F, G, H = _laws()
-    rng = np.random.default_rng(5)
-    init = ProcessState(2.0, 1.0, 0.0)
-    log, final = simulate_path(init, F, G, H, 10.0, rng)
-    assert log.n_events() > 2
-    # the state just after each jump includes the intake; just before not
-    for i, t in enumerate(log.jump_times):
-        after = state_at(log, init, t)
-        before = state_at(log, init, t - 1e-9)
-        gained = after.x - before.x * math.exp(-before.theta * 1e-9)
-        assert gained == pytest.approx(log.intakes[i], abs=1e-7)
-        assert after.age == 0.0
-        assert after.theta == log.thetas[i]
-    # endpoint agrees with the returned final state
-    end = state_at(log, init, 10.0)
-    assert end.x == pytest.approx(final.x, rel=1e-12)
-    assert end.age == pytest.approx(final.age, rel=1e-12)
-    with pytest.raises(ContamsimError):
-        state_at(log, init, 11.0)
-
-
 def test_age_law_at_large_time():
     # for memoryless intakes the age at a fixed large time is
     # min(Exp(lam), t), here essentially Exp(lam)
     F, G, H = _laws(lam=1.0)
     rng = np.random.default_rng(6)
-    ages = []
-    for _ in range(20_000):
-        _, final = simulate_path(ProcessState(0.0, 1.0, 0.0), F, G, H, 15.0, rng)
-        ages.append(final.age)
-    ages = np.sort(ages)
+    _, final = simulate_path(ProcessState(np.zeros(20_000), 1.0, 0.0), F, G, H, 15.0, rng)
+    ages = np.sort(final.age)
     ref = DistributionSpec.exponential(1.0)
-    cdf = np.array([ref.cdf(a) for a in ages])
+    cdf = ref.cdf(ages)
     emp = np.arange(1, len(ages) + 1) / len(ages)
     assert np.max(np.abs(emp - cdf)) <= 1.63 / math.sqrt(len(ages)) + math.exp(-15.0)
 
 
-def test_event_log_counting():
-    log = EventLog(jump_times=[1.0, 2.0, 3.5], intakes=[0.1] * 3, thetas=[1.0] * 3,
-                   horizon=5.0)
-    assert log.count_up_to(0.5) == 0
-    assert log.count_up_to(2.0) == 2
-    assert log.count_up_to(5.0) == 3
-
-
 def test_reproducibility():
     F, G, H = _laws()
-    a = simulate_path(ProcessState(1.0, 1.0, 0.0), F, G, H, 20.0,
-                      np.random.default_rng([9, 0, 3]))
-    b = simulate_path(ProcessState(1.0, 1.0, 0.0), F, G, H, 20.0,
-                      np.random.default_rng([9, 0, 3]))
-    assert a[0].jump_times == b[0].jump_times
-    assert a[1].x == b[1].x
+    a = simulate_path(ProcessState(np.ones(5), 1.0, 0.0), F, G, H, 20.0,
+                      np.random.default_rng([9, 0, 3]), record=True)
+    b = simulate_path(ProcessState(np.ones(5), 1.0, 0.0), F, G, H, 20.0,
+                      np.random.default_rng([9, 0, 3]), record=True)
+    assert np.array_equal(a[0].jump_times, b[0].jump_times)
+    assert np.array_equal(a[1].x, b[1].x)
 
 
 def test_general_hazard_inter_arrival_law():
@@ -171,13 +136,28 @@ def test_general_hazard_inter_arrival_law():
     G = DistributionSpec.gamma(2.0, 1.0)
     H = DistributionSpec.dirac(1.0)
     rng = np.random.default_rng(8)
-    gaps = []
-    for _ in range(20_000):
-        log, _ = simulate_path(ProcessState(0.0, 1.0, 0.0), F, G, H, 30.0, rng)
-        ts = log.jump_times
-        if len(ts) >= 2:
-            gaps.append(ts[1] - ts[0])
-    gaps = np.sort(gaps)
-    cdf = np.array([G.cdf(g) for g in gaps])
+    n = 20_000
+    log, _ = simulate_path(ProcessState(np.zeros(n), 1.0, 0.0), F, G, H, 30.0, rng, record=True)
+    # the log groups the events by run, so a run's first two are adjacent
+    first = np.searchsorted(log.runs, np.flatnonzero(log.counts >= 2))
+    gaps = np.sort(log.jump_times[first + 1] - log.jump_times[first])
+    cdf = G.cdf(gaps)
     emp = np.arange(1, len(gaps) + 1) / len(gaps)
     assert np.max(np.abs(emp - cdf)) <= 1.63 / math.sqrt(len(gaps))
+
+
+@pytest.mark.parametrize("lam, mu, theta", [(1.0, 1.0, 1.0), (2.0, 0.5, 0.5)])
+def test_gamma_ou_stationary_law(lam, mu, theta):
+    # Poisson(lam) intakes of Exp(mean mu) sizes at a fixed rate theta make
+    # X a Gamma-OU process with stationary law Gamma(lam/theta, mu); from
+    # x = 0 its law at t = 30 is that law up to exp(-30 theta)
+    F = DistributionSpec.exponential(1.0 / mu)
+    G = DistributionSpec.exponential(lam)
+    H = DistributionSpec.dirac(theta)
+    n = 4000
+    _, final = simulate_path(ProcessState(np.zeros(n), theta, 0.0), F, G, H, 30.0,
+                             np.random.default_rng(14))
+    xs = np.sort(final.x)
+    cdf = DistributionSpec.gamma(lam / theta, mu).cdf(xs)
+    d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert d <= 1.63 / math.sqrt(n)

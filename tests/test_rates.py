@@ -180,7 +180,9 @@ def test_eta_closed_forms():
 
 
 def test_eta_quadrature_matches_closed_forms():
-    for spec in (UNIF01, EXP1, DistributionSpec.uniform(0.5, 2.0)):
+    for spec in (UNIF01, EXP1, DistributionSpec.uniform(0.5, 2.0),
+                 DistributionSpec.gamma(2.5, 0.8), DistributionSpec.gamma(0.6, 1.0),
+                 DistributionSpec.weibull(1.5, 1.0), DistributionSpec.weibull(0.8, 2.0)):
         for e in np.linspace(0.01, 1.2, 40):
             assert rates._eta_quad(e, spec) == pytest.approx(
                 eta(e, spec), abs=1e-6
