@@ -22,10 +22,7 @@ from .coupling import (
     tv_jump_coupling,
 )
 from .rates import (
-    BoundCurve,
     HolderData,
-    MainBounds,
-    ModelSpec,
     RateReport,
     RenewalKernel,
     age_bound_params,
@@ -39,7 +36,6 @@ from .rates import (
 )
 from .estimators import (
     DominanceReport,
-    EmpiricalCurve,
     survival_compare,
     tv_via_coupling,
     w1_sorted,

@@ -78,50 +78,27 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _model_spec(cfg: RunConfig) -> rates.ModelSpec:
-    x0 = cfg.init.x_mean()
-    x0t = cfg.init_tilde.x_mean()
-    return rates.ModelSpec(
-        F=cfg.intake,
-        G=cfg.inter_arrival,
-        H=cfg.metabolic,
-        x0_mean=x0,
-        x0_tilde_mean=x0t,
-        x0_max_mean=max(x0, x0t),
-    )
-
-
-def _bounds(cfg: RunConfig) -> rates.MainBounds:
-    age_params = None
-    if cfg.epsilon_age is not None and cfg.b is not None and cfg.c is not None:
-        age_params = (cfg.epsilon_age, cfg.b, cfg.c)
+def _bounds(cfg: RunConfig) -> rates.RateReport:
     return rates.convergence_bounds(
-        _model_spec(cfg),
+        cfg.intake,
+        cfg.inter_arrival,
+        cfg.metabolic,
+        cfg.init.x.mean() + cfg.init_tilde.x.mean(),
         alpha=cfg.alpha,
         beta=cfg.beta,
-        age_params=age_params,
+        age_params=cfg.age_params,
         holder=cfg.holder,
         p=cfg.p,
         v3=cfg.v3,
-        w_eps_frac=cfg.w_eps_frac,
-        renewal_step=cfg.renewal_step,
-        n_mc=cfg.n_mc_tail,
     )
 
 
-def _phase_params(cfg: RunConfig, bounds: rates.MainBounds, t: float) -> CouplingPhaseParams:
-    eps = cfg.epsilon_tv
-    if eps is None:
-        eps = bounds.epsilon_tv_default(t)
-    eps = min(max(eps, 1e-300), 1.0 - 1e-12)
-    return CouplingPhaseParams(
-        alpha=bounds.report.alpha,
-        beta=bounds.report.beta,
-        epsilon_tv=eps,
-    )
+def _phase_params(cfg: RunConfig, report: rates.RateReport, t: float) -> CouplingPhaseParams:
+    eps = cfg.epsilon_tv if cfg.epsilon_tv is not None else report.epsilon_tv(t)
+    return CouplingPhaseParams(alpha=report.alpha, beta=report.beta, epsilon_tv=eps)
 
 
-def _rate_report_payload(cfg: RunConfig, bounds: rates.MainBounds) -> dict:
+def _rate_report_payload(cfg: RunConfig, report: rates.RateReport) -> dict:
     model = {
         "intake": {"family": cfg.intake.family.value, "params": list(cfg.intake.params)},
         "inter_arrival": {
@@ -136,10 +113,10 @@ def _rate_report_payload(cfg: RunConfig, bounds: rates.MainBounds) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "model": model,
-        "constants": bounds.report.to_dict(),
+        "constants": report.to_dict(),
         "curves": {
-            "tv": {"provenance": bounds.tv.provenance},
-            "w1": {"provenance": bounds.w1.provenance},
+            "tv": {"provenance": rates.TV_PROVENANCE},
+            "w1": {"provenance": rates.W1_PROVENANCE},
         },
         "constant_descriptions": {
             "w": "Laplace root of the discounted inter-arrival kernel",
@@ -196,11 +173,10 @@ def main():
 def rates_cmd(config_path, seed, replicas, out, quiet):
     """Compute bound constants and write rate_report.json."""
     cfg = load_config(config_path, seed, replicas, out)
-    bounds = _bounds(cfg)
+    r = _bounds(cfg)
     path = Path(cfg.out_dir) / "rate_report.json"
-    _write_json(path, _rate_report_payload(cfg, bounds))
+    _write_json(path, _rate_report_payload(cfg, r))
     if not quiet:
-        r = bounds.report
         click.echo(
             f"rates: v1={_fmt(r.v1)} v2'={_fmt(r.v2_prime)} v3={_fmt(r.v3)} "
             f"alpha={_fmt(r.alpha)} beta={_fmt(r.beta)} -> {path}"
@@ -246,8 +222,7 @@ def dump_paths(config_path, seed, replicas, out, quiet, replica):
 def couple(config_path, seed, replicas, out, quiet):
     """Run the three-phase coupling ensemble at the horizon."""
     cfg = load_config(config_path, seed, replicas, out)
-    bounds = _bounds(cfg)
-    params = _phase_params(cfg, bounds, cfg.horizon)
+    params = _phase_params(cfg, _bounds(cfg), cfg.horizon)
     table = runner.coupled_rows(cfg, stream=len(cfg.grid), horizon=cfg.horizon, params=params)
     path = Path(cfg.out_dir) / "coupling_reports.csv"
     _write_csv(path, table)
@@ -268,34 +243,34 @@ def verify(config_path, seed, replicas, out, quiet):
     the 95% confidence bands) at every grid time, 1 otherwise.
     """
     cfg = load_config(config_path, seed, replicas, out)
-    bounds = _bounds(cfg)
+    report = _bounds(cfg)
     out_dir = Path(cfg.out_dir)
-    _write_json(out_dir / "rate_report.json", _rate_report_payload(cfg, bounds))
+    _write_json(out_dir / "rate_report.json", _rate_report_payload(cfg, report))
 
     tv_rows, w1_rows = [], []
     ok = True
     informative = 0
     for gi, t in enumerate(cfg.grid):
-        params = _phase_params(cfg, bounds, t)
+        params = _phase_params(cfg, report, t)
         table = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
-        curve = estimators.tv_via_coupling(table["tau"], [t])
-        tv_bound = bounds.tv(t)
-        tv_ok = curve.ci_low[0] <= tv_bound
+        estimate, ci_low, ci_high = estimators.tv_via_coupling(table["tau"], t)
+        tv_bound = report.tv(t)
+        tv_ok = ci_low <= tv_bound
         # a TV bound of 1 holds for any estimate, so it verifies nothing
         vacuous = tv_bound >= 1.0
         tv_rows.append(
             {
                 "t": t,
-                "estimate": float(curve.values[0]),
-                "ci_low": float(curve.ci_low[0]),
-                "ci_high": float(curve.ci_high[0]),
+                "estimate": estimate,
+                "ci_low": ci_low,
+                "ci_high": ci_high,
                 "bound_value": tv_bound,
-                "bound_provenance": bounds.tv.provenance,
+                "bound_provenance": rates.TV_PROVENANCE,
                 "vacuous": vacuous,
             }
         )
         mean, half = estimators.mean_with_ci(table["l1_final"])
-        w1_bound = bounds.w1(t)
+        w1_bound = report.w1(t)
         w1_ok = mean - half <= w1_bound
         w1_rows.append(
             {
@@ -304,7 +279,7 @@ def verify(config_path, seed, replicas, out, quiet):
                 "ci_low": mean - half,
                 "ci_high": mean + half,
                 "bound_value": w1_bound,
-                "bound_provenance": bounds.w1.provenance,
+                "bound_provenance": rates.W1_PROVENANCE,
             }
         )
         ok = ok and tv_ok and w1_ok
@@ -312,7 +287,7 @@ def verify(config_path, seed, replicas, out, quiet):
         if not quiet:
             tv_status = "vacuous" if vacuous else ("ok" if tv_ok else "VIOLATED")
             click.echo(
-                f"t={_fmt(t)}: TV est {_fmt(float(curve.values[0]))} vs bound "
+                f"t={_fmt(t)}: TV est {_fmt(estimate)} vs bound "
                 f"{_fmt(tv_bound)} [{tv_status}]; "
                 f"W1 est {_fmt(mean)} vs bound {_fmt(w1_bound)} "
                 f"[{'ok' if w1_ok else 'VIOLATED'}]"

@@ -59,6 +59,18 @@ class _Record:
         value = self.get(key, default)
         return None if value is None else _number(value, f"{self.where}.{key}", cast)
 
+    def group(self, *keys: str) -> Optional[tuple]:
+        """The numbers at ``keys``, or None when none is set; a partial
+        set is rejected, naming the first missing key."""
+        values = tuple(self.num(key, None) for key in keys)
+        if all(v is None for v in values):
+            return None
+        given = ", ".join(f"{self.where}.{k}" for k, v in zip(keys, values) if v is not None)
+        for key, value in zip(keys, values):
+            if value is None:
+                raise ConfigError(f"{self.where}.{key} is required with {given}")
+        return values
+
     def done(self):
         for key in self._left:
             name = f"{self.where}.{key}" if self.where else str(key)
@@ -93,9 +105,6 @@ class InitLaw:
 
         return ProcessState(*(law.sample(rng, size) for law in (self.x, self.theta, self.age)))
 
-    def x_mean(self) -> float:
-        return self.x.mean()
-
 
 @dataclass
 class RunConfig:
@@ -108,9 +117,7 @@ class RunConfig:
     alpha: Optional[float]
     beta: Optional[float]
     epsilon_tv: Optional[float]
-    epsilon_age: Optional[float]
-    b: Optional[float]
-    c: Optional[float]
+    age_params: Optional[tuple[float, float, float]]  # (epsilon_age, b, c)
     seed: int
     horizon: float
     grid: list
@@ -118,9 +125,6 @@ class RunConfig:
     parallelism: int
     p: float
     v3: Optional[float]
-    w_eps_frac: float
-    renewal_step: float
-    n_mc_tail: int
     out_dir: str
 
     @staticmethod
@@ -165,6 +169,7 @@ class RunConfig:
         grid = exp.get("grid", [])
         if not isinstance(grid, list):
             raise ConfigError("experiment.grid: expected a list of times")
+        alpha, beta = coup.group("alpha", "beta") or (None, None)
         cfg = RunConfig(
             intake=_parse_spec(model.get("intake"), "model.intake", Role.INTAKE),
             inter_arrival=_parse_spec(
@@ -174,12 +179,10 @@ class RunConfig:
             init=init_law("init"),
             init_tilde=init_law("init_tilde"),
             holder=holder,
-            alpha=coup.num("alpha", None),
-            beta=coup.num("beta", None),
+            alpha=alpha,
+            beta=beta,
             epsilon_tv=coup.num("epsilon_tv", None),
-            epsilon_age=coup.num("epsilon_age", None),
-            b=coup.num("b", None),
-            c=coup.num("c", None),
+            age_params=coup.group("epsilon_age", "b", "c"),
             seed=exp.num("seed", cast=int),
             horizon=exp.num("horizon", 10.0),
             grid=[_number(t, "experiment.grid") for t in grid],
@@ -187,9 +190,6 @@ class RunConfig:
             parallelism=exp.num("parallelism", 1, cast=int),
             p=rt.num("p", 1.0),
             v3=rt.num("v3", None),
-            w_eps_frac=rt.num("w_eps_frac", 0.05),
-            renewal_step=rt.num("renewal_step", 1e-3),
-            n_mc_tail=rt.num("n_mc_tail", 10**6, cast=int),
             out_dir=str(out.get("directory", "out")),
         )
         for rec in (top, model, exp, coup, rt, out):
@@ -202,9 +202,15 @@ class RunConfig:
             (cfg.seed >= 0, "experiment.seed must be >= 0"),
             (cfg.n_replicas >= 1, "experiment.n_replicas must be >= 1"),
             (cfg.parallelism >= 1, "experiment.parallelism must be >= 1"),
-            (0.0 < cfg.w_eps_frac < 1.0, "rates.w_eps_frac must lie in (0, 1)"),
-            (cfg.renewal_step > 0.0, "rates.renewal_step must be > 0"),
-            (cfg.n_mc_tail >= 1, "rates.n_mc_tail must be >= 1"),
+            (cfg.epsilon_tv is None or 0.0 < cfg.epsilon_tv < 1.0,
+             "coupling.epsilon_tv must lie in (0, 1)"),
+            (holder is None or holder.K > 0.0, "model.holder.K must be > 0"),
+            (holder is None or 0.0 < holder.h <= 1.0, "model.holder.h must lie in (0, 1]"),
+            (holder is None or holder.M is None or holder.M > 0.0, "model.holder.M must be > 0"),
+            (holder is None or holder.C_tail is None or holder.C_tail > 0.0,
+             "model.holder.C_tail must be > 0"),
+            (holder is None or holder.p_tail is None or holder.p_tail > 2.0,
+             "model.holder.p_tail must be > 2"),
         ):
             if not holds:
                 raise ConfigError(message)

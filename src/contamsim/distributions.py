@@ -253,24 +253,6 @@ class DistributionSpec:
             val = np.exp(-e) if upper else -np.expm1(-e)
         return _in_kind(np.where(x < lo, float(upper), val))
 
-    def inverse_survival(self, s):
-        """Smallest x with survival(x) <= s, for s in (0, 1]."""
-        f, p = self.family, self.params
-        s = np.asarray(s, dtype=float)
-        if not np.all((0.0 < s) & (s <= 1.0)):
-            raise DistributionError("survival level must lie in (0, 1]")
-        if f is Family.GAMMA:
-            x = special.gammainccinv(p[0], s) * p[1]
-        elif f is Family.UNIFORM:
-            x = p[1] - s * (p[1] - p[0])
-        elif f is Family.WEIBULL:
-            x = p[1] * (-np.log(s)) ** (1.0 / p[0])
-        elif f is Family.DIRAC:
-            x = np.full(s.shape, p[0])
-        else:
-            x = self.support()[0] - np.log(s) / p[-1]
-        return _in_kind(np.asarray(x))
-
     def laplace(self, u):
         """Moment transform E[e^{uX}]; +inf outside its domain of finiteness
         and where the value exceeds the largest float."""
@@ -350,7 +332,7 @@ class HazardProfile:
     d: float
     inf_zeta: float
     sup_zeta: float
-    spec: Optional[DistributionSpec] = None
+    spec: DistributionSpec
 
     @property
     def constant_rate(self) -> Optional[float]:

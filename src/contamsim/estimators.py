@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ContamsimError
 
 __all__ = [
-    "EmpiricalCurve",
     "DominanceReport",
     "wilson_interval",
     "tv_via_coupling",
@@ -49,32 +48,15 @@ def mean_with_ci(values: np.ndarray, z: float = _Z95) -> tuple[float, float]:
     return float(values.mean()), z * se
 
 
-@dataclass
-class EmpiricalCurve:
-    grid: np.ndarray
-    values: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    n_replicas: int
-    estimator_kind: str
-
-
-def tv_via_coupling(taus: Sequence[float], grid: Sequence[float]) -> EmpiricalCurve:
-    """Fraction of replicas not yet coalesced at each grid time, from
-    their coalescence times."""
+def tv_via_coupling(taus: Sequence[float], t: float) -> tuple[float, float, float]:
+    """Fraction of replicas not yet coalesced at time t, from their
+    coalescence times, with its Wilson interval: (estimate, low, high)."""
     taus = np.asarray(taus, dtype=float)
     if len(taus) == 0:
         raise ContamsimError("no coupling replicas given")
-    grid = np.asarray(grid, dtype=float)
     n = len(taus)
-    values = np.empty(len(grid))
-    lo = np.empty(len(grid))
-    hi = np.empty(len(grid))
-    for i, t in enumerate(grid):
-        k = int((taus > t).sum())
-        values[i] = k / n
-        lo[i], hi[i] = wilson_interval(k, n)
-    return EmpiricalCurve(grid, values, lo, hi, n, "CouplingTailTV")
+    k = int((taus > t).sum())
+    return (k / n, *wilson_interval(k, n))
 
 
 def w1_sorted(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:

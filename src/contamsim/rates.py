@@ -28,9 +28,7 @@ __all__ = [
     "RenewalKernel",
     "RenewalSolution",
     "HolderData",
-    "BoundCurve",
     "RateReport",
-    "ModelSpec",
     "find_w",
     "solve_renewal",
     "exponential_case_decay",
@@ -48,6 +46,15 @@ __all__ = [
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _TAIL_SEED = 20140611  # fixed stream of the age-tail Monte Carlo sample
 
+# Numerics of the bound assembly
+W_CAP = 64.0  # the largest Laplace root find_w probes
+W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
+RENEWAL_STEP = 1e-3  # grid step of the renewal solve
+N_MC_TAIL = 10**6  # draws of the age-tail Monte Carlo sample
+
+TV_PROVENANCE = "three-phase coalescence product bound (total variation)"
+W1_PROVENANCE = "age-tail plus contraction bound (Wasserstein-1)"
+
 
 # ---------------------------------------------------------------------------
 # Discounted renewal kernel and its Laplace root
@@ -58,8 +65,8 @@ _TAIL_SEED = 20140611  # fixed stream of the age-tail Monte Carlo sample
 class RenewalKernel:
     """Sub-probability kernel J(dx) = E[exp(-p*Theta*x)] G(dx).
 
-    ``density`` is the kernel density j, ``forcing`` the function
-    z(t) = E[exp(-p*Theta*t)] P(DeltaT > t).  The kernel mass J(R) is
+    ``density`` is the kernel density j; ``on_grid`` also gives the
+    forcing z(t) = E[exp(-p*Theta*t)] P(DeltaT > t).  The kernel mass J(R) is
     strictly below 1 whenever Theta has positive support, which makes
     the renewal equation Z = z + J * Z defective.
     """
@@ -81,9 +88,6 @@ class RenewalKernel:
 
     def density(self, x: float) -> float:
         return self.discount(x) * self.G.density(x)
-
-    def forcing(self, t: float) -> float:
-        return self.discount(t) * self.G.survival(t)
 
     def on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``density`` and ``forcing`` on ``grid``, sharing one discount."""
@@ -120,7 +124,7 @@ class RenewalKernel:
         return val
 
 
-def find_w(kernel: RenewalKernel, cap: float = 64.0, tol: float = 1e-9) -> float:
+def find_w(kernel: RenewalKernel, cap: float = W_CAP, tol: float = 1e-9) -> float:
     """Laplace root w = sup{u : psi_J(u) < 1}, bracketed by bisection.
 
     Returns +inf when psi_J stays below 1 all the way up to ``cap``
@@ -420,8 +424,7 @@ def default_age_params(profile: HazardProfile) -> tuple[float, float, float]:
                 "case i needs d > 3a/2; configurations with d <= 3a/2 are rejected"
             )
         return a / 2.0 + m, a + m, 1.5 * a + 3.0 * m
-    scale = profile.spec.mean() if profile.spec is not None else max(1.0, a)
-    m = 0.5 * scale
+    m = 0.5 * profile.spec.mean()
     eps = a / 2.0 + 0.5 * m
     b = a + m
     return eps, b, b + eps + m
@@ -468,11 +471,10 @@ def age_bound_tail(
     c: float,
     profile: HazardProfile,
     grid: np.ndarray,
-    n_mc: int = 10**6,
 ) -> np.ndarray:
     """Monte Carlo survival function of the bound variable on a grid."""
     rng = np.random.default_rng(_TAIL_SEED)
-    sample = np.sort(sample_age_bound(case, p1, p2, eps, b, c, profile, n_mc, rng))
+    sample = np.sort(sample_age_bound(case, p1, p2, eps, b, c, profile, N_MC_TAIL, rng))
     grid = np.asarray(grid, dtype=float)
     return 1.0 - np.searchsorted(sample, grid, side="right") / len(sample)
 
@@ -516,35 +518,9 @@ def age_rate_cap(case: str, p1: float, p2: float, eps: float, profile: HazardPro
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """A theoretical bound t -> value, tagged with its provenance."""
-
-    evaluate: Callable[[float], float]
-    provenance: str
-    kind: str  # "tv" or "w1"
-
-    def __call__(self, t):
-        if np.ndim(t) == 0:
-            return self.evaluate(float(t))
-        return np.array([self.evaluate(float(s)) for s in np.asarray(t).ravel()])
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """The model's three laws plus the (point) initial conditions."""
-
-    F: DistributionSpec
-    G: DistributionSpec
-    H: DistributionSpec
-    x0_mean: float = 0.0
-    x0_tilde_mean: float = 0.0
-    x0_max_mean: float = 0.0  # E[X_0 v X~_0]; for point inits, max(x0, x0~)
-
-
 @dataclass
 class RateReport:
-    """Every analytic quantity feeding the bound curves."""
+    """Every analytic constant of the bound curves, and the curves."""
 
     p: float
     w: float
@@ -579,6 +555,31 @@ class RateReport:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
+    def tv(self, t: float) -> float:
+        """Total-variation bound 1 - prod_i (1 - C_i exp(-v_i * phase_i * t))
+        at time t, capped at 1."""
+        if t <= 0.0:
+            return 1.0
+        a, b = self.alpha, self.beta
+        f1 = max(0.0, 1.0 - self.C1 * math.exp(-self.v1 * a * t))
+        f2 = max(0.0, 1.0 - self.C2 * math.exp(-self.v2 * (b - a) * t))
+        f3 = max(0.0, 1.0 - self.C3 * math.exp(-self.v3 * (1.0 - b) * t))
+        f4 = max(0.0, 1.0 - self.C4 * math.exp(-self.v4 * (b - a) * t))
+        return min(1.0, 1.0 - f1 * f2 * f3 * f4)
+
+    def w1(self, t: float) -> float:
+        """Wasserstein-1 bound C1 exp(-v1 alpha t) + C2 exp(-v2' (1-alpha) t)."""
+        a = self.alpha
+        return self.C1_w1 * math.exp(-self.v1 * a * t) + self.C2_w1 * math.exp(
+            -self.v2_prime * (1.0 - a) * t
+        )
+
+    def epsilon_tv(self, t: float) -> float:
+        """Default closeness threshold exp(-v' (beta - alpha) t) of the
+        coupling run to time t, clamped into (0, 1)."""
+        eps = math.exp(-self.v_prime * (self.beta - self.alpha) * t)
+        return min(max(eps, 1e-300), 1.0 - 1e-12)
+
 
 def _balanced_alpha_beta(v1: float, v2: float, v3: float) -> tuple[float, float]:
     """alpha, beta equalizing alpha*v1 = (beta-alpha)*v2 = (1-beta)*v3."""
@@ -588,37 +589,27 @@ def _balanced_alpha_beta(v1: float, v2: float, v3: float) -> tuple[float, float]
     return alpha, alpha * r
 
 
-@dataclass
-class MainBounds:
-    tv: BoundCurve
-    w1: BoundCurve
-    report: RateReport
-
-    def epsilon_tv_default(self, t: float) -> float:
-        r = self.report
-        return math.exp(-r.v_prime * (r.beta - r.alpha) * t)
-
-
 def convergence_bounds(
-    model: ModelSpec,
+    F: DistributionSpec,
+    G: DistributionSpec,
+    H: DistributionSpec,
+    x0_sum_mean: float,
     alpha: Optional[float] = None,
     beta: Optional[float] = None,
     age_params: Optional[tuple[float, float, float]] = None,
     holder: Optional[HolderData] = None,
     p: float = 1.0,
     v3: Optional[float] = None,
-    w_eps_frac: float = 0.05,
-    w_cap: float = 64.0,
-    renewal_step: float = 1e-3,
-    n_mc: int = 10**6,
-) -> MainBounds:
-    """Assemble the three-phase TV bound and the Wasserstein bound.
+) -> RateReport:
+    """Assemble the constants of the three-phase TV bound and the
+    Wasserstein bound for intake law F, inter-intake law G, metabolic
+    law H and initial quantities of summed mean ``x0_sum_mean``
+    (E[X_0] + E[X~_0]).
 
     The TV curve is 1 - prod_i (1 - C_i exp(-v_i * phase_i * t)) and the
     Wasserstein curve C1 exp(-v1 alpha t) + C2 exp(-v2 (1-alpha) t),
     with every constant computed from the model laws.
     """
-    F, G, H = model.F, model.G, model.H
     profile = hazard_profile(G)
     kernel = RenewalKernel(G, H, p)
     q = kernel.mass()
@@ -643,7 +634,7 @@ def convergence_bounds(
         p1, p2 = age_bound_params(case, profile, eps_a, b, c)
         mean_scale = G.mean()
         tail_grid = np.linspace(0.0, 400.0 * mean_scale / max(p1 * p2, 1e-3), 400)
-        tail = age_bound_tail(case, p1, p2, eps_a, b, c, profile, tail_grid, n_mc=n_mc)
+        tail = age_bound_tail(case, p1, p2, eps_a, b, c, profile, tail_grid)
         C1p, v1 = fit_dominating_exponential(
             tail_grid, tail, v_cap=age_rate_cap(case, p1, p2, eps_a, profile)
         )
@@ -656,11 +647,11 @@ def convergence_bounds(
         v2p = w / p
         C2p = 1.0
     else:
-        w = find_w(kernel, cap=w_cap)
-        w_eff = w if math.isfinite(w) else w_cap
-        shift = w_eff * (1.0 - w_eps_frac)
+        w = find_w(kernel)
+        w_eff = w if math.isfinite(w) else W_CAP
+        shift = w_eff * (1.0 - W_EPS_FRAC)
         sol = solve_renewal(
-            kernel, w_shift=shift, grid_step=renewal_step, horizon=10.0 / max(shift, 1e-3)
+            kernel, w_shift=shift, grid_step=RENEWAL_STEP, horizon=10.0 / max(shift, 1e-3)
         )
         v2p = shift / p
         C2p = sol.C
@@ -679,7 +670,7 @@ def convergence_bounds(
     C4 = eta_C
 
     EU = F.mean()
-    c2_base = (model.x0_mean + model.x0_tilde_mean) * (1.0 + 1.0 / q) + 2.0 * EU / rho
+    c2_base = x0_sum_mean * (1.0 + 1.0 / q) + 2.0 * EU / rho
     C2 = c2_base * C2p
 
     if alpha is None or beta is None:
@@ -691,21 +682,7 @@ def convergence_bounds(
     C1_w1 = (c2_base + 2.0 * H.mean() + 2.0 * G.mean()) * C1p
     C2_w1 = c2_base * C2p
 
-    a_, b_ = alpha, beta
-
-    def tv_eval(t: float, C1=C1_tv, C2=C2, C3=C3, C4=C4, v1=v1, v2=v2, v3v=v3, v4=v4):
-        if t <= 0.0:
-            return 1.0
-        f1 = max(0.0, 1.0 - C1 * math.exp(-v1 * a_ * t))
-        f2 = max(0.0, 1.0 - C2 * math.exp(-v2 * (b_ - a_) * t))
-        f3 = max(0.0, 1.0 - C3 * math.exp(-v3v * (1.0 - b_) * t))
-        f4 = max(0.0, 1.0 - C4 * math.exp(-v4 * (b_ - a_) * t))
-        return min(1.0, 1.0 - f1 * f2 * f3 * f4)
-
-    def w1_eval(t: float, C1=C1_w1, C2=C2_w1, v1=v1, v2p=v2p):
-        return C1 * math.exp(-v1 * a_ * t) + C2 * math.exp(-v2p * (1.0 - a_) * t)
-
-    report = RateReport(
+    return RateReport(
         p=p, w=w, v_G=v_G, rho=rho, q=q,
         case=case, p1=p1, p2=p2, eps_age=eps_a if case else None,
         b=b if case else None, c=c if case else None,
@@ -714,9 +691,6 @@ def convergence_bounds(
         C3=C3, v3=v3, C4=C4, v4=v4, v_prime=v_prime,
         alpha=alpha, beta=beta, C1_w1=C1_w1, C2_w1=C2_w1,
     )
-    tv = BoundCurve(tv_eval, "three-phase coalescence product bound (total variation)", "tv")
-    w1 = BoundCurve(w1_eval, "age-tail plus contraction bound (Wasserstein-1)", "w1")
-    return MainBounds(tv=tv, w1=w1, report=report)
 
 
 def exp_case_bounds(
@@ -726,8 +700,9 @@ def exp_case_bounds(
     x0_sum_mean: float,
     x0_max_mean: float,
     EU: float,
-) -> tuple[BoundCurve, BoundCurve, dict]:
-    """The two total-variation bounds specific to memoryless inter-intakes.
+) -> tuple[Callable[[float], float], Callable[[float], float], dict]:
+    """The two total-variation bounds specific to memoryless inter-intakes,
+    as functions of time, and their constants.
 
     Method 1 refines the deterministic three-phase split with the
     memoryless age coalescence; method 2 splits at the random intake
@@ -772,6 +747,4 @@ def exp_case_bounds(
         "C_method1": C_m1,
         "eta_envelope_constant": km,
     }
-    m1 = BoundCurve(m1_eval, "memoryless-intake product bound, deterministic split", "tv")
-    m2 = BoundCurve(m2_eval, "memoryless-intake bound, random split at intake times", "tv")
-    return m1, m2, meta
+    return m1_eval, m2_eval, meta

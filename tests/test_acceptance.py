@@ -233,34 +233,30 @@ def _reference_run() -> dict:
     if _REFERENCE_RUN:
         return _REFERENCE_RUN
     cfg = load_config(str(REFERENCE_CONFIG))
-    model = rates.ModelSpec(F=cfg.intake, G=cfg.inter_arrival, H=cfg.metabolic,
-                            x0_mean=2.0, x0_tilde_mean=4.0, x0_max_mean=4.0)
-    bounds = rates.convergence_bounds(model, holder=cfg.holder)
+    report = rates.convergence_bounds(cfg.intake, cfg.inter_arrival, cfg.metabolic, 6.0,
+                                      holder=cfg.holder)
     tails = {}
     w1_est = {}
     for gi, t in enumerate(cfg.grid):
-        eps = min(max(math.exp(-bounds.report.v_prime
-                               * (bounds.report.beta - bounds.report.alpha) * t),
-                      1e-300), 1.0 - 1e-12)
-        params = CouplingPhaseParams(alpha=bounds.report.alpha,
-                                     beta=bounds.report.beta, epsilon_tv=eps)
+        params = CouplingPhaseParams(alpha=report.alpha, beta=report.beta,
+                                     epsilon_tv=report.epsilon_tv(t))
         table = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
-        tails[t] = estimators.tv_via_coupling(table["tau"], [t])
+        tails[t] = estimators.tv_via_coupling(table["tau"], t)
         w1_est[t] = estimators.mean_with_ci(table["l1_final"])
-    _REFERENCE_RUN.update(cfg=cfg, bounds=bounds, tails=tails, w1=w1_est)
+    _REFERENCE_RUN.update(cfg=cfg, report=report, tails=tails, w1=w1_est)
     return _REFERENCE_RUN
 
 
 def test_criterion_08_main_bound_dominance():
     t0 = time.monotonic()
     data = _reference_run()
-    bounds = data["bounds"]
+    report = data["report"]
     tv_ok = True
     w1_ok = True
-    for t, curve in data["tails"].items():
-        tv_ok = tv_ok and curve.ci_low[0] <= bounds.tv(t)
+    for t, (_, ci_low, _) in data["tails"].items():
+        tv_ok = tv_ok and ci_low <= report.tv(t)
         mean, half = data["w1"][t]
-        w1_ok = w1_ok and mean - half <= bounds.w1(t)
+        w1_ok = w1_ok and mean - half <= report.w1(t)
     elapsed = time.monotonic() - t0
     _report(
         8,
@@ -280,10 +276,10 @@ def test_criterion_09_exponential_case_rates():
     better = meta["rate_method2"] > meta["rate_method1"]
     # empirical decay of the coupling tail beats the weaker bound rate
     ts, logs = [], []
-    for t, curve in data["tails"].items():
-        if 5.0 <= t <= 20.0 and curve.values[0] > 0:
+    for t, (estimate, _, _) in data["tails"].items():
+        if 5.0 <= t <= 20.0 and estimate > 0:
             ts.append(t)
-            logs.append(math.log(curve.values[0]))
+            logs.append(math.log(estimate))
     slope = float(np.polyfit(ts, logs, 1)[0])
     slope_ok = slope <= -0.25 * (1.0 - 0.3)
     _report(

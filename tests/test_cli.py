@@ -66,6 +66,7 @@ def test_config_errors(tmp_path):
         ("experiment", "grid", [100.0], "grid"),  # beyond the horizon
         ("model", "holder", {"h": 1.0, "M": 1.0}, "model.holder.K"),
         ("experiment", "seed", "abc", "experiment.seed"),
+        # the removed numerics keys are unknown now
         ("rates", "renewal_step", 0, "rates.renewal_step"),
         ("rates", "w_eps_frac", 1.0, "rates.w_eps_frac"),
         ("rates", "n_mc_tail", 0, "rates.n_mc_tail"),
@@ -78,11 +79,24 @@ def test_config_errors(tmp_path):
         ("experiment", "seed", 2.7, "experiment.seed"),
         ("experiment", "n_replicas", 2.5, "experiment.n_replicas"),
         ("experiment", "parallelism", 1.5, "experiment.parallelism"),
-        ("rates", "n_mc_tail", 1000.5, "rates.n_mc_tail"),
-        ("rates", "n_mc_tail", float("inf"), "rates.n_mc_tail"),
+        ("experiment", "n_replicas", 1000.5, "experiment.n_replicas"),
+        ("experiment", "n_replicas", float("inf"), "experiment.n_replicas"),
         # the replica streams need a non-negative seed; no worker is no run
         ("experiment", "seed", -1, "experiment.seed"),
         ("experiment", "parallelism", 0, "experiment.parallelism"),
+        # a closeness threshold outside (0, 1) is rejected, not clamped
+        ("coupling", "epsilon_tv", 5.0, "coupling.epsilon_tv"),
+        ("coupling", "epsilon_tv", -1.0, "coupling.epsilon_tv"),
+        # the smoothness data must lie in the domain of the envelope formulas
+        ("model", "holder", {"K": 1.0, "h": 0.0, "M": 1.0}, "model.holder.h"),
+        ("model", "holder", {"K": 1.0, "h": -1.0, "M": 1.0}, "model.holder.h"),
+        ("model", "holder", {"K": 1.0, "h": 2.0, "M": 1.0}, "model.holder.h"),
+        ("model", "holder", {"K": 0.0, "h": 1.0, "M": 1.0}, "model.holder.K"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "M": 0.0}, "model.holder.M"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "C_tail": 0.0, "p_tail": 3.0},
+         "model.holder.C_tail"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "C_tail": 1.0, "p_tail": 2.0},
+         "model.holder.p_tail"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -95,8 +109,22 @@ def test_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="'experimnt'"):  # unknown section
         RunConfig.from_dict(dict(BASE_CONFIG, experimnt={}))
     # ... but takes an integral float
-    cfg = RunConfig.from_dict(dict(BASE_CONFIG, rates={"n_mc_tail": 1.0e6}))
-    assert cfg.n_mc_tail == 10**6 and isinstance(cfg.n_mc_tail, int)
+    cfg = RunConfig.from_dict(
+        dict(BASE_CONFIG, experiment=dict(BASE_CONFIG["experiment"], n_replicas=1.0e3)))
+    assert cfg.n_replicas == 1000 and isinstance(cfg.n_replicas, int)
+    # the phase pair and the age triple are given whole or not at all
+    for coupling, missing in (
+        ({"alpha": 0.3}, "coupling.beta"),
+        ({"beta": 0.7}, "coupling.alpha"),
+        ({"b": 0.9}, "coupling.epsilon_age"),
+        ({"epsilon_age": 0.6, "b": 0.9}, "coupling.c"),
+        ({"epsilon_age": 0.6, "c": 2.0}, "coupling.b"),
+    ):
+        with pytest.raises(ConfigError, match=f"{missing} is required"):
+            RunConfig.from_dict(dict(BASE_CONFIG, coupling=coupling))
+    cfg = RunConfig.from_dict(dict(BASE_CONFIG, coupling={
+        "alpha": 0.3, "beta": 0.7, "epsilon_age": 0.6, "b": 0.9, "c": 2.0}))
+    assert (cfg.alpha, cfg.beta, cfg.age_params) == (0.3, 0.7, (0.6, 0.9, 2.0))
 
 
 def test_cli_import_leaves_out_scipy_signal():
@@ -117,6 +145,15 @@ def test_cli_reports_config_error(tmp_path):
     result = CliRunner().invoke(main, ["rates", "--config", str(path)])
     assert result.exit_code == 2
     assert "experiment" in result.output
+
+
+def test_rates_rejects_zero_holder_exponent(tmp_path):
+    # h = 0 used to end in a ZeroDivisionError traceback
+    cfg = _write_config(tmp_path, {"model": {"holder": {"K": 1.0, "h": 0.0, "M": 1.0}}})
+    result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "model.holder.h" in result.output and "Traceback" not in result.output
 
 
 def test_cli_rejects_negative_seed_and_replica(tmp_path):

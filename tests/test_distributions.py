@@ -141,28 +141,6 @@ def test_cdf_survival_consistency():
             assert spec.cdf(x) + spec.survival(x) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_inverse_survival_examples():
-    # Rayleigh-type law: survival exp(-t^2/2) crosses exp(-1) at sqrt(2)
-    w = DistributionSpec.weibull(2.0, math.sqrt(2.0))
-    assert w.inverse_survival(math.exp(-1.0)) == pytest.approx(math.sqrt(2.0))
-    e = DistributionSpec.exponential(1.0)
-    assert e.inverse_survival(math.exp(-1.0)) == pytest.approx(1.0)
-    u = DistributionSpec.uniform(0.0, 2.0)
-    assert u.inverse_survival(0.25) == pytest.approx(1.5)
-
-
-def test_inverse_survival_roundtrip():
-    for spec in [
-        DistributionSpec.exponential(2.0),
-        DistributionSpec.gamma(2.5, 0.8),
-        DistributionSpec.uniform(0.0, 3.0),
-        DistributionSpec.weibull(1.7, 1.2),
-        DistributionSpec.shifted_exponential(1.0, 2.0),
-    ]:
-        for s in (0.9, 0.5, 0.1, 0.01):
-            assert spec.survival(spec.inverse_survival(s)) == pytest.approx(s, abs=1e-9)
-
-
 def test_sampling_matches_cdf():
     # Kolmogorov-Smirnov at the 1% level: D_n <= 1.63 / sqrt(n)
     n = 100_000
@@ -319,9 +297,6 @@ def test_laws_take_arrays():
         for method in methods:
             assert np.array_equal(method(xs), [method(float(x)) for x in xs]), spec.family
         assert np.array_equal(spec.laplace(us), [spec.laplace(float(u)) for u in us])
-        levels = np.array([1.0, 0.5, 1e-3])
-        assert np.array_equal(spec.inverse_survival(levels),
-                              [spec.inverse_survival(float(s)) for s in levels])
         if spec.family.value == "dirac":
             continue
         prof = hazard_profile(spec)

@@ -13,7 +13,6 @@ from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.errors import AssumptionError, CaseMismatchError
 from contamsim.rates import (
     HolderData,
-    ModelSpec,
     RenewalKernel,
     age_bound_params,
     age_rate_cap,
@@ -118,7 +117,7 @@ def _forward_substitution(kernel, w_shift, grid_step, horizon):
     n, h = len(grid), grid_step
     tilt = np.exp(w_shift * grid)
     jp = np.array([kernel.density(t) for t in grid]) * tilt
-    zp = np.array([kernel.forcing(t) for t in grid]) * tilt
+    zp = np.array([kernel.discount(t) * kernel.G.survival(t) for t in grid]) * tilt
     Zp = np.empty(n)
     Zp[0] = zp[0]
     denom = 1.0 - 0.5 * h * jp[0]
@@ -360,14 +359,13 @@ def test_bound_sampler_matches_per_block_composition(spec, case, eps, b, c):
 # ---------------------------------------------------------------------------
 
 
-def _reference_model():
-    return ModelSpec(F=UNIF01, G=EXP1, H=DIRAC1,
-                     x0_mean=2.0, x0_tilde_mean=4.0, x0_max_mean=4.0)
+def _reference_bounds(**kwargs):
+    # point initial quantities 2 and 4
+    return convergence_bounds(UNIF01, EXP1, DIRAC1, 6.0, **kwargs)
 
 
 def test_reference_instance_constants():
-    b = convergence_bounds(_reference_model())
-    r = b.report
+    r = _reference_bounds()
     assert r.rho == pytest.approx(0.5, abs=1e-9)
     assert r.v1 == pytest.approx(1.0)
     assert r.C1 == 1.0  # positive hazard floor: exact exponential tail
@@ -382,50 +380,64 @@ def test_reference_instance_constants():
 
 
 def test_curves_shape_and_limits():
-    b = convergence_bounds(_reference_model())
+    r = _reference_bounds()
     # total variation bound lives in [0, 1], is 1 at t = 0 and vanishes
-    assert b.tv(0.0) == 1.0
-    assert 0.0 <= b.tv(5.0) <= 1.0
-    assert b.tv(2000.0) < 1e-6
+    assert r.tv(0.0) == 1.0
+    assert 0.0 <= r.tv(5.0) <= 1.0
+    assert r.tv(2000.0) < 1e-6
     ts = np.linspace(0.0, 100.0, 40)
-    vals = b.tv(ts)
+    vals = np.array([r.tv(float(t)) for t in ts])
     assert np.all((0.0 <= vals) & (vals <= 1.0))
     # Wasserstein bound decays to 0 and starts from the stated constants
-    assert b.w1(0.0) == pytest.approx(b.report.C1_w1 + b.report.C2_w1)
-    assert b.w1(3000.0) < 1e-9
-    w = b.w1(ts)
+    assert r.w1(0.0) == pytest.approx(r.C1_w1 + r.C2_w1)
+    assert r.w1(3000.0) < 1e-9
+    w = np.array([r.w1(float(t)) for t in ts])
     assert np.all(np.diff(w) < 0)
 
 
+def test_reference_curves_closed_form():
+    # the balanced split makes every phase decay as exp(-t/7): C1 = C4 = 1,
+    # C2 = 20, C3 = 2; the W1 contraction term decays as exp(-(1/2)(6/7)t)
+    r = _reference_bounds()
+    for t in (10.0, 30.0, 60.0):
+        e = math.exp(-t / 7.0)
+        assert r.tv(t) == pytest.approx(
+            min(1.0, 1.0 - (1.0 - e) ** 2 * max(0.0, 1.0 - 20.0 * e) * max(0.0, 1.0 - 2.0 * e)),
+            rel=1e-9)
+        assert r.w1(t) == pytest.approx(r.C1_w1 * e + r.C2_w1 * math.exp(-3.0 * t / 7.0),
+                                        rel=1e-9)
+    assert r.tv(60.0) < 0.01  # informative at t = 60
+
+
 def test_default_closeness_threshold():
-    b = convergence_bounds(_reference_model())
+    r = _reference_bounds()
     t = 8.0
-    assert b.epsilon_tv_default(t) == pytest.approx(
-        math.exp(-b.report.v_prime * (b.report.beta - b.report.alpha) * t)
+    assert r.epsilon_tv(t) == pytest.approx(
+        math.exp(-r.v_prime * (r.beta - r.alpha) * t)
     )
+    # clamped into (0, 1), as the coupling requires
+    assert r.epsilon_tv(0.0) == 1.0 - 1e-12
+    assert r.epsilon_tv(1e6) == 1e-300
 
 
 def test_bounds_with_explicit_phases():
-    b = convergence_bounds(_reference_model(), alpha=0.2, beta=0.7)
-    assert b.report.alpha == 0.2 and b.report.beta == 0.7
+    r = _reference_bounds(alpha=0.2, beta=0.7)
+    assert r.alpha == 0.2 and r.beta == 0.7
     with pytest.raises(AssumptionError):
-        convergence_bounds(_reference_model(), alpha=0.8, beta=0.3)
+        _reference_bounds(alpha=0.8, beta=0.3)
 
 
 def test_bounds_nonconstant_hazard_instance():
     # Gamma inter-arrival times exercise the renewal-solver path
-    model = ModelSpec(F=UNIF01, G=DistributionSpec.gamma(2.0, 0.5), H=DIRAC1,
-                      x0_mean=1.0, x0_tilde_mean=2.0, x0_max_mean=2.0)
-    b = convergence_bounds(model, n_mc=10**5, renewal_step=5e-3)
-    r = b.report
+    r = convergence_bounds(UNIF01, DistributionSpec.gamma(2.0, 0.5), DIRAC1, 3.0)
     for name, value in r.to_dict().items():
         if isinstance(value, (int, float)):
             assert type(value) is float, name  # no numpy scalars in the report
     assert math.isfinite(r.w) and r.w > 0
     assert r.C2_prime >= 1.0 - 1e-9
     assert 0 < r.alpha < r.beta < 1
-    assert 0.0 <= b.tv(10.0) <= 1.0
-    assert b.w1(10.0) < b.w1(1.0)
+    assert 0.0 <= r.tv(10.0) <= 1.0
+    assert r.w1(10.0) < r.w1(1.0)
 
 
 def test_exp_case_exponent_comparison():
