@@ -6,7 +6,6 @@ bound curves with Monte Carlo verification."""
 from .distributions import DistributionSpec, Family, HazardProfile, Role, hazard_profile
 from .errors import (
     AssumptionError,
-    CaseMismatchError,
     ConfigError,
     ContamsimError,
     DistributionError,
@@ -22,14 +21,14 @@ from .coupling import (
     tv_jump_coupling,
 )
 from .rates import (
+    AgeBound,
     HolderData,
     RateReport,
     RenewalKernel,
-    age_bound_params,
+    age_bound,
     eta,
     eta_envelope,
     exp_case_bounds,
-    exponential_case_decay,
     find_w,
     convergence_bounds,
     solve_renewal,

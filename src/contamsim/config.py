@@ -14,7 +14,7 @@ from typing import Optional
 import yaml
 
 from .distributions import DistributionSpec, Family, Role
-from .errors import ConfigError
+from .errors import AssumptionError, ConfigError
 from .rates import HolderData
 
 __all__ = ["InitLaw", "RunConfig", "load_config"]
@@ -157,13 +157,16 @@ class RunConfig:
         hd = model.get("holder", None)
         if hd:
             hd = _Record(hd, "model.holder")
-            holder = HolderData(
-                K=hd.num("K"),
-                h=hd.num("h"),
-                M=hd.num("M", None),
-                C_tail=hd.num("C_tail", None),
-                p_tail=hd.num("p_tail", None),
-            )
+            try:
+                holder = HolderData(
+                    K=hd.num("K"),
+                    h=hd.num("h"),
+                    M=hd.num("M", None),
+                    C_tail=hd.num("C_tail", None),
+                    p_tail=hd.num("p_tail", None),
+                )
+            except AssumptionError as exc:
+                raise ConfigError(f"model.holder.{exc}") from exc
             hd.done()
 
         grid = exp.get("grid", [])
@@ -204,13 +207,6 @@ class RunConfig:
             (cfg.parallelism >= 1, "experiment.parallelism must be >= 1"),
             (cfg.epsilon_tv is None or 0.0 < cfg.epsilon_tv < 1.0,
              "coupling.epsilon_tv must lie in (0, 1)"),
-            (holder is None or holder.K > 0.0, "model.holder.K must be > 0"),
-            (holder is None or 0.0 < holder.h <= 1.0, "model.holder.h must lie in (0, 1]"),
-            (holder is None or holder.M is None or holder.M > 0.0, "model.holder.M must be > 0"),
-            (holder is None or holder.C_tail is None or holder.C_tail > 0.0,
-             "model.holder.C_tail must be > 0"),
-            (holder is None or holder.p_tail is None or holder.p_tail > 2.0,
-             "model.holder.p_tail must be > 2"),
         ):
             if not holds:
                 raise ConfigError(message)

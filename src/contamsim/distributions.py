@@ -123,21 +123,13 @@ class DistributionSpec:
                 raise DistributionError(
                     "inter-arrival law must have a hazard rate; a point mass has none"
                 )
-            if self.family is Family.GAMMA and self.params[0] < 1:
+            if self.family in (Family.GAMMA, Family.WEIBULL) and self.params[0] < 1:
                 raise DistributionError(
-                    "inter-arrival hazard must be non-decreasing; gamma needs shape >= 1"
+                    f"inter-arrival hazard must be non-decreasing; {self.family.value} "
+                    "needs shape >= 1"
                 )
-            if self.family is Family.WEIBULL and self.params[0] < 1:
-                raise DistributionError(
-                    "inter-arrival hazard must be non-decreasing; weibull needs shape >= 1"
-                )
-        if self.role is Role.METABOLIC:
-            if self.family is Family.DIRAC and self.params[0] <= 0:
-                raise DistributionError("metabolic rate must be strictly positive")
-            if self.family is Family.UNIFORM and self.params[0] < 0:
-                raise DistributionError("metabolic law needs support in (0, inf)")
-            if self.family is Family.SHIFTED_EXPONENTIAL and self.params[0] < 0:
-                raise DistributionError("metabolic law needs support in (0, inf)")
+        if self.role is Role.METABOLIC and self.family is Family.DIRAC and self.params[0] <= 0:
+            raise DistributionError("metabolic rate must be strictly positive")
 
     # -- constructors -------------------------------------------------
 

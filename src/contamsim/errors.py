@@ -25,10 +25,5 @@ class AssumptionError(ContamsimError, ValueError):
     """
 
 
-class CaseMismatchError(AssumptionError):
-    """The hazard profile does not satisfy the hypotheses of the
-    requested age-coalescence case."""
-
-
 class ConfigError(ContamsimError, ValueError):
     """Malformed or inconsistent run configuration."""

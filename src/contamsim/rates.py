@@ -22,21 +22,19 @@ from .distributions import (
     HazardProfile,
     hazard_profile,
 )
-from .errors import AssumptionError, CaseMismatchError, NoDensityError
+from .errors import AssumptionError, NoDensityError
 
 __all__ = [
     "RenewalKernel",
     "RenewalSolution",
     "HolderData",
     "RateReport",
+    "AgeBound",
     "find_w",
     "solve_renewal",
-    "exponential_case_decay",
     "eta",
     "eta_envelope",
-    "age_bound_params",
-    "default_age_params",
-    "sample_age_bound",
+    "age_bound",
     "age_bound_tail",
     "fit_dominating_exponential",
     "convergence_bounds",
@@ -51,6 +49,8 @@ W_CAP = 64.0  # the largest Laplace root find_w probes
 W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
 RENEWAL_STEP = 1e-3  # grid step of the renewal solve
 N_MC_TAIL = 10**6  # draws of the age-tail Monte Carlo sample
+ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
+ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
 
 TV_PROVENANCE = "three-phase coalescence product bound (total variation)"
 W1_PROVENANCE = "age-tail plus contraction bound (Wasserstein-1)"
@@ -244,13 +244,6 @@ def solve_renewal(
     return RenewalSolution(grid=grid, Z_tilted=Zp, Z=Z, C=float(Zp.max()), w_shift=w_shift)
 
 
-def exponential_case_decay(lam: float, H: DistributionSpec, p: float = 1.0) -> float:
-    """Decay exponent lam * (1 - E[exp(-p*Theta*DeltaT)]) for G = Exp(lam)."""
-    if lam <= 0:
-        raise AssumptionError("rate must be positive")
-    return lam * (1.0 - RenewalKernel(DistributionSpec.exponential(lam), H, p).mass())
-
-
 # ---------------------------------------------------------------------------
 # Intake overlap deficit eta
 # ---------------------------------------------------------------------------
@@ -311,7 +304,9 @@ def _eta_quad(eps: float, F: DistributionSpec) -> float:
 class HolderData:
     """Smoothness data of the intake density: |f(x)-f(y)| <= K|x-y|**h,
     with either a compact support bound M or a polynomial tail
-    f(x) <= C_tail * x**(-p_tail), p_tail > 2."""
+    f(x) <= C_tail * x**(-p_tail), p_tail > 2.  The envelope reads M when
+    it is set, so either M or the whole tail pair is required.  Each
+    error message starts with the key at fault."""
 
     K: float
     h: float
@@ -319,14 +314,26 @@ class HolderData:
     C_tail: Optional[float] = None
     p_tail: Optional[float] = None
 
+    def __post_init__(self):
+        for holds, message in (
+            (self.K > 0.0, "K must be > 0"),
+            (0.0 < self.h <= 1.0, "h must lie in (0, 1]"),
+            (self.M is None or self.M > 0.0, "M must be > 0"),
+            (self.C_tail is None or self.C_tail > 0.0, "C_tail must be > 0"),
+            (self.p_tail is None or self.p_tail > 2.0, "p_tail must be > 2"),
+        ):
+            if not holds:
+                raise AssumptionError(message)
+        if (self.C_tail is None) != (self.p_tail is None):
+            missing, given = ("C_tail", "p_tail") if self.C_tail is None else ("p_tail", "C_tail")
+            raise AssumptionError(f"{missing} is required with {given}")
+        if self.M is None and self.C_tail is None:
+            raise AssumptionError("M or the tail pair (C_tail, p_tail) is required")
 
-def eta_envelope(
-    eps_max: float,
-    F: DistributionSpec,
-    holder: Optional[HolderData] = None,
-    n_grid: int = 200,
-) -> tuple[float, float]:
-    """Power-law envelope (C, v) with sup_{x <= eps} eta(x) <= C * eps**v.
+
+def eta_envelope(F: DistributionSpec, holder: Optional[HolderData] = None) -> tuple[float, float]:
+    """Power-law envelope (C, v) with sup_{x <= eps} eta(x) <= C * eps**v
+    for eps up to ETA_EPS_MAX.
 
     Uses the smoothness data when supplied (compact support:
     C = K(M+1)/2, v = h; polynomial tail: the quantile-controlled
@@ -336,25 +343,21 @@ def eta_envelope(
     if holder is not None:
         if holder.M is not None:
             return holder.K * (holder.M + 1.0) / 2.0, holder.h
-        if holder.C_tail is not None and holder.p_tail is not None:
-            if holder.p_tail <= 2.0:
-                raise AssumptionError("polynomial tail exponent must exceed 2")
-            C = (
-                holder.K
-                * ((holder.C_tail / (holder.p_tail - 1.0)) ** (1.0 / (holder.p_tail - 1.0)) + 1.0)
-                / 2.0
-                + 1.0
-            )
-            v = holder.h - holder.h / (holder.p_tail - 1.0)
-            return C, v
+        C = (
+            holder.K
+            * ((holder.C_tail / (holder.p_tail - 1.0)) ** (1.0 / (holder.p_tail - 1.0)) + 1.0)
+            / 2.0
+            + 1.0
+        )
+        v = holder.h - holder.h / (holder.p_tail - 1.0)
+        return C, v
     if F.family is Family.UNIFORM:
         lo, hi = F.params
         return 1.0 / (hi - lo), 1.0
     if F.family in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
-        rate = F.params[0] if F.family is Family.EXPONENTIAL else F.params[1]
-        return rate, 1.0  # 1 - exp(-r*eps) <= r*eps
+        return F.params[-1], 1.0  # 1 - exp(-r*eps) <= r*eps, r the rate
     # numeric fit, then inflate C so the envelope dominates on the grid
-    eps_grid = np.geomspace(eps_max * 1e-3, eps_max, n_grid)
+    eps_grid = np.geomspace(ETA_EPS_MAX * 1e-3, ETA_EPS_MAX, ETA_FIT_POINTS)
     vals = eta(eps_grid, F)
     mask = vals > 0
     slope, icept = np.polyfit(np.log(eps_grid[mask]), np.log(vals[mask]), 1)
@@ -368,31 +371,76 @@ def eta_envelope(
 # ---------------------------------------------------------------------------
 
 
-def _validate_case(case: str, profile: HazardProfile):
-    if case not in ("i", "ii", "iii"):
-        raise ValueError(f"unknown case {case!r}")
-    a, d, sup = profile.a, profile.d, profile.sup_zeta
-    if case == "i":
-        if not math.isfinite(d):
-            raise CaseMismatchError("case i needs a finite hazard-blowup age d")
-        if d <= 1.5 * a:
-            raise CaseMismatchError(
+@dataclass(frozen=True)
+class AgeBound:
+    """The stochastic upper bound on the age-coalescence time; ``age_bound``
+    builds it and checks the hypotheses of its regime."""
+
+    profile: HazardProfile
+    case: str  # "i": finite blow-up age d, "ii": bounded hazard, "iii": unbounded
+    eps: float  # closeness threshold
+    b: float  # the jump domain is [b, c]
+    c: float
+    p1: float  # success probability of one block
+    p2: float  # success probability of one outer round
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw n copies of the bound variable.
+
+        The bound is a geometric mixture of geometric/exponential blocks;
+        the exponential rate is zeta(b) in the bounded-hazard regime and
+        zeta(c) otherwise.  Each replica's totals are drawn from their
+        closed-form laws: H ~ Geometric(p2) rounds, a sum of H Geometric(p1)
+        block counts, which is H + NegativeBinomial(H, p1), and a sum of that
+        many exponential waits, which is a gamma variate.
+        """
+        eps, b, c = self.eps, self.b, self.c
+        H = rng.geometric(self.p2, size=n)
+        blocks = H + rng.negative_binomial(H, self.p1)
+        if self.case == "i":
+            return c + (2.0 * H - 1.0) * eps + (self.profile.d - eps) * blocks
+        rate = self.profile.zeta(b) if self.case == "ii" else self.profile.zeta(c)
+        e_per_rep = rng.gamma(blocks, 1.0 / rate)
+        if self.case == "ii":
+            return b * blocks + e_per_rep
+        return c - eps + 2.0 * eps * H + (c - eps) * blocks + e_per_rep
+
+    def rate_cap(self) -> Optional[float]:
+        """Analytic cap on the exponential rate of the coalescence-time
+        tail; only the finite blow-up regime has one."""
+        if self.case != "i":
+            return None
+        return 0.5 * min(
+            -math.log(1.0 - self.p2) / (2.0 * self.eps),
+            -math.log(1.0 - self.p1 * self.p2) / (self.profile.d - self.eps),
+        )
+
+
+def age_bound(
+    profile: HazardProfile, params: Optional[tuple[float, float, float]] = None
+) -> AgeBound:
+    """The age-coalescence bound of an inter-intake hazard profile.
+
+    The regime follows from the profile: a finite blow-up age d (which
+    must exceed 3a/2), else a bounded or an unbounded hazard.  ``params``
+    is (eps, b, c); when None, a heuristic triple that satisfies the
+    regime's hypotheses is used.
+    """
+    a, d = profile.a, profile.d
+    if math.isfinite(d):
+        case = "i"
+        m = (d - 1.5 * a) / 4.0
+        if m <= 0:
+            raise AssumptionError(
                 "case i needs d > 3a/2; configurations with d <= 3a/2 are rejected"
             )
-    elif case == "ii":
-        if math.isfinite(d) or math.isinf(sup):
-            raise CaseMismatchError("case ii needs d = inf and a bounded hazard")
+        default = (a / 2.0 + m, a + m, 1.5 * a + 3.0 * m)
     else:
-        if math.isfinite(d) or math.isfinite(sup):
-            raise CaseMismatchError("case iii needs d = inf and an unbounded hazard")
-
-
-def age_bound_params(
-    case: str, profile: HazardProfile, eps: float, b: float, c: float
-) -> tuple[float, float]:
-    """Coalescence probabilities (p1, p2) for the requested hazard regime."""
-    _validate_case(case, profile)
-    a, d = profile.a, profile.d
+        case = "ii" if math.isfinite(profile.sup_zeta) else "iii"
+        m = 0.5 * profile.spec.mean()
+        eps, b = a / 2.0 + 0.5 * m, a + m
+        default = (eps, b, b + eps + m)
+    eps, b, c = default if params is None else params
     if eps <= a / 2.0:
         raise AssumptionError("closeness threshold must exceed a/2")
     if not (a < b < d):
@@ -402,79 +450,20 @@ def age_bound_params(
         raise AssumptionError("hazard must be positive at the jump-domain start")
     if case == "ii":
         sup = profile.sup_zeta
-        return math.exp(-b * sup), zeta_b / sup
+        return AgeBound(profile, case, eps, b, c, math.exp(-b * sup), zeta_b / sup)
     if not (b + eps < c < d):
         raise AssumptionError("jump-domain end c must satisfy b + eps < c < d")
     p1 = 1.0 - math.exp(-(eps - a / 2.0) * profile.zeta(eps + a / 2.0))
-    base = math.exp(-b * profile.zeta(b + eps)) * (
-        1.0 - math.exp(-(c - b - eps) * zeta_b)
-    )
-    if case == "i":
-        return p1, base
-    return p1, (zeta_b / profile.zeta(c)) * base
+    p2 = math.exp(-b * profile.zeta(b + eps)) * (1.0 - math.exp(-(c - b - eps) * zeta_b))
+    if case == "iii":
+        p2 *= zeta_b / profile.zeta(c)
+    return AgeBound(profile, case, eps, b, c, p1, p2)
 
 
-def default_age_params(profile: HazardProfile) -> tuple[float, float, float]:
-    """Heuristic (eps, b, c) satisfying the case hypotheses for a profile."""
-    a, d = profile.a, profile.d
-    if math.isfinite(d):
-        m = (d - 1.5 * a) / 4.0
-        if m <= 0:
-            raise CaseMismatchError(
-                "case i needs d > 3a/2; configurations with d <= 3a/2 are rejected"
-            )
-        return a / 2.0 + m, a + m, 1.5 * a + 3.0 * m
-    m = 0.5 * profile.spec.mean()
-    eps = a / 2.0 + 0.5 * m
-    b = a + m
-    return eps, b, b + eps + m
-
-
-def sample_age_bound(
-    case: str,
-    p1: float,
-    p2: float,
-    eps: float,
-    b: float,
-    c: float,
-    profile: HazardProfile,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw n copies of the stochastic upper bound on the age-coalescence time.
-
-    The bound is a geometric mixture of geometric/exponential blocks;
-    the exponential rate is zeta(b) in the bounded-hazard regime and
-    zeta(c) otherwise.  Each replica's totals are drawn from their
-    closed-form laws: H ~ Geometric(p2) rounds, a sum of H Geometric(p1)
-    block counts, which is H + NegativeBinomial(H, p1), and a sum of that
-    many exponential waits, which is a gamma variate.
-    """
-    _validate_case(case, profile)
-    H = rng.geometric(p2, size=n)
-    blocks = H + rng.negative_binomial(H, p1)
-    if case == "i":
-        return c + (2.0 * H - 1.0) * eps + (profile.d - eps) * blocks
-    rate = profile.zeta(b) if case == "ii" else profile.zeta(c)
-    e_per_rep = rng.gamma(blocks, 1.0 / rate)
-    if case == "ii":
-        return b * blocks + e_per_rep
-    return c - eps + 2.0 * eps * H + (c - eps) * blocks + e_per_rep
-
-
-def age_bound_tail(
-    case: str,
-    p1: float,
-    p2: float,
-    eps: float,
-    b: float,
-    c: float,
-    profile: HazardProfile,
-    grid: np.ndarray,
-) -> np.ndarray:
+def age_bound_tail(bound: AgeBound, grid: np.ndarray) -> np.ndarray:
     """Monte Carlo survival function of the bound variable on a grid."""
     rng = np.random.default_rng(_TAIL_SEED)
-    sample = np.sort(sample_age_bound(case, p1, p2, eps, b, c, profile, N_MC_TAIL, rng))
+    sample = np.sort(bound.sample(N_MC_TAIL, rng))
     grid = np.asarray(grid, dtype=float)
     return 1.0 - np.searchsorted(sample, grid, side="right") / len(sample)
 
@@ -501,16 +490,6 @@ def fit_dominating_exponential(
     with np.errstate(over="ignore"):
         C = float(np.max(np.where(tail > 0, tail * np.exp(v * grid), 0.0)))
     return max(C, 1.0), float(v)
-
-
-def age_rate_cap(case: str, p1: float, p2: float, eps: float, profile: HazardProfile) -> Optional[float]:
-    """Analytic cap on the exponential rate of the coalescence-time tail."""
-    if case == "i":
-        return 0.5 * min(
-            -math.log(1.0 - p2) / (2.0 * eps),
-            -math.log(1.0 - p1 * p2) / (profile.d - eps),
-        )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +589,9 @@ def convergence_bounds(
     Wasserstein curve C1 exp(-v1 alpha t) + C2 exp(-v2 (1-alpha) t),
     with every constant computed from the model laws.
     """
+    if (alpha is None) != (beta is None):
+        missing, given = ("alpha", "beta") if alpha is None else ("beta", "alpha")
+        raise AssumptionError(f"phase fraction {missing} is required with {given}")
     profile = hazard_profile(G)
     kernel = RenewalKernel(G, H, p)
     q = kernel.mass()
@@ -619,31 +601,23 @@ def convergence_bounds(
 
     # phase 1: age coalescence tail
     if profile.inf_zeta > 0.0:
-        case = None
-        p1 = p2 = eps_a = b = c = None
+        age = dict(case=None, p1=None, p2=None, eps_age=None, b=None, c=None)
         v1 = profile.inf_zeta
         C1p = 1.0
     else:
-        if math.isfinite(profile.d):
-            case = "i"
-        elif math.isfinite(profile.sup_zeta):
-            case = "ii"
-        else:
-            case = "iii"
-        eps_a, b, c = age_params if age_params is not None else default_age_params(profile)
-        p1, p2 = age_bound_params(case, profile, eps_a, b, c)
-        mean_scale = G.mean()
-        tail_grid = np.linspace(0.0, 400.0 * mean_scale / max(p1 * p2, 1e-3), 400)
-        tail = age_bound_tail(case, p1, p2, eps_a, b, c, profile, tail_grid)
+        bound = age_bound(profile, age_params)
+        age = dict(case=bound.case, p1=bound.p1, p2=bound.p2, eps_age=bound.eps,
+                   b=bound.b, c=bound.c)
+        tail_grid = np.linspace(0.0, 400.0 * G.mean() / max(bound.p1 * bound.p2, 1e-3), 400)
         C1p, v1 = fit_dominating_exponential(
-            tail_grid, tail, v_cap=age_rate_cap(case, p1, p2, eps_a, profile)
+            tail_grid, age_bound_tail(bound, tail_grid), v_cap=bound.rate_cap()
         )
 
     # phase 2: Wasserstein contraction rate
     const_rate = profile.constant_rate
     if const_rate is not None:
         # closed Poisson bound: exp(-lam*(1 - E[e^{-p Theta DT}])*t), no constant
-        w = exponential_case_decay(const_rate, H, p)
+        w = const_rate * rho
         v2p = w / p
         C2p = 1.0
     else:
@@ -663,33 +637,27 @@ def convergence_bounds(
     if not math.isfinite(C3):
         raise AssumptionError("the inter-arrival law must have the requested exponential moment")
 
-    eta_C, eta_vp = eta_envelope(1.0, F, holder=holder)
+    eta_C, eta_vp = eta_envelope(F, holder=holder)
     v_prime = v2p / (1.0 + eta_vp)
     v2 = v2p - v_prime
     v4 = eta_vp * v_prime
-    C4 = eta_C
 
-    EU = F.mean()
-    c2_base = x0_sum_mean * (1.0 + 1.0 / q) + 2.0 * EU / rho
+    c2_base = x0_sum_mean * (1.0 + 1.0 / q) + 2.0 * F.mean() / rho
     C2 = c2_base * C2p
 
-    if alpha is None or beta is None:
+    if alpha is None:
         alpha, beta = _balanced_alpha_beta(v1, v2, v3)
     if not 0.0 < alpha < beta < 1.0:
         raise AssumptionError("phase fractions must satisfy 0 < alpha < beta < 1")
 
-    C1_tv = C1p
     C1_w1 = (c2_base + 2.0 * H.mean() + 2.0 * G.mean()) * C1p
-    C2_w1 = c2_base * C2p
 
     return RateReport(
         p=p, w=w, v_G=v_G, rho=rho, q=q,
-        case=case, p1=p1, p2=p2, eps_age=eps_a if case else None,
-        b=b if case else None, c=c if case else None,
-        C_renewal=C2p, eta_C=eta_C, eta_v=eta_vp,
-        C1=C1_tv, v1=v1, C2_prime=C2p, v2_prime=v2p, C2=C2, v2=v2,
-        C3=C3, v3=v3, C4=C4, v4=v4, v_prime=v_prime,
-        alpha=alpha, beta=beta, C1_w1=C1_w1, C2_w1=C2_w1,
+        **age, C_renewal=C2p, eta_C=eta_C, eta_v=eta_vp,
+        C1=C1p, v1=v1, C2_prime=C2p, v2_prime=v2p, C2=C2, v2=v2,
+        C3=C3, v3=v3, C4=eta_C, v4=v4, v_prime=v_prime,
+        alpha=alpha, beta=beta, C1_w1=C1_w1, C2_w1=C2,
     )
 
 

@@ -83,14 +83,13 @@ def test_criterion_02_age_bound_domination_linear_hazard():
     n = 100_000
     prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))  # zeta(t)=t
     eps, b, c = 0.5, 1.0, 2.0
-    p1, p2 = rates.age_bound_params("iii", prof, eps, b, c)
+    bound = rates.age_bound(prof, (eps, b, c))
+    p1, p2 = bound.p1, bound.p2
     plug_ok = abs(p1 - 0.2212) < 5e-4 and abs(p2 - 0.0439) < 5e-4
     rng = np.random.default_rng(102)
     taus = _age_coalescence_times(0.0, 1.0, prof, n, rng)
-    bound = rates.sample_age_bound("iii", p1, p2, eps, b, c, prof, n,
-                                   np.random.default_rng(103))
     grid = np.linspace(0.5, 20.0, 20)
-    dom = estimators.survival_compare(taus, bound, grid)
+    dom = estimators.survival_compare(taus, bound.sample(n, np.random.default_rng(103)), grid)
     elapsed = time.monotonic() - t0
     _report(
         2,

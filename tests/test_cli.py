@@ -97,6 +97,12 @@ def test_config_errors(tmp_path):
          "model.holder.C_tail"),
         ("model", "holder", {"K": 1.0, "h": 1.0, "C_tail": 1.0, "p_tail": 2.0},
          "model.holder.p_tail"),
+        # the envelope reads M or the whole tail pair; nothing else is accepted
+        ("model", "holder", {"K": 1.0, "h": 1.0, "C_tail": 1.0},
+         "model.holder.p_tail is required with C_tail"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "p_tail": 3.0},
+         "model.holder.C_tail is required with p_tail"),
+        ("model", "holder", {"K": 1.0, "h": 1.0}, r"model.holder.M or the tail pair"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -154,6 +160,17 @@ def test_rates_rejects_zero_holder_exponent(tmp_path):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "model.holder.h" in result.output and "Traceback" not in result.output
+
+
+def test_rates_rejects_short_blowup_age(tmp_path):
+    # uniform(1.0, 1.4) waits: the hazard blows up at d = 1.4 <= 3a/2 = 1.5
+    cfg = _write_config(tmp_path, {
+        "model": {"inter_arrival": {"family": "uniform", "params": [1.0, 1.4]}},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
+    assert result.exit_code == 1, result.output
+    assert "d > 3a/2" in result.output and "Traceback" not in result.output
 
 
 def test_cli_rejects_negative_seed_and_replica(tmp_path):

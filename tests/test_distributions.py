@@ -37,6 +37,9 @@ def test_role_constraints():
     # but they are fine in other roles
     DistributionSpec.gamma(0.5, 1.0, role=Role.INTAKE)
     DistributionSpec.dirac(1.0, role=Role.METABOLIC)
+    # metabolic rates must be positive
+    with pytest.raises(DistributionError):
+        DistributionSpec.uniform(-1.0, 1.0, role=Role.METABOLIC)
     # hazard_profile applies the inter-arrival checks whatever the tag
     for spec in [
         DistributionSpec.dirac(1.0),

@@ -10,20 +10,16 @@ from scipy import stats
 
 from contamsim import rates
 from contamsim.distributions import DistributionSpec, hazard_profile
-from contamsim.errors import AssumptionError, CaseMismatchError
+from contamsim.errors import AssumptionError
 from contamsim.rates import (
     HolderData,
     RenewalKernel,
-    age_bound_params,
-    age_rate_cap,
-    default_age_params,
+    age_bound,
     eta,
     eta_envelope,
     exp_case_bounds,
-    exponential_case_decay,
     find_w,
     convergence_bounds,
-    sample_age_bound,
     solve_renewal,
 )
 
@@ -154,11 +150,12 @@ def test_renewal_solver_matches_forward_substitution():
 
 def test_exponential_case_decay_values():
     # lam (1 - E[e^{-t Theta}] under Exp(lam) times): closed values
-    assert exponential_case_decay(1.0, DIRAC1) == pytest.approx(0.5, abs=1e-9)
-    assert exponential_case_decay(2.0, DIRAC1) == pytest.approx(2.0 * (1 - 2.0 / 3.0), abs=1e-9)
-    assert exponential_case_decay(1.0, DistributionSpec.dirac(2.0)) == pytest.approx(
-        1.0 - 1.0 / 3.0, abs=1e-9
-    )
+    def w(lam, H):
+        return convergence_bounds(UNIF01, DistributionSpec.exponential(lam), H, 6.0).w
+
+    assert w(1.0, DIRAC1) == pytest.approx(0.5, abs=1e-9)
+    assert w(2.0, DIRAC1) == pytest.approx(2.0 * (1 - 2.0 / 3.0), abs=1e-9)
+    assert w(1.0, DistributionSpec.dirac(2.0)) == pytest.approx(1.0 - 1.0 / 3.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +194,28 @@ def test_eta_is_monotone_for_gamma():
 
 
 def test_eta_envelope_box():
-    C, v = eta_envelope(1.0, UNIF01)
+    C, v = eta_envelope(UNIF01)
     assert (C, v) == (1.0, 1.0)
-    C, v = eta_envelope(1.0, DistributionSpec.uniform(0.0, 2.0))
+    C, v = eta_envelope(DistributionSpec.uniform(0.0, 2.0))
     assert (C, v) == (0.5, 1.0)
 
 
 def test_eta_envelope_holder_data():
     hd = HolderData(K=1.0, h=1.0, M=1.0)
-    C, v = eta_envelope(1.0, UNIF01, holder=hd)
+    C, v = eta_envelope(UNIF01, holder=hd)
     assert (C, v) == (1.0, 1.0)
-    with pytest.raises(AssumptionError):
-        eta_envelope(1.0, UNIF01, holder=HolderData(K=1.0, h=0.5, C_tail=1.0, p_tail=1.5))
+    with pytest.raises(AssumptionError, match="p_tail must be > 2"):
+        HolderData(K=1.0, h=0.5, C_tail=1.0, p_tail=1.5)
+    # data the envelope would not read is rejected, naming the missing key
+    with pytest.raises(AssumptionError, match="p_tail is required with C_tail"):
+        HolderData(K=1.0, h=1.0, C_tail=1.0)
+    with pytest.raises(AssumptionError, match=r"M or the tail pair \(C_tail, p_tail\)"):
+        HolderData(K=1.0, h=1.0)
 
 
 def test_eta_envelope_dominates_numeric_fit():
     g = DistributionSpec.gamma(2.0, 1.0)
-    C, v = eta_envelope(1.0, g)
+    C, v = eta_envelope(g)
     for e in np.geomspace(1e-3, 1.0, 50):
         assert eta(e, g) <= C * e**v * (1.0 + 1e-9)
 
@@ -228,24 +230,23 @@ def _rayleigh_profile():
 
 
 def test_case_matching():
-    ray = _rayleigh_profile()  # d = inf, unbounded hazard
-    with pytest.raises(CaseMismatchError):
-        age_bound_params("i", ray, 0.5, 1.0, 2.0)
-    with pytest.raises(CaseMismatchError):
-        age_bound_params("ii", ray, 0.5, 1.0, 2.0)
+    # the regime is read from the profile
+    assert age_bound(_rayleigh_profile(), (0.5, 1.0, 2.0)).case == "iii"  # unbounded hazard
     box = hazard_profile(DistributionSpec.uniform(0.0, 2.0))  # d = 2 finite
-    with pytest.raises(CaseMismatchError):
-        age_bound_params("iii", box, 0.5, 1.0, 1.8)
+    assert age_bound(box, (0.5, 1.0, 1.8)).case == "i"
     shifted = hazard_profile(DistributionSpec.shifted_exponential(1.0, 1.0))
-    with pytest.raises(CaseMismatchError):
-        age_bound_params("iii", shifted, 0.75, 1.5, 3.0)
-    with pytest.raises(ValueError):
-        age_bound_params("iv", ray, 0.5, 1.0, 2.0)
+    assert age_bound(shifted, (0.75, 1.5, 3.0)).case == "ii"  # bounded hazard
+    # a blow-up age d <= 3a/2 is rejected, with or without explicit parameters
+    short = hazard_profile(DistributionSpec.uniform(1.0, 1.4))  # a = 1, d = 1.4
+    for params in (None, (0.6, 1.1, 1.3)):
+        with pytest.raises(AssumptionError, match="d > 3a/2"):
+            age_bound(short, params)
 
 
 def test_case_iii_reference_values():
     # linear hazard zeta(t) = t with eps=1/2, b=1, c=2
-    p1, p2 = age_bound_params("iii", _rayleigh_profile(), 0.5, 1.0, 2.0)
+    bound = age_bound(_rayleigh_profile(), (0.5, 1.0, 2.0))
+    p1, p2 = bound.p1, bound.p2
     # p1 = 1 - exp(-(eps - a/2) * zeta(eps + a/2)) = 1 - exp(-1/4)
     assert p1 == pytest.approx(1.0 - math.exp(-0.25), abs=1e-6)    # ~0.2212
     assert p2 == pytest.approx(0.5 * math.exp(-1.5) * (1.0 - math.exp(-0.5)), abs=1e-6)
@@ -256,13 +257,13 @@ def test_case_i_values_and_cap():
     # box inter-arrival on [0, 2]: hazard 1/(2-t), dead time a = 0
     box = hazard_profile(DistributionSpec.uniform(0.0, 2.0))
     eps, b, c = 0.5, 0.6, 1.5
-    p1, p2 = age_bound_params("i", box, eps, b, c)
+    bound = age_bound(box, (eps, b, c))
+    p1, p2 = bound.p1, bound.p2
     assert p1 == pytest.approx(1.0 - math.exp(-0.5 / 1.5))
     assert p2 == pytest.approx(
         math.exp(-0.6 / 0.9) * (1.0 - math.exp(-0.4 / 1.4))
     )
-    cap = age_rate_cap("i", p1, p2, eps, box)
-    assert cap == pytest.approx(0.5 * min(
+    assert bound.rate_cap() == pytest.approx(0.5 * min(
         -math.log(1.0 - p2) / (2.0 * eps),
         -math.log(1.0 - p1 * p2) / (box.d - eps),
     ))
@@ -272,20 +273,21 @@ def test_case_ii_shifted_exponential():
     # flat-after-delay hazard: the outer round always succeeds once the
     # waiting block lands, so p2 = zeta(b)/sup zeta = 1
     prof = hazard_profile(DistributionSpec.shifted_exponential(1.0, 2.0))
-    p1, p2 = age_bound_params("ii", prof, 0.75, 1.5, 3.0)
-    assert p1 == pytest.approx(math.exp(-1.5 * 2.0))
-    assert p2 == 1.0
+    bound = age_bound(prof, (0.75, 1.5, 3.0))
+    assert bound.p1 == pytest.approx(math.exp(-1.5 * 2.0))
+    assert bound.p2 == 1.0
+    assert bound.rate_cap() is None
 
 
 def test_age_param_validation():
     ray = _rayleigh_profile()
     with pytest.raises(AssumptionError):
-        age_bound_params("iii", ray, 0.0, 1.0, 2.0)  # eps <= a/2
+        age_bound(ray, (0.0, 1.0, 2.0))  # eps <= a/2
     with pytest.raises(AssumptionError):
-        age_bound_params("iii", ray, 0.5, 1.0, 1.2)  # c <= b + eps
+        age_bound(ray, (0.5, 1.0, 1.2))  # c <= b + eps
     shifted = hazard_profile(DistributionSpec.shifted_exponential(1.0, 1.0))
     with pytest.raises(AssumptionError):
-        age_bound_params("ii", shifted, 0.4, 1.5, 3.0)  # eps <= a/2
+        age_bound(shifted, (0.4, 1.5, 3.0))  # eps <= a/2
 
 
 def test_default_age_params_satisfy_hypotheses():
@@ -295,37 +297,36 @@ def test_default_age_params_satisfy_hypotheses():
         (DistributionSpec.weibull(2.0, math.sqrt(2.0)), "iii"),
         (DistributionSpec.gamma(2.0, 1.0), "ii"),  # hazard increases to 1/scale
     ]:
-        prof = hazard_profile(spec)
-        eps, b, c = default_age_params(prof)
-        p1, p2 = age_bound_params(case, prof, eps, b, c)
-        assert 0.0 < p1 <= 1.0 and 0.0 < p2 <= 1.0
+        bound = age_bound(hazard_profile(spec))
+        assert bound.case == case
+        assert 0.0 < bound.p1 <= 1.0 and 0.0 < bound.p2 <= 1.0
 
 
 def test_bound_sampler_mean_matches_structure():
     # case ii: bound = sum over H outer rounds of (G_i blocks of b + Exp)
     # mean = (b + 1/zeta(b)) / (p1 * p2) by Wald's identity
     prof = hazard_profile(DistributionSpec.shifted_exponential(1.0, 2.0))
-    eps, b, c = 0.75, 1.5, 3.0
-    p1, p2 = age_bound_params("ii", prof, eps, b, c)
+    bound = age_bound(prof, (0.75, 1.5, 3.0))
     rng = np.random.default_rng(0)
-    s = sample_age_bound("ii", p1, p2, eps, b, c, prof, 200_000, rng)
-    ref = (b + 1.0 / prof.zeta(b)) / (p1 * p2)
+    s = bound.sample(200_000, rng)
+    ref = (bound.b + 1.0 / prof.zeta(bound.b)) / (bound.p1 * bound.p2)
     se = s.std() / math.sqrt(len(s))
     assert s.mean() == pytest.approx(ref, abs=4.5 * se)
 
 
-def _per_block_age_bound(case, p1, p2, eps, b, c, profile, n, rng):
+def _per_block_age_bound(bound, n, rng):
     """Oracle: the bound variable composed block by block, with one
     geometric count per round and one exponential wait per block."""
-    H = rng.geometric(p2, size=n)
-    G = rng.geometric(p1, size=int(H.sum()))
+    eps, b, c, profile = bound.eps, bound.b, bound.c, bound.profile
+    H = rng.geometric(bound.p2, size=n)
+    G = rng.geometric(bound.p1, size=int(H.sum()))
     blocks = np.add.reduceat(G, np.concatenate([[0], np.cumsum(H)[:-1]]))
-    if case == "i":
+    if bound.case == "i":
         return c + (2.0 * H - 1.0) * eps + (profile.d - eps) * blocks
-    rate = profile.zeta(b) if case == "ii" else profile.zeta(c)
+    rate = profile.zeta(b) if bound.case == "ii" else profile.zeta(c)
     E = rng.exponential(1.0 / rate, size=int(G.sum()))
     waits = np.add.reduceat(E, np.concatenate([[0], np.cumsum(blocks)[:-1]]))
-    if case == "ii":
+    if bound.case == "ii":
         return b * blocks + waits
     return c - eps + 2.0 * eps * H + (c - eps) * blocks + waits
 
@@ -341,14 +342,14 @@ def _per_block_age_bound(case, p1, p2, eps, b, c, profile, n, rng):
 def test_bound_sampler_matches_per_block_composition(spec, case, eps, b, c):
     # closed-form totals vs the block-by-block oracle: two-sample KS at
     # the 1 % level; the parameters keep the oracle near 1e6 draws
-    prof = hazard_profile(spec)
-    p1, p2 = age_bound_params(case, prof, eps, b, c)
+    bound = age_bound(hazard_profile(spec), (eps, b, c))
+    assert bound.case == case
     n = 20_000
     tracemalloc.start()
-    new = sample_age_bound(case, p1, p2, eps, b, c, prof, n, np.random.default_rng(31))
+    new = bound.sample(n, np.random.default_rng(31))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    old = _per_block_age_bound(case, p1, p2, eps, b, c, prof, n, np.random.default_rng(32))
+    old = _per_block_age_bound(bound, n, np.random.default_rng(32))
     assert peak < 8 * new.nbytes  # a few arrays of length n, nothing per block
     ks = stats.ks_2samp(new, old).statistic
     assert ks < 1.63 * math.sqrt(2.0 / n)
@@ -425,6 +426,70 @@ def test_bounds_with_explicit_phases():
     assert r.alpha == 0.2 and r.beta == 0.7
     with pytest.raises(AssumptionError):
         _reference_bounds(alpha=0.8, beta=0.3)
+    # half a split is rejected, naming the missing fraction
+    with pytest.raises(AssumptionError, match="beta is required"):
+        _reference_bounds(alpha=0.3)
+    with pytest.raises(AssumptionError, match="alpha is required"):
+        _reference_bounds(beta=0.7)
+
+# convergence_bounds(uniform(0, 1), G, dirac(1), 6.0).to_dict() at the
+# default numerics, one inter-intake law G per regime: a positive hazard
+# floor (no age bound), a finite blow-up age (case i), two bounded hazards
+# (case ii) and an unbounded hazard (case iii)
+_LOCK_KEYS = [
+    "p", "w", "v_G", "rho", "q", "case", "p1", "p2", "eps_age", "b", "c", "C_renewal",
+    "eta_C", "eta_v", "C1", "v1", "C2_prime", "v2_prime", "C2", "v2", "C3", "v3", "C4",
+    "v4", "v_prime", "alpha", "beta", "C1_w1", "C2_w1",
+]
+_LOCK_LAWS = [
+    (DistributionSpec.exponential(1.0), (
+        1.0, 0.5, 1.0, 0.5, 0.5, None, None, None, None, None, None, 1.0, 1.0, 1.0, 1.0,
+        1.0, 1.0, 0.5, 20.0, 0.25, 2.0, 0.5, 1.0, 0.25, 0.25, 0.14285714285714285,
+        0.7142857142857142, 24.0, 20.0,
+    )),
+    (DistributionSpec.uniform(0.5, 2.5), (
+        1.0, 0.9999999995343387, math.inf, 0.7377771694556328, 0.2622228305443673, "i",
+        0.24421625854427453, 0.08364867327169213, 0.6875, 0.9375, 2.0625, 1.0, 1.0, 1.0,
+        1.0, 0.005693768568109972, 1.0, 0.9499999995576217, 30.236725654834004,
+        0.47499999977881086, 29.736467017361807, 1.8999999991152434, 1.0,
+        0.47499999977881086, 0.47499999977881086, 0.9852375925287558, 0.9970475185057511,
+        35.236725654834004, 30.236725654834004,
+    )),
+    (DistributionSpec.shifted_exponential(1.0, 2.0), (
+        1.0, 0.9999999995343387, 2.0, 0.7547470392190384, 0.24525296078096157, "ii",
+        0.0301973834223185, 1.0, 0.875, 1.75, 3.375, 1.0, 1.0, 1.0, 2.8834976449264706,
+        0.013577227009108597, 1.0, 0.9499999995576217, 31.789483687504095,
+        0.47499999977881086, 5.43656365691809, 1.0, 1.0, 0.47499999977881086,
+        0.47499999977881086, 0.9595447647913614, 0.986972042903026, 106.08238957097886,
+        31.789483687504095,
+    )),
+    (DistributionSpec.gamma(2.0, 0.5), (
+        1.0, 0.9999999995343387, 2.0, 0.5555555555555556, 0.4444444444444444, "ii",
+        0.36787944117144233, 0.49999999999999994, 0.25, 0.5, 1.25, 1.0, 1.0, 1.0,
+        1.274332134621552, 0.1290615337972049, 1.0, 0.9499999995576217, 21.3,
+        0.47499999977881086, 4.0, 1.0, 1.0, 0.47499999977881086, 0.47499999977881086,
+        0.7138930597793623, 0.9078638667376958, 32.240603005925266, 21.3,
+    )),
+    (DistributionSpec.weibull(2.0, 1.0), (
+        1.0, 0.9999999995343387, math.inf, 0.5456413607650468, 0.45435863923495323, "iii",
+        0.09350953781417137, 0.07207966850211824, 0.2215567313631895, 0.443113462726379,
+        1.1077836568159476, 1.0, 1.0, 1.0, 1.8739685173278093, 0.004764127079690087, 1.0,
+        0.9499999995576217, 21.03813298852108, 0.47499999977881086, 8.560198776324878,
+        1.8999999991152434, 1.0, 0.47499999977881086, 0.47499999977881086,
+        0.9876180580605572, 0.9975236116121116, 46.49425863351312, 21.03813298852108,
+    )),
+]
+
+
+@pytest.mark.parametrize("G, values", _LOCK_LAWS, ids=[G.family.value for G, _ in _LOCK_LAWS])
+def test_bounds_regression_lock(G, values):
+    report = convergence_bounds(UNIF01, G, DIRAC1, 6.0).to_dict()
+    assert list(report) == _LOCK_KEYS
+    for key, want in zip(_LOCK_KEYS, values):
+        if isinstance(want, float):
+            assert report[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+        else:
+            assert report[key] == want, key
 
 
 def test_bounds_nonconstant_hazard_instance():
@@ -456,4 +521,5 @@ def test_exp_case_exponent_comparison():
         assert 0.0 <= m2(t) <= 1.0
     assert m2(200.0) < m1(200.0)
     with pytest.raises(AssumptionError):
-        exp_case_bounds(1.0, DIRAC1, HolderData(K=1.0, h=1.0), 6.0, 4.0, 0.5)
+        exp_case_bounds(1.0, DIRAC1, HolderData(K=1.0, h=1.0, C_tail=1.0, p_tail=3.0),
+                        6.0, 4.0, 0.5)
