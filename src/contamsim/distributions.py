@@ -3,9 +3,10 @@
 Three roles appear in the model: the intake sizes (law F), the
 inter-intake times (law G) and the metabolic rates (law H).  Every law
 here is a small immutable spec exposing sampling, density, CDF/survival,
-moment transform E[e^{uX}], mean and inverse survival.  The inter-intake law
-additionally provides a :class:`HazardProfile` with the cumulative hazard
-and its inverse, which is what the exact event-time generation uses.
+moment transform E[e^{uX}] and mean.  The inter-intake law additionally
+provides a :class:`HazardProfile` with the cumulative hazard and its
+inverse, which is what the exact event-time generation uses.  ``integrate``
+is the adaptive quadrature of the transforms without a closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import (
     DistributionError,
@@ -43,6 +43,106 @@ def _in_kind(value):
     """A 0-d result as a float, an array as it is: the laws answer a float
     with a float and an array with an array."""
     return value if getattr(value, "ndim", 0) else float(value)
+
+
+def _special():
+    """scipy.special, imported when a gamma law first needs its incomplete
+    gamma functions: the import costs more than most commands' work."""
+    from scipy import special
+
+    return special
+
+
+def _xlogy(a: float, b):
+    """a * log(b), and 0 where a == 0, even at b == 0 (as scipy's xlogy)."""
+    if a == 0.0:
+        return np.zeros_like(b, dtype=float)
+    with np.errstate(divide="ignore"):
+        return a * np.log(b)
+
+
+# Gauss-Kronrod (7, 15) rule on [-1, 1], as in QUADPACK's qk15: the
+# positive Kronrod nodes, their Kronrod weights, and the 7-point Gauss
+# weights on every other one of them (0 on the rest), then the centre's.
+_GK_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_GK_KRONROD = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_GK_GAUSS = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0,
+])
+_GK_X = np.concatenate([-_GK_NODES, [0.0], _GK_NODES[::-1]])
+_GK_WK = np.concatenate([_GK_KRONROD, [0.209482141084727828012999174891714], _GK_KRONROD[::-1]])
+_GK_WG = np.concatenate([_GK_GAUSS, [0.417959183673469387755102040816327], _GK_GAUSS[::-1]])
+QUAD_RTOL = 1e-12  # relative error target of integrate
+# The intervals each integral starts from, on [0, 1]: halving toward the
+# lower end, where the laws put their power singularities and kinks.
+_QUAD_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(64, 1, -1), np.linspace(0.5, 1.0, 9)])
+_QUAD_ROUNDS = 100  # most halvings of one interval
+_QUAD_LIMIT = 1000  # most open intervals of one integral
+_QUAD_BATCH = 256  # most integrals evaluated together, which bounds the memory
+
+
+def integrate(f, lo: float, hi: float, count: int = 1) -> np.ndarray:
+    """The integrals int_lo^hi f(x, i) dx for i = 0 .. count-1, by globally
+    adaptive Gauss-Kronrod (7, 15) quadrature; ``hi`` may be +inf, and then
+    x = lo + t/(1 - t) maps the range to t in [0, 1).
+
+    ``f(x, i)`` takes an array of nodes and a broadcastable array of the
+    integral each node belongs to, and returns the integrand there.  Each
+    round evaluates the rule on every open interval of every integral in
+    one call of ``f``.  An integral is done when the sum of its intervals'
+    Kronrod-Gauss differences is within QUAD_RTOL of its value.  Otherwise
+    the intervals whose difference fits their share of the remaining error
+    budget are closed and the others are halved.  A non-finite integrand
+    value makes its integral +inf: that is how divergence and overflow show.
+    """
+    if count > _QUAD_BATCH:
+        return np.concatenate([
+            integrate(lambda x, i, first=first: f(x, first + i), lo, hi,
+                      min(_QUAD_BATCH, count - first))
+            for first in range(0, count, _QUAD_BATCH)
+        ])
+    infinite = math.isinf(hi)
+    edges = _QUAD_EDGES if infinite else lo + (hi - lo) * _QUAD_EDGES
+    left, right = np.tile(edges[:-1], count), np.tile(edges[1:], count)
+    owner = np.repeat(np.arange(count), len(edges) - 1)
+    value, spent = np.zeros(count), np.zeros(count)  # of the closed intervals
+    blown = np.zeros(count, dtype=bool)
+    for step in range(_QUAD_ROUNDS):
+        mid, half = 0.5 * (left + right), 0.5 * (right - left)
+        t = mid[:, None] + half[:, None] * _GK_X
+        with np.errstate(all="ignore"):
+            y = f(lo + t / (1.0 - t) if infinite else t, owner[:, None])
+            if infinite:
+                y = y / (1.0 - t) ** 2
+            est = half * (y @ _GK_WK)
+            err = half * np.abs(y @ (_GK_WK - _GK_WG))
+        blown |= np.bincount(owner, ~np.isfinite(err), count) > 0
+        budget = QUAD_RTOL * np.abs(value + np.bincount(owner, est, count)) - spent
+        n_open = np.bincount(owner, minlength=count)
+        done = (blown | (np.bincount(owner, err, count) <= budget) | (n_open > _QUAD_LIMIT)
+                | (step == _QUAD_ROUNDS - 1))
+        close = done[owner] | (err * n_open[owner] <= budget[owner])
+        value += np.bincount(owner[close], est[close], count)
+        spent += np.bincount(owner[close], err[close], count)
+        keep = ~close
+        if not keep.any():
+            break
+        left = np.concatenate([left[keep], mid[keep]])
+        right = np.concatenate([mid[keep], right[keep]])
+        owner = np.tile(owner[keep], 2)
+    value[blown] = math.inf
+    return value
 
 
 class Family(str, Enum):
@@ -212,12 +312,12 @@ class DistributionSpec:
         z = np.maximum(x, lo)  # clipped into the support, so that no branch warns
         if f is Family.GAMMA:
             k, s = p
-            val = np.exp(special.xlogy(k - 1.0, z / s) - z / s - math.lgamma(k)) / s
+            val = np.exp(_xlogy(k - 1.0, z / s) - z / s - math.lgamma(k)) / s
         elif f is Family.UNIFORM:
             val = np.where(x <= p[1], 1.0 / (p[1] - p[0]), 0.0)
         elif f is Family.WEIBULL:
             k, s = p
-            val = (k / s) * np.exp(special.xlogy(k - 1.0, z / s) - (z / s) ** k)
+            val = (k / s) * np.exp(_xlogy(k - 1.0, z / s) - (z / s) ** k)
         else:  # (shifted) exponential: the rate is the last parameter
             val = p[-1] * np.exp(-p[-1] * (z - lo))
         return _in_kind(np.where(x < lo, 0.0, val))
@@ -235,6 +335,7 @@ class DistributionSpec:
         lo = self.support()[0]
         z = np.maximum(x, lo)
         if f is Family.GAMMA:
+            special = _special()
             val = (special.gammaincc if upper else special.gammainc)(p[0], z / p[1])
         elif f is Family.UNIFORM:
             val = np.clip(((p[1] - z) if upper else (z - p[0])) / (p[1] - p[0]), 0.0, 1.0)
@@ -255,10 +356,13 @@ class DistributionSpec:
                 k, s = p
                 val = np.where(u < 1.0 / s, (1.0 - s * u) ** (-k), math.inf)
             elif f is Family.UNIFORM:
+                # e^{uc} (1 - e^{-|u|(hi - lo)}) / (|u|(hi - lo)), c the end where
+                # e^{ux} peaks, so that no factor overflows while another underflows
                 lo, hi = p
-                val = np.exp(u * lo) * np.expm1(u * (hi - lo)) / (u * (hi - lo))
+                a = np.abs(u) * (hi - lo)
+                val = np.exp(u * np.where(u > 0, hi, lo)) * -np.expm1(-a) / a
             elif f is Family.WEIBULL:
-                val = np.array([self._weibull_laplace(v) for v in u.ravel()]).reshape(u.shape)
+                val = self._weibull_laplace(u)
             elif f is Family.DIRAC:
                 val = np.exp(u * p[0])
             else:  # (shifted) exponential
@@ -266,25 +370,18 @@ class DistributionSpec:
                 val = np.where(u < m, np.exp(u * self.support()[0]) * m / (m - u), math.inf)
         return _in_kind(np.where(u == 0.0, 1.0, val))
 
-    def _weibull_laplace(self, u: float) -> float:
+    def _weibull_laplace(self, u):
+        """E[e^{uX}] elementwise.  After y = (x/s)^k the integral is
+        int_0^inf exp(u s y^(1/k) - y) dy, whose integrand stays bounded at
+        0 also for k < 1; it is infinite for u > 0 when k < 1, and in
+        closed form when k == 1."""
         k, s = self.params
-        if u > 0 and k < 1.0:
-            return math.inf
-        if u > 0 and k == 1.0:
-            return 1.0 / (1.0 - s * u) if u < 1.0 / s else math.inf
-
-        def integrand(x, k=k, s=s, u=u):
-            if x <= 0.0:
-                return 0.0
-            # combined exponent avoids overflow of exp(u*x) alone
-            e = u * x - (x / s) ** k
-            return 0.0 if e < -745.0 else (k / s) * (x / s) ** (k - 1.0) * math.exp(e)
-
-        try:
-            val, _ = integrate.quad(integrand, 0.0, math.inf, limit=200)
-        except OverflowError:
-            return math.inf
-        return val
+        if k == 1.0:
+            return np.where(u < 1.0 / s, 1.0 / (1.0 - s * u), math.inf)
+        flat = u.ravel()
+        val = integrate(lambda y, i: np.exp(flat[i] * s * y ** (1.0 / k) - y),
+                        0.0, math.inf, flat.size).reshape(u.shape)
+        return np.where((u > 0) & (k < 1.0), math.inf, val)
 
     def laplace_domain_sup(self) -> float:
         """sup{u : E[e^{uX}] < inf}."""
@@ -413,12 +510,12 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 
     # gamma, shape >= 1: the hazard increases to 1/scale
     k, s_ = p
-    log_gamma_k = special.gammaln(k)
+    log_gamma_k = math.lgamma(k)
 
     def zeta(t, k=k, s_=s_):
         t = _arg(t)
         z = np.maximum(t, 0.0) / s_
-        log_pdf = special.xlogy(k - 1.0, z) - z - log_gamma_k
+        log_pdf = _xlogy(k - 1.0, z) - z - log_gamma_k
         return _in_kind(np.where(t < 0, 0.0, np.exp(log_pdf - _gamma_log_sf(k, z)) / s_))
 
     def cumulative(a0, s, k=k, s_=s_):
@@ -428,16 +525,16 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 
     def inverse(a0, target, k=k, s_=s_):
         level = np.asarray(_gamma_log_sf(k, np.asarray(a0) / s_) - target)
-        z = np.asarray(special.gammainccinv(k, np.exp(level)))
+        z = np.asarray(_special().gammainccinv(k, np.exp(level)))
         far = level < _LOG_SF_FAR
         if np.any(far):
             # Newton on log Q(k, z) = level from its leading asymptotics;
             # d/dz log Q = -(the hazard of the unit-scale law)
             lv = level[far]
-            zf = -lv + special.xlogy(k - 1.0, -lv) - log_gamma_k
+            zf = -lv + _xlogy(k - 1.0, -lv) - log_gamma_k
             for _ in range(8):
                 log_sf = _gamma_log_sf(k, zf)
-                hz = np.exp(special.xlogy(k - 1.0, zf) - zf - log_gamma_k - log_sf)
+                hz = np.exp(_xlogy(k - 1.0, zf) - zf - log_gamma_k - log_sf)
                 zf = zf + (log_sf - lv) / hz
             z[far] = zf
         return _in_kind(z * s_ - a0)
@@ -460,7 +557,7 @@ def _gamma_log_sf(k: float, z):
     sum_j (k-1)(k-2)...(k-j) / z^j, whose terms shrink like (k/z)^j."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
-        out = np.log(np.asarray(special.gammaincc(k, z), dtype=float))
+        out = np.log(np.asarray(_special().gammaincc(k, z), dtype=float))
     far = out < _LOG_SF_FAR
     if np.any(far):
         zf = z[far]
@@ -470,5 +567,5 @@ def _gamma_log_sf(k: float, z):
             term = term * (k - j) / zf
             total += term
         out = np.array(out)
-        out[far] = special.xlogy(k - 1.0, zf) - zf - special.gammaln(k) + np.log(total)
+        out[far] = _xlogy(k - 1.0, zf) - zf - math.lgamma(k) + np.log(total)
     return out[()]

