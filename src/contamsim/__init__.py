@@ -34,7 +34,6 @@ from .rates import (
     solve_renewal,
 )
 from .estimators import (
-    DominanceReport,
     survival_compare,
     tv_via_coupling,
     w1_sorted,

@@ -206,7 +206,7 @@ def dump_paths(config_path, seed, replicas, out, quiet, replica):
     ``simulate`` is run again, recording its events."""
     cfg = load_config(config_path, seed, replicas, out)
     block, row = divmod(replica, runner.CHUNK)
-    log, final = runner.marginal_block(cfg, 0, block, record=True)
+    log, final = runner.marginal_block(cfg, block, record=True)
     times, intakes, thetas = log.of(row)
     path = Path(cfg.out_dir) / f"path_{replica}.csv"
     _write_csv(path, {"t": times, "intake": intakes, "theta_after": thetas})

@@ -47,7 +47,7 @@ class CouplingReport:
     log: EventLog  # events of each pair; recorded, the jumps of Y
     tv_attempt_time: np.ndarray  # first maximal-coupling attempt
     tv_first_attempt_merged: np.ndarray
-    gap: np.ndarray  # |X - X~| at the requested gap time
+    gap: np.ndarray  # |X - X~| at tv_from
     y: ProcessState  # the states at the end of each run
     y_tilde: ProcessState
     phase_outcomes: dict = field(default_factory=dict)
@@ -183,7 +183,6 @@ def simulate_coupled(
     horizon: float,
     rng: np.random.Generator,
     tv_from: float = math.inf,
-    gap_time: float = math.inf,
     stop_at_merge: bool = False,
     record: bool = False,
 ) -> CouplingReport:
@@ -194,7 +193,7 @@ def simulate_coupled(
     jumps share the intake and the new metabolic rate; from ``tv_from``
     on, common jumps instead use :func:`tv_jump_coupling`, which is what
     can produce full coalescence.  The report's ``gap`` is |X - X~| at
-    ``gap_time`` (at most the horizon).  With ``stop_at_merge`` a run
+    ``tv_from`` (at most the horizon).  With ``stop_at_merge`` a run
     ends at its first common jump (the age-coalescence time ``tau_A``),
     in the state just after that jump.  With ``record`` the log keeps
     every jump of Y.
@@ -244,9 +243,9 @@ def simulate_coupled(
         elder = np.maximum(ag, agt)
         s = profile.inverse(elder, rng.exponential(size=run.size))
         tev = t + s
-        if gap_time <= horizon:
-            seen = (t <= gap_time) & (gap_time < tev)
-            dt = gap_time - t[seen]
+        if tv_from <= horizon:
+            seen = (t <= tv_from) & (tv_from < tev)
+            dt = tv_from - t[seen]
             gap[run[seen]] = np.abs(
                 x[seen] * np.exp(-th[seen] * dt) - xt[seen] * np.exp(-tht[seen] * dt)
             )
@@ -347,9 +346,7 @@ def run_three_phase(
     non-coalescence bounds the total variation there.
     """
     beta_t = params.beta * horizon
-    rep = simulate_coupled(
-        init, init_tilde, F, G, H, horizon, rng, tv_from=beta_t, gap_time=beta_t
-    )
+    rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta_t)
     y, yt = rep.y, rep.y_tilde
     rep.phase_outcomes = {
         "age_merge_by_alpha": rep.tau_A <= params.alpha * horizon,

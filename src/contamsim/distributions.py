@@ -447,17 +447,18 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     if f is Family.WEIBULL:
         k, s_ = p
 
-        def zeta(t, k=k, s_=s_):
+        def zeta(t):
             t = _arg(t)
             # 0**0 = 1 gives the rate 1/s_ at age 0 when k == 1
             rate = (k / s_) * (np.maximum(t, 0.0) / s_) ** (k - 1.0)
             return _in_kind(np.where(t < 0, 0.0, rate))
 
-        def cumulative(a0, s, k=k, s_=s_):
+        def cumulative(a0, s):
             return ((a0 + s) / s_) ** k - (a0 / s_) ** k
 
-        def inverse(a0, target, k=k, s_=s_):
-            return s_ * ((a0 / s_) ** k + target) ** (1.0 / k) - a0
+        def inverse(a0, target):
+            # >= 0: for a target tiny against (a0/s_)**k the difference rounds either way
+            return _in_kind(np.maximum(s_ * ((a0 / s_) ** k + target) ** (1.0 / k) - a0, 0.0))
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -468,13 +469,13 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     if f in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
         shift, m = spec.support()[0], p[-1]  # exponential: no shift
 
-        def zeta(t, shift=shift, m=m):
+        def zeta(t):
             return _in_kind(np.where(np.asarray(t) >= shift, m, 0.0))
 
-        def cumulative(a0, s, shift=shift, m=m):
+        def cumulative(a0, s):
             return _in_kind(m * np.maximum(0.0, a0 + s - np.maximum(a0, shift)))
 
-        def inverse(a0, target, shift=shift, m=m):
+        def inverse(a0, target):
             return _in_kind(np.maximum(0.0, shift - a0) + target / m)
 
         return HazardProfile(
@@ -486,21 +487,24 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     if f is Family.UNIFORM:
         lo, hi = p
 
-        def zeta(t, lo=lo, hi=hi):
+        def zeta(t):
             t = _arg(t)
             if np.any(t >= hi):
                 raise HazardDomainError(f"hazard is infinite at ages >= {hi}")
             return _in_kind(np.where(t < lo, 0.0, 1.0 / (hi - t)))
 
-        def cumulative(a0, s, lo=lo, hi=hi):
-            t0 = np.maximum(a0, lo)
-            t1 = np.asarray(a0 + s, dtype=float)
+        # the wait is the part before lo plus a fraction of hi - max(a0, lo);
+        # log1p and expm1 keep the digits of a small fraction
+        def cumulative(a0, s):
+            rest = hi - np.maximum(a0, lo)
+            inside = s - np.maximum(lo - a0, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = np.where(t1 >= hi, math.inf, np.log((hi - t0) / (hi - t1)))
-            return _in_kind(np.where(t1 <= t0, 0.0, val))
+                val = np.where(inside >= rest, math.inf, -np.log1p(-inside / rest))
+            return _in_kind(np.where(inside <= 0.0, 0.0, val))
 
-        def inverse(a0, target, lo=lo, hi=hi):
-            return _in_kind(hi - (hi - np.maximum(a0, lo)) * np.exp(-target) - a0)
+        def inverse(a0, target):
+            rest = hi - np.maximum(a0, lo)
+            return _in_kind(np.maximum(lo - a0, 0.0) - rest * np.expm1(-target))
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -512,20 +516,24 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     k, s_ = p
     log_gamma_k = math.lgamma(k)
 
-    def zeta(t, k=k, s_=s_):
+    def zeta(t):
         t = _arg(t)
         z = np.maximum(t, 0.0) / s_
         log_pdf = _xlogy(k - 1.0, z) - z - log_gamma_k
         return _in_kind(np.where(t < 0, 0.0, np.exp(log_pdf - _gamma_log_sf(k, z)) / s_))
 
-    def cumulative(a0, s, k=k, s_=s_):
+    def cumulative(a0, s):
         s = np.asarray(s, dtype=float)
         val = _gamma_log_sf(k, a0 / s_) - _gamma_log_sf(k, (a0 + s) / s_)
         return _in_kind(np.where(s <= 0.0, 0.0, val))
 
-    def inverse(a0, target, k=k, s_=s_):
+    def inverse(a0, target):
         level = np.asarray(_gamma_log_sf(k, np.asarray(a0) / s_) - target)
-        z = np.asarray(_special().gammainccinv(k, np.exp(level)))
+        special, z = _special(), np.empty(level.shape)
+        # above Q = 1/2 invert P = 1 - Q, whose digits a level near 0 keeps
+        near = level > _LOG_HALF
+        z[near] = special.gammaincinv(k, -np.expm1(level[near]))
+        z[~near] = special.gammainccinv(k, np.exp(level[~near]))
         far = level < _LOG_SF_FAR
         if np.any(far):
             # Newton on log Q(k, z) = level from its leading asymptotics;
@@ -537,7 +545,7 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
                 hz = np.exp(_xlogy(k - 1.0, zf) - zf - log_gamma_k - log_sf)
                 zf = zf + (log_sf - lv) / hz
             z[far] = zf
-        return _in_kind(z * s_ - a0)
+        return _in_kind(np.maximum(z * s_ - a0, 0.0))
 
     return HazardProfile(
         zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -549,6 +557,7 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
 # Where log Q(k, z) falls below this, Q is too small for gammaincc (it
 # underflows past z ~ 745) and its asymptotic series takes over.
 _LOG_SF_FAR = -600.0
+_LOG_HALF = math.log(0.5)
 
 
 def _gamma_log_sf(k: float, z):
@@ -556,8 +565,13 @@ def _gamma_log_sf(k: float, z):
     underflow: far in the tail Q(k, z) = z^(k-1) e^(-z) / Gamma(k) *
     sum_j (k-1)(k-2)...(k-j) / z^j, whose terms shrink like (k/z)^j."""
     z = np.asarray(z, dtype=float)
+    special, out = _special(), np.empty(z.shape)
+    # below z = k, about the median, P < 0.64 and log(1 - P) keeps the
+    # digits of a Q near 1
+    near = z < k
+    out[near] = np.log1p(-special.gammainc(k, z[near]))
     with np.errstate(divide="ignore"):
-        out = np.log(np.asarray(_special().gammaincc(k, z), dtype=float))
+        out[~near] = np.log(special.gammaincc(k, z[~near]))
     far = out < _LOG_SF_FAR
     if np.any(far):
         zf = z[far]
@@ -566,6 +580,5 @@ def _gamma_log_sf(k: float, z):
         for j in range(1, 30):
             term = term * (k - j) / zf
             total += term
-        out = np.array(out)
         out[far] = _xlogy(k - 1.0, zf) - zf - math.lgamma(k) + np.log(total)
     return out[()]

@@ -8,7 +8,6 @@ clean binomial error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .errors import ContamsimError
 
 __all__ = [
-    "DominanceReport",
     "wilson_interval",
     "tv_via_coupling",
     "w1_sorted",
@@ -27,10 +25,11 @@ __all__ = [
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ContamsimError("need at least one trial")
+    z = _Z95
     phat = successes / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -38,14 +37,15 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def mean_with_ci(values: np.ndarray, z: float = _Z95) -> tuple[float, float]:
-    """Sample mean and normal-approximation half-width."""
+def mean_with_ci(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and the half-width of its 95% normal-approximation
+    interval."""
     values = np.asarray(values, dtype=float)
     n = len(values)
     if n == 0:
         raise ContamsimError("need at least one value")
     se = values.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-    return float(values.mean()), z * se
+    return float(values.mean()), _Z95 * se
 
 
 def tv_via_coupling(taus: Sequence[float], t: float) -> tuple[float, float, float]:
@@ -68,29 +68,12 @@ def w1_sorted(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:
     return float(np.abs(np.sort(a) - np.sort(b)).mean())
 
 
-@dataclass
-class DominanceReport:
-    """Pointwise check that sample A is stochastically below sample B."""
-
-    grid: np.ndarray
-    survival_a: np.ndarray
-    survival_b: np.ndarray
-    slack: np.ndarray
-    ok: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.ok is None:
-            self.ok = self.survival_a <= self.survival_b + self.slack
-
-    @property
-    def holds(self) -> bool:
-        return bool(self.ok.all())
-
-
 def survival_compare(
-    sample_a: Sequence[float], sample_b: Sequence[float], grid: Sequence[float], z: float = _Z95
-) -> DominanceReport:
-    """Compare empirical survival functions with joint CI slack."""
+    sample_a: Sequence[float], sample_b: Sequence[float], grid: Sequence[float]
+) -> bool:
+    """Whether sample A is stochastically below sample B: at every grid
+    point the empirical survival of A is at most that of B plus the joint
+    95% confidence slack."""
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -98,5 +81,5 @@ def survival_compare(
     sb = np.array([(b > t).mean() for t in grid])
     se_a = np.sqrt(sa * (1 - sa) / len(a))
     se_b = np.sqrt(sb * (1 - sb) / len(b))
-    slack = z * np.sqrt(se_a**2 + se_b**2)
-    return DominanceReport(grid, sa, sb, slack)
+    slack = _Z95 * np.sqrt(se_a**2 + se_b**2)
+    return bool(np.all(sa <= sb + slack))

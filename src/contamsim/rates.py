@@ -45,6 +45,7 @@ _TAIL_SEED = 20140611  # fixed stream of the age-tail Monte Carlo sample
 
 # Numerics of the bound assembly
 W_CAP = 64.0  # the largest Laplace root find_w probes
+W_TOL = 1e-9  # width of the bracket find_w bisects to
 W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
 RENEWAL_STEP = 1e-3  # grid step of the renewal solve
 N_MC_TAIL = 10**6  # draws of the age-tail Monte Carlo sample
@@ -112,10 +113,10 @@ class RenewalKernel:
         return float(val[0])
 
 
-def find_w(kernel: RenewalKernel, cap: float = W_CAP, tol: float = 1e-9) -> float:
-    """Laplace root w = sup{u : psi_J(u) < 1}, bracketed by bisection.
+def find_w(kernel: RenewalKernel) -> float:
+    """Laplace root w = sup{u : psi_J(u) < 1}, bisected to a width of W_TOL.
 
-    Returns +inf when psi_J stays below 1 all the way up to ``cap``
+    Returns +inf when psi_J stays below 1 all the way up to W_CAP
     (the decay is then faster than any probed exponential rate).
     """
     if kernel.psi(0.0) >= 1.0:
@@ -125,10 +126,10 @@ def find_w(kernel: RenewalKernel, cap: float = W_CAP, tol: float = 1e-9) -> floa
     hi = 1.0
     while kernel.psi(hi) < 1.0:
         hi *= 2.0
-        if hi > cap:
+        if hi > W_CAP:
             return math.inf
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > tol:
+    while hi - lo > W_TOL:
         mid = 0.5 * (lo + hi)
         if kernel.psi(mid) < 1.0:
             lo = mid
@@ -551,7 +552,8 @@ def convergence_bounds(
 
     The TV curve is 1 - prod_i (1 - C_i exp(-v_i * phase_i * t)) and the
     Wasserstein curve C1 exp(-v1 alpha t) + C2 exp(-v2 (1-alpha) t),
-    with every constant computed from the model laws.
+    with every constant computed from the model laws.  ``age_params``
+    (eps, b, c) tunes :func:`age_bound`, so it is rejected where none is built.
     """
     if (alpha is None) != (beta is None):
         missing, given = ("alpha", "beta") if alpha is None else ("beta", "alpha")
@@ -565,6 +567,11 @@ def convergence_bounds(
 
     # phase 1: age coalescence tail
     if profile.inf_zeta > 0.0:
+        if age_params is not None:
+            raise AssumptionError(
+                f"epsilon_age, b and c would be ignored: they tune the age-coalescence "
+                f"bound, and the inter-intake hazard is bounded below by {profile.inf_zeta:g}"
+            )
         age = dict(case=None, p1=None, p2=None, eps_age=None, b=None, c=None)
         v1 = profile.inf_zeta
         C1p = 1.0

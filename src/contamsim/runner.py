@@ -49,18 +49,18 @@ def _coupled_chunk(args) -> dict:
 
 
 def marginal_block(
-    cfg: RunConfig, stream: int, block: int, record: bool = False
+    cfg: RunConfig, block: int, record: bool = False
 ) -> tuple[EventLog, ProcessState]:
-    """Simulate one full block of single trajectories to the horizon."""
-    rng = block_rng(cfg, stream, block)
+    """Simulate one full block of single trajectories to the horizon (stream 0)."""
+    rng = block_rng(cfg, 0, block)
     init = cfg.init.sample(rng, CHUNK)
     G = hazard_profile(cfg.inter_arrival)
     return simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng, record=record)
 
 
 def _marginal_chunk(args) -> dict:
-    cfg, stream, block = args
-    log, final = marginal_block(cfg, stream, block)
+    cfg, block = args
+    log, final = marginal_block(cfg, block)
     return _table(cfg, block, {
         "x": final.x, "theta": final.theta, "age": final.age, "n_events": log.counts,
     })
@@ -87,7 +87,7 @@ def coupled_rows(
     return _run(cfg, _coupled_chunk, [(cfg, stream, horizon, params, b) for b in _blocks(cfg)])
 
 
-def marginal_rows(cfg: RunConfig, stream: int = 0) -> dict:
+def marginal_rows(cfg: RunConfig) -> dict:
     """Single-process ensemble at the configured horizon, as a table like
     :func:`coupled_rows`'s."""
-    return _run(cfg, _marginal_chunk, [(cfg, stream, b) for b in _blocks(cfg)])
+    return _run(cfg, _marginal_chunk, [(cfg, b) for b in _blocks(cfg)])

@@ -199,6 +199,19 @@ def test_rates_rejects_short_blowup_age(tmp_path):
     assert "d > 3a/2" in result.output and "Traceback" not in result.output
 
 
+def test_rates_rejects_unused_age_params(tmp_path):
+    # exponential waits have a hazard bounded below, which builds no age
+    # bound: the three keys were accepted and silently ignored
+    cfg = _write_config(tmp_path, {
+        "coupling": {"epsilon_age": 5.0, "b": 1.0, "c": 2.0},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
+    assert result.exit_code == 1, result.output
+    assert "epsilon_age, b and c" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_negative_seed_and_replica(tmp_path):
     cfg = str(_write_config(tmp_path, {"outputs": {"directory": str(tmp_path / "out")}}))
     for args, message in (

@@ -212,12 +212,15 @@ def test_gap_contracts_exactly_after_full_age_merge():
     gap0 = 2.0
     gap = np.abs(rep.y.x - rep.y_tilde.x)
     assert np.all(gap <= gap0 * (1.0 + 1e-12))
-    # independent pathwise check at a midpoint
-    rep2 = simulate_coupled(
+    # independent pathwise check at a midpoint: run the pairs to 3.0, then
+    # continue them from their states there for 3.0 more
+    rng = np.random.default_rng(77)
+    mid = simulate_coupled(
         ProcessState(np.full(50, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
-        F, G, H, 6.0, np.random.default_rng(77), gap_time=3.0,
+        F, G, H, 3.0, rng,
     )
-    g_mid = rep2.gap
+    rep2 = simulate_coupled(mid.y, mid.y_tilde, F, G, H, 3.0, rng)
+    g_mid = np.abs(mid.y.x - mid.y_tilde.x)
     g_end = np.abs(rep2.y.x - rep2.y_tilde.x)
     # between 3.0 and 6.0 the same rates apply on both paths
     assert np.all(g_end <= g_mid * (1.0 + 1e-12))

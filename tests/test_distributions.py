@@ -149,6 +149,7 @@ def test_laplace_against_quadrature():
         assert vals.shape == (2,) and not np.isnan(vals).any()
 
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _SCALES = st.floats(0.05, 20.0)
 _LAWS = st.one_of(
     st.builds(DistributionSpec.exponential, _SCALES),
@@ -181,6 +182,56 @@ def test_cdf_survival_consistency():
     ]:
         for x in np.linspace(0.0, 6.0, 25):
             assert spec.cdf(x) + spec.survival(x) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(law=_LAWS, x=st.floats(-1e4, 1e4))
+@example(law=DistributionSpec.gamma(2.0, 1.0), x=math.inf)
+def test_cdf_plus_survival_is_one(law, x):
+    # P(X <= x) + P(X > x) = 1 within 4 units of float resolution; scipy's
+    # incomplete gamma functions are accurate to about 1e-14, so the gamma
+    # family is held to 1e-13
+    tol = 1e-13 if law.family is Family.GAMMA else 4.0 * _EPS
+    xs = np.array([x, -x, 0.5 * x, 0.0])
+    for total in (law.cdf(x) + law.survival(x), *(law.cdf(xs) + law.survival(xs))):
+        assert abs(total - 1.0) <= tol, (law, x, total)
+
+
+_SHAPES = st.floats(1.0, 20.0)  # a non-decreasing hazard needs shape >= 1
+_HAZARD_LAWS = st.one_of(
+    st.builds(DistributionSpec.exponential, _SCALES),
+    st.builds(DistributionSpec.gamma, _SHAPES, _SCALES),
+    st.builds(lambda lo, width: DistributionSpec.uniform(lo, lo + width),
+              st.floats(0.0, 20.0), st.floats(0.01, 20.0)),
+    st.builds(DistributionSpec.weibull, _SHAPES, _SCALES),
+    st.builds(DistributionSpec.shifted_exponential, st.floats(0.0, 20.0), _SCALES),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(law=_HAZARD_LAWS, frac=st.floats(0.0, 1.0, exclude_max=True), e=st.floats(0.0, 100.0))
+# waits of -5.6e-17 and -7.1e-15 were returned: a difference of ages rounded below 0
+@example(law=DistributionSpec.gamma(1.0, 1.0), frac=2.0**-8, e=0.0)
+@example(law=DistributionSpec.weibull(19.272734149820753, 19.801744558668883),
+         frac=0.9862458693932143, e=2.0710151936297026e-12)
+# a wait of 0: Q = 1 - P and e^-e rounded to 1 lost the target
+@example(law=DistributionSpec.gamma(1.0, 1.0), frac=0.0, e=6.644970245461069e-128)
+@example(law=DistributionSpec.uniform(0.0, 1.0), frac=0.0, e=6.644970245461069e-128)
+def test_hazard_inverse_round_trip(law, frac, e):
+    # inverse(a0, e) is a waiting time s >= 0 whose cumulative hazard from
+    # age a0 is e: the exact wait lies within 1e-12 (relative to the end
+    # age a0 + s) of s, so e lies between the cumulative hazards of the two
+    # waits that far below and above s, up to the smallest normal float
+    # (below it floats lose relative precision).  Ages a0 lie in [0, 50]
+    # and below the blow-up age d of a bounded law; e in [0, 100].
+    prof = hazard_profile(law)
+    a0 = frac * min(prof.d, 50.0)
+    for s in (prof.inverse(a0, e), prof.inverse(np.full(1, a0), np.full(1, e))[0]):
+        assert 0.0 <= s < math.inf, (law, a0, e, s)
+        step = 1e-12 * (a0 + s)
+        below = prof.cumulative(a0, max(s - step, 0.0)) - _TINY
+        above = prof.cumulative(a0, s + step) + _TINY
+        assert below <= e <= above, (law, a0, e, below, above)
 
 
 def test_sampling_matches_cdf():

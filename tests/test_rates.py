@@ -13,6 +13,7 @@ from contamsim.errors import AssumptionError
 from contamsim.rates import (
     HolderData,
     RenewalKernel,
+    W_CAP,
     age_bound,
     eta,
     eta_envelope,
@@ -90,10 +91,12 @@ def test_laplace_root_scaling():
 
 
 def test_laplace_root_can_be_unbounded():
-    # bounded inter-arrival times with strong discount: psi stays < 1
+    # bounded inter-arrival times with strong discount: psi stays < 1 up to
+    # W_CAP, here psi(u) = E[exp((u - 100) DT)]
     k = RenewalKernel(DistributionSpec.uniform(1.0, 2.0),
-                      DistributionSpec.dirac(50.0), 1.0)
-    assert math.isinf(find_w(k, cap=8.0))
+                      DistributionSpec.dirac(100.0), 1.0)
+    assert W_CAP < 100.0
+    assert math.isinf(find_w(k))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,18 @@ def test_age_param_validation():
     shifted = hazard_profile(DistributionSpec.shifted_exponential(1.0, 1.0))
     with pytest.raises(AssumptionError):
         age_bound(shifted, (0.4, 1.5, 3.0))  # eps <= a/2
+
+
+def test_age_params_need_a_vanishing_hazard():
+    # with a hazard bounded below no age bound is built, so (eps, b, c)
+    # would be ignored; they are rejected by name instead
+    for G in (EXP1, DistributionSpec.uniform(0.0, 2.0), DistributionSpec.gamma(1.0, 2.0)):
+        assert hazard_profile(G).inf_zeta > 0.0
+        with pytest.raises(AssumptionError, match="epsilon_age, b and c"):
+            convergence_bounds(UNIF01, G, DIRAC1, 6.0, age_params=(5.0, 1.0, 2.0))
+    r = convergence_bounds(UNIF01, DistributionSpec.weibull(2.0, math.sqrt(2.0)), DIRAC1, 6.0,
+                           age_params=(0.5, 1.0, 2.0))
+    assert (r.eps_age, r.b, r.c) == (0.5, 1.0, 2.0)
 
 
 def test_default_age_params_satisfy_hypotheses():
