@@ -29,7 +29,11 @@ from .config import RunConfig, load_config
 from .coupling import CouplingPhaseParams
 from .errors import ConfigError, ContamsimError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+# the random streams of the commands' replica blocks (simulate and
+# dump-paths use stream 0, in runner.marginal_block)
+VERIFY_STREAM = 1
+COUPLE_STREAM = 2
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,7 @@ def couple(config_path, seed, replicas, out, quiet):
     """Run the three-phase coupling ensemble at the horizon."""
     cfg = load_config(config_path, seed, replicas, out)
     params = _phase_params(cfg, _bounds(cfg), cfg.horizon)
-    table = runner.coupled_rows(cfg, stream=len(cfg.grid), horizon=cfg.horizon, params=params)
+    (table,) = runner.coupled_rows(cfg, COUPLE_STREAM, [cfg.horizon], [params])
     path = Path(cfg.out_dir) / "coupling_reports.csv"
     _write_csv(path, table)
     if not quiet:
@@ -250,9 +254,9 @@ def verify(config_path, seed, replicas, out, quiet):
     tv_rows, w1_rows = [], []
     ok = True
     informative = 0
-    for gi, t in enumerate(cfg.grid):
-        params = _phase_params(cfg, report, t)
-        table = runner.coupled_rows(cfg, stream=gi, horizon=t, params=params)
+    params = [_phase_params(cfg, report, t) for t in cfg.grid]
+    tables = runner.coupled_rows(cfg, VERIFY_STREAM, cfg.grid, params, columns=("tau", "l1_final"))
+    for t, table in zip(cfg.grid, tables):
         estimate, ci_low, ci_high = estimators.tv_via_coupling(table["tau"], t)
         tv_bound = report.tv(t)
         tv_ok = ci_low <= tv_bound

@@ -17,6 +17,7 @@ closeness into exact coalescence.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,9 +181,9 @@ def simulate_coupled(
     F: DistributionSpec,
     G: DistributionSpec | HazardProfile,
     H: DistributionSpec,
-    horizon: float,
+    horizon: float | np.ndarray,
     rng: np.random.Generator,
-    tv_from: float = math.inf,
+    tv_from: float | np.ndarray = math.inf,
     stop_at_merge: bool = False,
     record: bool = False,
 ) -> CouplingReport:
@@ -192,11 +193,13 @@ def simulate_coupled(
     Each component alone is a contaminant process for (F, G, H).  Common
     jumps share the intake and the new metabolic rate; from ``tv_from``
     on, common jumps instead use :func:`tv_jump_coupling`, which is what
-    can produce full coalescence.  The report's ``gap`` is |X - X~| at
-    ``tv_from`` (at most the horizon).  With ``stop_at_merge`` a run
-    ends at its first common jump (the age-coalescence time ``tau_A``),
-    in the state just after that jump.  With ``record`` the log keeps
-    every jump of Y.
+    can produce full coalescence.  ``horizon`` and ``tv_from`` are one
+    time for every pair or one per pair; a float gives the same draws as
+    an array of it.  The report's ``gap`` is |X - X~| at the pair's
+    ``tv_from`` (infinite if that lies past its horizon).  With
+    ``stop_at_merge`` a run ends at its first common jump (the
+    age-coalescence time ``tau_A``), in the state just after that jump.
+    With ``record`` the log keeps every jump of Y.
 
     The pairs move in lockstep: each step draws, one array per law, the
     next event of every pair still running.  Point-mass intake and rate
@@ -206,12 +209,14 @@ def simulate_coupled(
     init_tilde.validate()
     profile = G if isinstance(G, HazardProfile) else hazard_profile(G)
     start = (init.x, init.theta, init.age, init_tilde.x, init_tilde.theta, init_tilde.age)
-    n = max(np.size(v) for v in start)
-    # rows: x, theta, age, x~, theta~, age~ and the time of the last event;
-    # one column per pair still running
-    S = np.zeros((7, n))
+    n = max(np.size(v) for v in (*start, horizon, tv_from))
+    # rows: x, theta, age, x~, theta~, age~, the time of the last event,
+    # the horizon and tv_from; one column per pair still running
+    S = np.zeros((9, n))
     for row, v in enumerate(start):
         S[row] = v
+    S[7], S[8] = horizon, tv_from
+    gaps = bool(np.any(S[8] <= S[7]))
     ages_met = S[2] == S[5]
     met = ages_met & (S[0] == S[3]) & (S[1] == S[4])
     tau_A = np.where(ages_met, 0.0, math.inf)
@@ -222,41 +227,50 @@ def simulate_coupled(
     gap = np.full(n, math.inf)
     final = np.empty((7, n))
     run = np.arange(n)  # the pair of each column
+    live = np.ones(n, dtype=bool)  # the columns whose pair still runs
     jumps = []  # with record: (run, time, intake, theta) of Y's jumps, per step
 
-    def retire(done, end):
-        """Write the states of the columns ``done`` at time ``end``, and drop them."""
-        nonlocal S, ages_met, met, run
-        x, th, ag, xt, tht, agt, t = S[:, done]
+    def retire(done, at_horizon=True):
+        """Write the states of the columns ``done`` at their horizons (else
+        at their last event), and end their runs."""
+        x, th, ag, xt, tht, agt, t, hor, _ = S[:, done]
+        end = hor if at_horizon else t
         dt = end - t
         final[:, run[done]] = (
-            x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, t + dt
+            x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, end
         )
-        keep = ~done
-        S, ages_met, met, run = S[:, keep], ages_met[keep], met[keep], run[keep]
+        live[done] = False
 
     if stop_at_merge:
-        retire(ages_met.copy(), 0.0)
+        retire(ages_met.copy(), at_horizon=False)
     step = 0
-    while run.size:
-        x, th, ag, xt, tht, agt, t = S
+    while n_live := np.count_nonzero(live):
+        if 2 * n_live <= live.size:
+            # ended columns are dropped once they are half of all: copying
+            # the state whenever a column ends costs more than carrying them
+            S, ages_met, met, run = S[:, live], ages_met[live], met[live], run[live]
+            live = live[live]
+        x, th, ag, xt, tht, agt, t, hor, tvf = S
         elder = np.maximum(ag, agt)
-        s = profile.inverse(elder, rng.exponential(size=run.size))
+        if n_live == live.size:
+            wait = rng.exponential(size=n_live)
+        else:
+            wait = np.zeros(live.size)
+            wait[live] = rng.exponential(size=n_live)
+        s = profile.inverse(elder, wait)
         tev = t + s
-        if tv_from <= horizon:
-            seen = (t <= tv_from) & (tv_from < tev)
-            dt = tv_from - t[seen]
+        if gaps:
+            seen = (t <= tvf) & (tvf < tev) & (tvf <= hor) & live
+            dt = tvf[seen] - t[seen]
             gap[run[seen]] = np.abs(
                 x[seen] * np.exp(-th[seen] * dt) - xt[seen] * np.exp(-tht[seen] * dt)
             )
-        out = tev > horizon
+        out = (tev > hor) & live
         if out.any():
             events[run[out]] = step
-            retire(out, horizon)
-            s, tev, elder = s[~out], tev[~out], elder[~out]
-            if not run.size:
+            retire(out)
+            if not live.any():
                 break
-            x, th, ag, xt, tht, agt, t = S
         step += 1
         younger = np.minimum(ag, agt)
         x *= np.exp(-th * s)
@@ -265,12 +279,13 @@ def simulate_coupled(
         before = x.copy() if record else None
         # the event has the elder's hazard; it is common with probability
         # zeta(younger)/zeta(elder), drawn only while the ages differ
-        common = ages_met.copy()
-        apart = np.flatnonzero(~ages_met)
+        common = ages_met & live
+        apart = np.flatnonzero(~ages_met & live)
         if apart.size:
             e, y = elder[apart] + s[apart], younger[apart] + s[apart]
             common[apart] = rng.random(apart.size) * profile.zeta(e) < profile.zeta(y)
-        y_jumps = common | (ag > agt) if record else None  # a lone jump is the elder's
+        # a lone jump is the elder's
+        y_jumps = (common | (ag > agt)) & live if record else None
 
         c = np.flatnonzero(common)
         theta_new = H.sample(rng, c.size)
@@ -279,7 +294,7 @@ def simulate_coupled(
             x[fused] += F.sample(rng, fused.size)
             xt[fused] = x[fused]
         if unmet.size:
-            late = tev[unmet] >= tv_from
+            late = tev[unmet] >= tvf[unmet]
             shared, tv = unmet[~late], unmet[late]
             u = F.sample(rng, shared.size)
             x[shared] += u
@@ -299,7 +314,7 @@ def simulate_coupled(
         ages_met |= common
         tau_A[run[fresh]] = tev[fresh]
 
-        lone = np.flatnonzero(~common)
+        lone = np.flatnonzero(~common & live)
         if lone.size:
             u, theta_new = F.sample(rng, lone.size), H.sample(rng, lone.size)
             y_elder = ag[lone] > agt[lone]
@@ -315,7 +330,7 @@ def simulate_coupled(
             jumps.append((run[j], t[j], x[j] - before[j], th[j]))
         if stop_at_merge and fresh.any():
             events[run[fresh]] = step
-            retire(fresh, t[fresh])
+            retire(fresh, at_horizon=False)
 
     log = EventLog(events)
     if record:
@@ -329,28 +344,36 @@ def simulate_coupled(
 def run_three_phase(
     init: ProcessState,
     init_tilde: ProcessState,
-    params: CouplingPhaseParams,
+    params: CouplingPhaseParams | Mapping[float, CouplingPhaseParams],
     F: DistributionSpec,
     G: DistributionSpec | HazardProfile,
     H: DistributionSpec,
-    horizon: float,
+    horizon: float | np.ndarray,
     rng: np.random.Generator,
 ) -> CouplingReport:
-    """Run the three-phase coupling of a batch of pairs for one horizon.
+    """Run the three-phase coupling of a batch of pairs.
 
-    Phase boundaries are alpha*horizon and beta*horizon; from the second
-    boundary on, common jumps use the maximal jump coupling.  The report's
-    ``phase_outcomes`` hold, per pair, the four tree outcomes, the gap at
-    the second boundary and the L1 distance of the states at the horizon
-    (the columns of ``coupling_reports.csv``, in order); the indicator of
-    non-coalescence bounds the total variation there.
+    ``horizon`` is one time for every pair or one per pair, and
+    ``params`` the tuning of every pair or a mapping from each horizon
+    to its tuning.  Phase boundaries are alpha*horizon and beta*horizon;
+    from the second boundary on, common jumps use the maximal jump
+    coupling.  The report's ``phase_outcomes`` hold, per pair, the four
+    tree outcomes, the gap at the second boundary and the L1 distance of
+    the states at the horizon (the columns of ``coupling_reports.csv``,
+    in order); the indicator of non-coalescence bounds the total
+    variation there.
     """
-    beta_t = params.beta * horizon
-    rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta_t)
+    if isinstance(params, CouplingPhaseParams):
+        alpha, beta, eps = params.alpha, params.beta, params.epsilon_tv
+    else:
+        times, which = np.unique(horizon, return_inverse=True)
+        tunings = [params[t] for t in times.tolist()]
+        alpha, beta, eps = np.array([(p.alpha, p.beta, p.epsilon_tv) for p in tunings])[which].T
+    rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta * horizon)
     y, yt = rep.y, rep.y_tilde
     rep.phase_outcomes = {
-        "age_merge_by_alpha": rep.tau_A <= params.alpha * horizon,
-        "close_at_beta": rep.gap < params.epsilon_tv,
+        "age_merge_by_alpha": rep.tau_A <= alpha * horizon,
+        "close_at_beta": rep.gap < eps,
         "jump_by_horizon": rep.tv_attempt_time <= horizon,
         "merged_at_first_attempt": rep.tv_first_attempt_merged,
         "gap_at_beta": rep.gap,

@@ -34,15 +34,17 @@ __all__ = [
 
 
 def _arg(value):
-    """An argument of the laws as float64: a numpy scalar for a float (its
-    arithmetic is much faster than a 0-d array's), else an array."""
-    return np.asarray(value, dtype=float)[()]
+    """An argument of the laws as a float64 array, a float as one element:
+    numpy computes a scalar's power with libm but an array's with its own
+    loop, and the two can differ in the last bit, so a float goes through
+    the array loop."""
+    return np.atleast_1d(np.asarray(value, dtype=float))
 
 
-def _in_kind(value):
-    """A 0-d result as a float, an array as it is: the laws answer a float
-    with a float and an array with an array."""
-    return value if getattr(value, "ndim", 0) else float(value)
+def _in_kind(value, *args):
+    """The result of a law as a float when every argument was a float, else
+    as an array: the laws answer a float as they answer an array of it."""
+    return value if any(np.ndim(a) for a in args) else float(value.item())
 
 
 def _special():
@@ -307,7 +309,7 @@ class DistributionSpec:
         f, p = self.family, self.params
         if f is Family.DIRAC:
             raise NoDensityError("a point mass has no density")
-        x = _arg(x)
+        x, arg = _arg(x), x
         lo = self.support()[0]
         z = np.maximum(x, lo)  # clipped into the support, so that no branch warns
         if f is Family.GAMMA:
@@ -320,7 +322,7 @@ class DistributionSpec:
             val = (k / s) * np.exp(_xlogy(k - 1.0, z / s) - (z / s) ** k)
         else:  # (shifted) exponential: the rate is the last parameter
             val = p[-1] * np.exp(-p[-1] * (z - lo))
-        return _in_kind(np.where(x < lo, 0.0, val))
+        return _in_kind(np.where(x < lo, 0.0, val), arg)
 
     def cdf(self, x):
         return self._distribution(x, upper=False)
@@ -331,7 +333,7 @@ class DistributionSpec:
     def _distribution(self, x, upper: bool):
         """P(X > x) with ``upper``, else P(X <= x)."""
         f, p = self.family, self.params
-        x = _arg(x)
+        x, arg = _arg(x), x
         lo = self.support()[0]
         z = np.maximum(x, lo)
         if f is Family.GAMMA:
@@ -344,13 +346,13 @@ class DistributionSpec:
         else:  # the survival is exp(-e)
             e = (z / p[1]) ** p[0] if f is Family.WEIBULL else p[-1] * (z - lo)
             val = np.exp(-e) if upper else -np.expm1(-e)
-        return _in_kind(np.where(x < lo, float(upper), val))
+        return _in_kind(np.where(x < lo, float(upper), val), arg)
 
     def laplace(self, u):
         """Moment transform E[e^{uX}]; +inf outside its domain of finiteness
         and where the value exceeds the largest float."""
         f, p = self.family, self.params
-        u = _arg(u)
+        u, arg = _arg(u), u
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             if f is Family.GAMMA:
                 k, s = p
@@ -368,7 +370,7 @@ class DistributionSpec:
             else:  # (shifted) exponential
                 m = p[-1]
                 val = np.where(u < m, np.exp(u * self.support()[0]) * m / (m - u), math.inf)
-        return _in_kind(np.where(u == 0.0, 1.0, val))
+        return _in_kind(np.where(u == 0.0, 1.0, val), arg)
 
     def _weibull_laplace(self, u):
         """E[e^{uX}] elementwise.  After y = (x/s)^k the integral is
@@ -448,17 +450,19 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
         k, s_ = p
 
         def zeta(t):
-            t = _arg(t)
+            a = _arg(t)
             # 0**0 = 1 gives the rate 1/s_ at age 0 when k == 1
-            rate = (k / s_) * (np.maximum(t, 0.0) / s_) ** (k - 1.0)
-            return _in_kind(np.where(t < 0, 0.0, rate))
+            rate = (k / s_) * (np.maximum(a, 0.0) / s_) ** (k - 1.0)
+            return _in_kind(np.where(a < 0, 0.0, rate), t)
 
         def cumulative(a0, s):
-            return ((a0 + s) / s_) ** k - (a0 / s_) ** k
+            a, w = _arg(a0), _arg(s)
+            return _in_kind(((a + w) / s_) ** k - (a / s_) ** k, a0, s)
 
         def inverse(a0, target):
+            a, e = _arg(a0), _arg(target)
             # >= 0: for a target tiny against (a0/s_)**k the difference rounds either way
-            return _in_kind(np.maximum(s_ * ((a0 / s_) ** k + target) ** (1.0 / k) - a0, 0.0))
+            return _in_kind(np.maximum(s_ * ((a / s_) ** k + e) ** (1.0 / k) - a, 0.0), a0, target)
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -469,14 +473,16 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     if f in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
         shift, m = spec.support()[0], p[-1]  # exponential: no shift
 
+        # sums and quotients are correctly rounded in every numpy loop, so
+        # these need no array argument
         def zeta(t):
-            return _in_kind(np.where(np.asarray(t) >= shift, m, 0.0))
+            return _in_kind(np.where(np.asarray(t) >= shift, m, 0.0), t)
 
         def cumulative(a0, s):
-            return _in_kind(m * np.maximum(0.0, a0 + s - np.maximum(a0, shift)))
+            return _in_kind(m * np.maximum(0.0, a0 + s - np.maximum(a0, shift)), a0, s)
 
         def inverse(a0, target):
-            return _in_kind(np.maximum(0.0, shift - a0) + target / m)
+            return _in_kind(np.maximum(0.0, shift - a0) + target / m, a0, target)
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -488,23 +494,25 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
         lo, hi = p
 
         def zeta(t):
-            t = _arg(t)
-            if np.any(t >= hi):
+            a = _arg(t)
+            if np.any(a >= hi):
                 raise HazardDomainError(f"hazard is infinite at ages >= {hi}")
-            return _in_kind(np.where(t < lo, 0.0, 1.0 / (hi - t)))
+            return _in_kind(np.where(a < lo, 0.0, 1.0 / (hi - a)), t)
 
         # the wait is the part before lo plus a fraction of hi - max(a0, lo);
         # log1p and expm1 keep the digits of a small fraction
         def cumulative(a0, s):
-            rest = hi - np.maximum(a0, lo)
-            inside = s - np.maximum(lo - a0, 0.0)
+            a = _arg(a0)
+            rest = hi - np.maximum(a, lo)
+            inside = _arg(s) - np.maximum(lo - a, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 val = np.where(inside >= rest, math.inf, -np.log1p(-inside / rest))
-            return _in_kind(np.where(inside <= 0.0, 0.0, val))
+            return _in_kind(np.where(inside <= 0.0, 0.0, val), a0, s)
 
         def inverse(a0, target):
-            rest = hi - np.maximum(a0, lo)
-            return _in_kind(np.maximum(lo - a0, 0.0) - rest * np.expm1(-target))
+            a = _arg(a0)
+            rest = hi - np.maximum(a, lo)
+            return _in_kind(np.maximum(lo - a, 0.0) - rest * np.expm1(-_arg(target)), a0, target)
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,
@@ -517,18 +525,19 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     log_gamma_k = math.lgamma(k)
 
     def zeta(t):
-        t = _arg(t)
-        z = np.maximum(t, 0.0) / s_
+        a = _arg(t)
+        z = np.maximum(a, 0.0) / s_
         log_pdf = _xlogy(k - 1.0, z) - z - log_gamma_k
-        return _in_kind(np.where(t < 0, 0.0, np.exp(log_pdf - _gamma_log_sf(k, z)) / s_))
+        return _in_kind(np.where(a < 0, 0.0, np.exp(log_pdf - _gamma_log_sf(k, z)) / s_), t)
 
     def cumulative(a0, s):
-        s = np.asarray(s, dtype=float)
-        val = _gamma_log_sf(k, a0 / s_) - _gamma_log_sf(k, (a0 + s) / s_)
-        return _in_kind(np.where(s <= 0.0, 0.0, val))
+        a, w = _arg(a0), _arg(s)
+        val = _gamma_log_sf(k, a / s_) - _gamma_log_sf(k, (a + w) / s_)
+        return _in_kind(np.where(w <= 0.0, 0.0, val), a0, s)
 
     def inverse(a0, target):
-        level = np.asarray(_gamma_log_sf(k, np.asarray(a0) / s_) - target)
+        a = _arg(a0)
+        level = _gamma_log_sf(k, a / s_) - _arg(target)
         special, z = _special(), np.empty(level.shape)
         # above Q = 1/2 invert P = 1 - Q, whose digits a level near 0 keeps
         near = level > _LOG_HALF
@@ -545,7 +554,7 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
                 hz = np.exp(_xlogy(k - 1.0, zf) - zf - log_gamma_k - log_sf)
                 zf = zf + (log_sf - lv) / hz
             z[far] = zf
-        return _in_kind(np.maximum(z * s_ - a0, 0.0))
+        return _in_kind(np.maximum(z * s_ - a, 0.0), a0, target)
 
     return HazardProfile(
         zeta=zeta, cumulative=cumulative, inverse=inverse,

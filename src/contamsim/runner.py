@@ -5,6 +5,12 @@ one random stream keyed by ``(seed, stream, b)``.  A block is always
 simulated in full, in one lockstep batch, and its rows past
 ``n_replicas`` are dropped; so row k depends neither on the replica count
 nor on the worker count, and artifacts are byte-identical across both.
+
+A coupled block runs every horizon it is given in that one batch, CHUNK
+pairs per horizon, all drawn from the block's one stream: so the rows of
+one horizon depend on the whole list of horizons.  ``simulate`` and
+``dump-paths`` use stream 0, ``verify`` stream 1 with every grid time,
+``couple`` stream 2 with the configured horizon.
 """
 
 from __future__ import annotations
@@ -36,16 +42,22 @@ def _table(cfg: RunConfig, block: int, columns: dict) -> dict:
             **{name: col[:keep] for name, col in columns.items()}}
 
 
-def _coupled_chunk(args) -> dict:
-    cfg, stream, horizon, params, block = args
+def _coupled_chunk(args) -> list[dict]:
+    cfg, stream, horizons, params, columns, block = args
     rng = block_rng(cfg, stream, block)
-    init = cfg.init.sample(rng, CHUNK)
-    init_tilde = cfg.init_tilde.sample(rng, CHUNK)
+    init = cfg.init.sample(rng, len(horizons) * CHUNK)
+    init_tilde = cfg.init_tilde.sample(rng, len(horizons) * CHUNK)
     G = hazard_profile(cfg.inter_arrival)
-    rep = run_three_phase(init, init_tilde, params, cfg.intake, G, cfg.metabolic, horizon, rng)
-    return _table(cfg, block, {
-        "tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes,
-    })
+    horizon = np.repeat(horizons, CHUNK)
+    rep = run_three_phase(init, init_tilde, dict(zip(horizons, params)),
+                          cfg.intake, G, cfg.metabolic, horizon, rng)
+    every = {"tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes}
+    tables = []
+    for g in range(len(horizons)):
+        rows = slice(g * CHUNK, (g + 1) * CHUNK)
+        table = _table(cfg, block, {name: col[rows] for name, col in every.items()})
+        tables.append({name: table[name] for name in columns or table})
+    return tables
 
 
 def marginal_block(
@@ -58,21 +70,34 @@ def marginal_block(
     return simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng, record=record)
 
 
-def _marginal_chunk(args) -> dict:
+def _marginal_chunk(args) -> list[dict]:
     cfg, block = args
     log, final = marginal_block(cfg, block)
-    return _table(cfg, block, {
+    return [_table(cfg, block, {
         "x": final.x, "theta": final.theta, "age": final.age, "n_events": log.counts,
-    })
+    })]
 
 
-def _run(cfg: RunConfig, worker, payloads: list) -> dict:
+def _run(cfg: RunConfig, worker, payloads: list) -> list[dict]:
+    """Run ``worker`` on every block and copy each table it returns into
+    the whole-run table of the same position, as the blocks arrive."""
     if cfg.parallelism > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            tables = list(pool.map(worker, payloads))
-    else:
-        tables = [worker(p) for p in payloads]
-    return {name: np.concatenate([t[name] for t in tables]) for name in tables[0]}
+            return _gather(cfg, pool.map(worker, payloads))
+    return _gather(cfg, map(worker, payloads))
+
+
+def _gather(cfg: RunConfig, results) -> list[dict]:
+    whole = None
+    for block, tables in enumerate(results):
+        if whole is None:
+            whole = [{name: np.empty(cfg.n_replicas, col.dtype) for name, col in t.items()}
+                     for t in tables]
+        start = block * CHUNK
+        for into, table in zip(whole, tables):
+            for name, col in table.items():
+                into[name][start:start + col.size] = col
+    return whole
 
 
 def _blocks(cfg: RunConfig) -> range:
@@ -80,14 +105,21 @@ def _blocks(cfg: RunConfig) -> range:
 
 
 def coupled_rows(
-    cfg: RunConfig, stream: int, horizon: float, params: CouplingPhaseParams
-) -> dict:
-    """Three-phase coupling ensemble for one horizon: a table mapping each
-    column name to an array with one entry per replica."""
-    return _run(cfg, _coupled_chunk, [(cfg, stream, horizon, params, b) for b in _blocks(cfg)])
+    cfg: RunConfig,
+    stream: int,
+    horizons: list[float],
+    params: list[CouplingPhaseParams],
+    columns: tuple[str, ...] | None = None,
+) -> list[dict]:
+    """Three-phase coupling ensembles, one per horizon with the tuning of
+    the same position, each block in one batch for all horizons: one
+    table per horizon, mapping each column name (all of them, or those in
+    ``columns``) to an array with one entry per replica."""
+    payloads = [(cfg, stream, horizons, params, columns, b) for b in _blocks(cfg)]
+    return _run(cfg, _coupled_chunk, payloads)
 
 
 def marginal_rows(cfg: RunConfig) -> dict:
     """Single-process ensemble at the configured horizon, as a table like
-    :func:`coupled_rows`'s."""
-    return _run(cfg, _marginal_chunk, [(cfg, b) for b in _blocks(cfg)])
+    those of :func:`coupled_rows`."""
+    return _run(cfg, _marginal_chunk, [(cfg, b) for b in _blocks(cfg)])[0]

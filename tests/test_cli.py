@@ -230,7 +230,7 @@ def test_rates_command(tmp_path):
     result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "out" / "rate_report.json").read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     consts = payload["constants"]
     assert consts["rho"] == pytest.approx(0.5)
     assert consts["alpha"] == pytest.approx(1.0 / 7.0)

@@ -1,6 +1,7 @@
 """Tests of the coupled-pair simulators and the maximal jump coupling."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +380,118 @@ def test_coupled_components_keep_gamma_ou_law(lam, mu, theta):
         cdf = DistributionSpec.gamma(lam / theta, mu).cdf(xs)
         d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
         assert d <= 1.63 / math.sqrt(n)
+
+
+def _report_arrays(rep) -> list:
+    return [rep.tau_A, rep.tau, rep.log.counts, rep.tv_attempt_time,
+            rep.tv_first_attempt_merged, rep.gap, *vars(rep.y).values(),
+            *vars(rep.y_tilde).values(), *rep.phase_outcomes.values()]
+
+
+def test_scalar_times_equal_broadcast_arrays():
+    # a float horizon and tv_from (and one tuning for every pair) draw
+    # exactly as arrays of the same values (and a mapping of that horizon)
+    prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
+    F, H = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.uniform(0.5, 1.5)
+    n, horizon, tv_from = 400, 6.0, 2.5
+    starts = ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 0.7, 0.5)
+    runs = [
+        simulate_coupled(*starts, F, prof, H, horizon, np.random.default_rng(21), tv_from=tv_from),
+        simulate_coupled(*starts, F, prof, H, np.full(n, horizon), np.random.default_rng(21),
+                         tv_from=np.full(n, tv_from)),
+    ]
+    params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.3)
+    runs += [
+        run_three_phase(*starts, params, F, prof, H, horizon, np.random.default_rng(22)),
+        run_three_phase(*starts, {horizon: params}, F, prof, H, np.full(n, horizon),
+                        np.random.default_rng(22)),
+    ]
+    for scalar, broadcast in (runs[:2], runs[2:]):
+        assert np.isfinite(scalar.tau).any() and np.isfinite(scalar.gap).all()
+        a, b = _report_arrays(scalar), _report_arrays(broadcast)
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
+
+
+def test_mixed_horizons_in_one_batch():
+    # rows with their own horizon and tv_from in one batch.  Equal ages
+    # make every jump common and shared, so before tv_from the gap is
+    # exactly 2 exp(-integral of the common rate), which the recorded
+    # rates of Y give; the pair's events are Poisson(lam)
+    lam, m = 1.3, 2000
+    horizons = np.array([2.0, 5.0, 11.0])
+    horizon = np.repeat(horizons, m)
+    tv_from = horizon * np.tile(np.linspace(0.1, 1.2, m), 3)  # some past the horizon
+    F, G = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.exponential(lam)
+    H = DistributionSpec.uniform(0.5, 1.5)
+    rep = simulate_coupled(
+        ProcessState(np.full(3 * m, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
+        F, G, H, horizon, np.random.default_rng(23), tv_from=tv_from, record=True,
+    )
+    assert np.array_equal(rep.y.t, horizon) and np.array_equal(rep.y_tilde.t, horizon)
+    inside = tv_from <= horizon
+    assert np.all(np.isinf(rep.gap[~inside]))
+    for k in np.flatnonzero(inside):
+        times, _, thetas = rep.log.of(k)
+        before = times < tv_from[k]
+        knots = np.concatenate([[0.0], times[before], [tv_from[k]]])
+        rate = np.dot(np.diff(knots), np.concatenate([[1.0], thetas[before]]))
+        # a difference of quantities of order 1, so exact to a few ulps of 1
+        assert abs(rep.gap[k] - 2.0 * math.exp(-rate)) <= 1e-14
+    tried = np.isfinite(rep.tv_attempt_time)
+    assert tried.sum() > m and not (tried & ~inside).any()
+    assert np.all(rep.tv_attempt_time[tried] >= tv_from[tried])
+    assert np.all(rep.tau[np.isfinite(rep.tau)] >= tv_from[np.isfinite(rep.tau)])
+    for g, h in enumerate(horizons):
+        counts = rep.log.counts[g * m:(g + 1) * m]
+        se = math.sqrt(lam * h / m)
+        assert abs(counts.mean() - lam * h) <= 5.0 * se, h
+
+
+def test_three_phase_takes_each_horizons_tuning():
+    # equal ages and a unit point-mass rate: the gap at beta*h is exactly
+    # 2 exp(-beta*h), so each group's closeness outcome is known
+    F, G = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.exponential(1.0)
+    tunings = {  # horizon: (tuning, close at beta*h)
+        2.0: (CouplingPhaseParams(alpha=0.2, beta=0.5, epsilon_tv=0.9), True),  # gap 0.74
+        5.0: (CouplingPhaseParams(alpha=0.3, beta=0.6, epsilon_tv=0.05), False),  # gap 0.10
+        11.0: (CouplingPhaseParams(alpha=0.1, beta=0.7, epsilon_tv=0.01), True),  # gap 9e-4
+    }
+    m = 300
+    horizon = np.repeat(list(tunings), m)
+    rep = run_three_phase(
+        ProcessState(np.full(3 * m, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
+        {h: p for h, (p, _) in tunings.items()}, F, G, UNIT_RATE, horizon,
+        np.random.default_rng(24),
+    )
+    for g, (h, (params, close)) in enumerate(tunings.items()):
+        rows = slice(g * m, (g + 1) * m)
+        gap = rep.phase_outcomes["gap_at_beta"][rows]
+        assert np.allclose(gap, 2.0 * math.exp(-params.beta * h), rtol=0.0, atol=1e-14)
+        assert np.all(rep.phase_outcomes["close_at_beta"][rows] == close)
+        assert np.all(rep.tv_attempt_time[rows] >= params.beta * h)
+
+
+def test_verify_runs_one_coupled_batch_per_block(tmp_path, monkeypatch):
+    # every grid time of a block is one run_three_phase call of
+    # len(grid) * CHUNK pairs
+    from click.testing import CliRunner
+
+    from contamsim import runner
+    from contamsim.cli import main
+
+    calls = []
+    real = runner.run_three_phase
+
+    def counting(init, *args):
+        calls.append(np.size(init.x))
+        return real(init, *args)
+
+    monkeypatch.setattr(runner, "run_three_phase", counting)
+    config = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
+    result = CliRunner().invoke(main, [
+        "verify", "--config", str(config), "--replicas", "1100", "--out", str(tmp_path), "--quiet",
+    ])
+    assert result.exit_code == 0, result.output
+    assert calls == [9 * runner.CHUNK] * 3

@@ -399,3 +399,21 @@ def test_laws_take_arrays():
         s = prof.inverse(ages, targets)
         assert np.array_equal(s, [prof.inverse(float(a), float(e)) for a, e in zip(ages, targets)])
         assert np.allclose(prof.cumulative(ages, s), targets, rtol=1e-9)
+    # a seeded sweep of 100 Weibull laws at 100 (age, target) points each:
+    # numpy's power of a scalar (libm) and of an array (its own loop) can
+    # differ in the last bit, so a float, a 1-element array and an element
+    # of a whole array must all go through the array loop
+    rng = np.random.default_rng(20240611)
+    for _ in range(100):
+        spec = DistributionSpec.weibull(rng.uniform(1.0, 20.0), rng.uniform(0.05, 20.0))
+        prof = hazard_profile(spec)
+        ages, targets = rng.uniform(0.0, 50.0, 100), rng.uniform(0.0, 100.0, 100)
+        waits = prof.inverse(ages, targets)
+        for method, args, whole in (
+            (prof.inverse, (ages, targets), waits),
+            (prof.cumulative, (ages, waits), prof.cumulative(ages, waits)),
+            (prof.zeta, (ages,), prof.zeta(ages)),
+        ):
+            points = list(zip(*args))
+            assert np.array_equal(whole, [method(*map(float, p)) for p in points])
+            assert np.array_equal(whole, [method(*(np.array([v]) for v in p))[0] for p in points])
