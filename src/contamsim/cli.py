@@ -30,10 +30,6 @@ from .coupling import CouplingPhaseParams
 from .errors import ConfigError, ContamsimError
 
 SCHEMA_VERSION = 3
-# the random streams of the commands' replica blocks (simulate and
-# dump-paths use stream 0, in runner.marginal_block)
-VERIFY_STREAM = 1
-COUPLE_STREAM = 2
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +223,7 @@ def couple(config_path, seed, replicas, out, quiet):
     """Run the three-phase coupling ensemble at the horizon."""
     cfg = load_config(config_path, seed, replicas, out)
     params = _phase_params(cfg, _bounds(cfg), cfg.horizon)
-    (table,) = runner.coupled_rows(cfg, COUPLE_STREAM, [cfg.horizon], [params])
+    (table,) = runner.coupled_rows(cfg, runner.COUPLE_STREAM, [cfg.horizon], [params])
     path = Path(cfg.out_dir) / "coupling_reports.csv"
     _write_csv(path, table)
     if not quiet:
@@ -255,7 +251,8 @@ def verify(config_path, seed, replicas, out, quiet):
     ok = True
     informative = 0
     params = [_phase_params(cfg, report, t) for t in cfg.grid]
-    tables = runner.coupled_rows(cfg, VERIFY_STREAM, cfg.grid, params, columns=("tau", "l1_final"))
+    tables = runner.coupled_rows(cfg, runner.VERIFY_STREAM, cfg.grid, params,
+                                 columns=("tau", "l1_final"))
     for t, table in zip(cfg.grid, tables):
         estimate, ci_low, ci_high = estimators.tv_via_coupling(table["tau"], t)
         tv_bound = report.tv(t)

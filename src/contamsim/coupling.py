@@ -227,50 +227,43 @@ def simulate_coupled(
     gap = np.full(n, math.inf)
     final = np.empty((7, n))
     run = np.arange(n)  # the pair of each column
-    live = np.ones(n, dtype=bool)  # the columns whose pair still runs
     jumps = []  # with record: (run, time, intake, theta) of Y's jumps, per step
 
     def retire(done, at_horizon=True):
         """Write the states of the columns ``done`` at their horizons (else
         at their last event), and end their runs."""
+        nonlocal S, ages_met, met, run
         x, th, ag, xt, tht, agt, t, hor, _ = S[:, done]
         end = hor if at_horizon else t
         dt = end - t
         final[:, run[done]] = (
             x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, end
         )
-        live[done] = False
+        keep = ~done
+        S, ages_met, met, run = S[:, keep], ages_met[keep], met[keep], run[keep]
 
     if stop_at_merge:
         retire(ages_met.copy(), at_horizon=False)
     step = 0
-    while n_live := np.count_nonzero(live):
-        if 2 * n_live <= live.size:
-            # ended columns are dropped once they are half of all: copying
-            # the state whenever a column ends costs more than carrying them
-            S, ages_met, met, run = S[:, live], ages_met[live], met[live], run[live]
-            live = live[live]
+    while run.size:
         x, th, ag, xt, tht, agt, t, hor, tvf = S
         elder = np.maximum(ag, agt)
-        if n_live == live.size:
-            wait = rng.exponential(size=n_live)
-        else:
-            wait = np.zeros(live.size)
-            wait[live] = rng.exponential(size=n_live)
-        s = profile.inverse(elder, wait)
+        s = profile.inverse(elder, rng.exponential(size=run.size))
         tev = t + s
         if gaps:
-            seen = (t <= tvf) & (tvf < tev) & (tvf <= hor) & live
+            seen = (t <= tvf) & (tvf < tev) & (tvf <= hor)
             dt = tvf[seen] - t[seen]
             gap[run[seen]] = np.abs(
                 x[seen] * np.exp(-th[seen] * dt) - xt[seen] * np.exp(-tht[seen] * dt)
             )
-        out = (tev > hor) & live
+        out = tev > hor
         if out.any():
             events[run[out]] = step
             retire(out)
-            if not live.any():
+            s, tev, elder = s[~out], tev[~out], elder[~out]
+            if not run.size:
                 break
+            x, th, ag, xt, tht, agt, t, hor, tvf = S
         step += 1
         younger = np.minimum(ag, agt)
         x *= np.exp(-th * s)
@@ -279,13 +272,13 @@ def simulate_coupled(
         before = x.copy() if record else None
         # the event has the elder's hazard; it is common with probability
         # zeta(younger)/zeta(elder), drawn only while the ages differ
-        common = ages_met & live
-        apart = np.flatnonzero(~ages_met & live)
+        common = ages_met.copy()
+        apart = np.flatnonzero(~ages_met)
         if apart.size:
             e, y = elder[apart] + s[apart], younger[apart] + s[apart]
             common[apart] = rng.random(apart.size) * profile.zeta(e) < profile.zeta(y)
         # a lone jump is the elder's
-        y_jumps = (common | (ag > agt)) & live if record else None
+        y_jumps = common | (ag > agt) if record else None
 
         c = np.flatnonzero(common)
         theta_new = H.sample(rng, c.size)
@@ -314,7 +307,7 @@ def simulate_coupled(
         ages_met |= common
         tau_A[run[fresh]] = tev[fresh]
 
-        lone = np.flatnonzero(~common & live)
+        lone = np.flatnonzero(~common)
         if lone.size:
             u, theta_new = F.sample(rng, lone.size), H.sample(rng, lone.size)
             y_elder = ag[lone] > agt[lone]
@@ -344,7 +337,7 @@ def simulate_coupled(
 def run_three_phase(
     init: ProcessState,
     init_tilde: ProcessState,
-    params: CouplingPhaseParams | Mapping[float, CouplingPhaseParams],
+    params: Mapping[float, CouplingPhaseParams],
     F: DistributionSpec,
     G: DistributionSpec | HazardProfile,
     H: DistributionSpec,
@@ -354,21 +347,17 @@ def run_three_phase(
     """Run the three-phase coupling of a batch of pairs.
 
     ``horizon`` is one time for every pair or one per pair, and
-    ``params`` the tuning of every pair or a mapping from each horizon
-    to its tuning.  Phase boundaries are alpha*horizon and beta*horizon;
-    from the second boundary on, common jumps use the maximal jump
-    coupling.  The report's ``phase_outcomes`` hold, per pair, the four
-    tree outcomes, the gap at the second boundary and the L1 distance of
-    the states at the horizon (the columns of ``coupling_reports.csv``,
-    in order); the indicator of non-coalescence bounds the total
-    variation there.
+    ``params`` maps each horizon to its tuning.  Phase boundaries are
+    alpha*horizon and beta*horizon; from the second boundary on, common
+    jumps use the maximal jump coupling.  The report's ``phase_outcomes``
+    hold, per pair, the four tree outcomes, the gap at the second
+    boundary and the L1 distance of the states at the horizon (the
+    columns of ``coupling_reports.csv``, in order); the indicator of
+    non-coalescence bounds the total variation there.
     """
-    if isinstance(params, CouplingPhaseParams):
-        alpha, beta, eps = params.alpha, params.beta, params.epsilon_tv
-    else:
-        times, which = np.unique(horizon, return_inverse=True)
-        tunings = [params[t] for t in times.tolist()]
-        alpha, beta, eps = np.array([(p.alpha, p.beta, p.epsilon_tv) for p in tunings])[which].T
+    times, which = np.unique(horizon, return_inverse=True)
+    tunings = [params[t] for t in times.tolist()]
+    alpha, beta, eps = np.array([(p.alpha, p.beta, p.epsilon_tv) for p in tunings])[which].T
     rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta * horizon)
     y, yt = rep.y, rep.y_tilde
     rep.phase_outcomes = {

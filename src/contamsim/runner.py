@@ -10,7 +10,8 @@ A coupled block runs every horizon it is given in that one batch, CHUNK
 pairs per horizon, all drawn from the block's one stream: so the rows of
 one horizon depend on the whole list of horizons.  ``simulate`` and
 ``dump-paths`` use stream 0, ``verify`` stream 1 with every grid time,
-``couple`` stream 2 with the configured horizon.
+``couple`` stream 2 with the configured horizon (the ``*_STREAM``
+constants below).
 """
 
 from __future__ import annotations
@@ -24,9 +25,14 @@ from .coupling import CouplingPhaseParams, run_three_phase
 from .distributions import hazard_profile
 from .pdmp import EventLog, ProcessState, simulate_path
 
-__all__ = ["coupled_rows", "marginal_rows", "marginal_block", "block_rng", "CHUNK"]
+__all__ = ["coupled_rows", "marginal_rows", "marginal_block", "block_rng", "CHUNK",
+           "MARGINAL_STREAM", "VERIFY_STREAM", "COUPLE_STREAM"]
 
 CHUNK = 512
+# the random streams of the commands' replica blocks
+MARGINAL_STREAM = 0  # simulate and dump-paths
+VERIFY_STREAM = 1
+COUPLE_STREAM = 2
 
 
 def block_rng(cfg: RunConfig, stream: int, block: int) -> np.random.Generator:
@@ -63,8 +69,8 @@ def _coupled_chunk(args) -> list[dict]:
 def marginal_block(
     cfg: RunConfig, block: int, record: bool = False
 ) -> tuple[EventLog, ProcessState]:
-    """Simulate one full block of single trajectories to the horizon (stream 0)."""
-    rng = block_rng(cfg, 0, block)
+    """Simulate one full block of single trajectories to the horizon."""
+    rng = block_rng(cfg, MARGINAL_STREAM, block)
     init = cfg.init.sample(rng, CHUNK)
     G = hazard_profile(cfg.inter_arrival)
     return simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng, record=record)

@@ -15,7 +15,7 @@ import yaml
 from click.testing import CliRunner
 
 from contamsim import estimators, rates, runner
-from contamsim.cli import VERIFY_STREAM, main as cli_main
+from contamsim.cli import main as cli_main
 from contamsim.config import load_config
 from contamsim.coupling import (
     CouplingPhaseParams,
@@ -239,7 +239,8 @@ def _reference_run() -> dict:
     w1_est = {}
     params = [CouplingPhaseParams(alpha=report.alpha, beta=report.beta,
                                   epsilon_tv=report.epsilon_tv(t)) for t in cfg.grid]
-    tables = runner.coupled_rows(cfg, VERIFY_STREAM, cfg.grid, params, columns=("tau", "l1_final"))
+    tables = runner.coupled_rows(cfg, runner.VERIFY_STREAM, cfg.grid, params,
+                                 columns=("tau", "l1_final"))
     for t, table in zip(cfg.grid, tables):
         tails[t] = estimators.tv_via_coupling(table["tau"], t)
         w1_est[t] = estimators.mean_with_ci(table["l1_final"])

@@ -301,7 +301,7 @@ def test_three_phase_trivial_pair():
     params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.5)
     rep = run_three_phase(
         ProcessState(np.ones(10), 1.0, 0.0), ProcessState(1.0, 1.0, 0.0),
-        params, F, G, H, 5.0, np.random.default_rng(9),
+        {5.0: params}, F, G, H, 5.0, np.random.default_rng(9),
     )
     assert np.all(rep.tau == 0.0)
     assert np.all(rep.phase_outcomes["age_merge_by_alpha"])
@@ -318,7 +318,7 @@ def test_three_phase_age_merge_probability():
     n = 20_000
     rep = run_three_phase(
         ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
-        params, F, G, H, horizon, rng,
+        {horizon: params}, F, G, H, horizon, rng,
     )
     hits = rep.phase_outcomes["age_merge_by_alpha"].sum()
     tau = rep.tau[np.isfinite(rep.tau)]
@@ -389,29 +389,20 @@ def _report_arrays(rep) -> list:
 
 
 def test_scalar_times_equal_broadcast_arrays():
-    # a float horizon and tv_from (and one tuning for every pair) draw
-    # exactly as arrays of the same values (and a mapping of that horizon)
+    # a float horizon and tv_from draw exactly as arrays of the same values
     prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
     F, H = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.uniform(0.5, 1.5)
     n, horizon, tv_from = 400, 6.0, 2.5
     starts = ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 0.7, 0.5)
-    runs = [
-        simulate_coupled(*starts, F, prof, H, horizon, np.random.default_rng(21), tv_from=tv_from),
-        simulate_coupled(*starts, F, prof, H, np.full(n, horizon), np.random.default_rng(21),
-                         tv_from=np.full(n, tv_from)),
-    ]
-    params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.3)
-    runs += [
-        run_three_phase(*starts, params, F, prof, H, horizon, np.random.default_rng(22)),
-        run_three_phase(*starts, {horizon: params}, F, prof, H, np.full(n, horizon),
-                        np.random.default_rng(22)),
-    ]
-    for scalar, broadcast in (runs[:2], runs[2:]):
-        assert np.isfinite(scalar.tau).any() and np.isfinite(scalar.gap).all()
-        a, b = _report_arrays(scalar), _report_arrays(broadcast)
-        assert len(a) == len(b)
-        for u, v in zip(a, b):
-            assert np.array_equal(u, v)
+    scalar = simulate_coupled(*starts, F, prof, H, horizon, np.random.default_rng(21),
+                              tv_from=tv_from)
+    broadcast = simulate_coupled(*starts, F, prof, H, np.full(n, horizon),
+                                 np.random.default_rng(21), tv_from=np.full(n, tv_from))
+    assert np.isfinite(scalar.tau).any() and np.isfinite(scalar.gap).all()
+    a, b = _report_arrays(scalar), _report_arrays(broadcast)
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
 
 
 def test_mixed_horizons_in_one_batch():
@@ -471,6 +462,30 @@ def test_three_phase_takes_each_horizons_tuning():
         assert np.allclose(gap, 2.0 * math.exp(-params.beta * h), rtol=0.0, atol=1e-14)
         assert np.all(rep.phase_outcomes["close_at_beta"][rows] == close)
         assert np.all(rep.tv_attempt_time[rows] >= params.beta * h)
+
+
+def test_coupled_draws_are_pinned():
+    # which draws the kernel makes, and in what order, is the random-number
+    # contract (SCHEMA_VERSION): a change to it, say draws spent on pairs
+    # that have ended while others run on, must show here.  Mixed horizons
+    # end pairs at different steps; distinct ages make lone jumps.
+    prof = hazard_profile(DistributionSpec.weibull(2.0, 1.0))
+    F, H = DistributionSpec.exponential(2.0), DistributionSpec.uniform(0.5, 1.5)
+    tunings = {2.0: CouplingPhaseParams(0.2, 0.5, 0.3), 5.0: CouplingPhaseParams(0.2, 0.6, 0.2),
+               11.0: CouplingPhaseParams(0.1, 0.7, 0.1)}
+    m = 100
+    rep = run_three_phase(
+        ProcessState(np.full(3 * m, 1.0), 1.0, 0.0), ProcessState(3.0, 0.8, 0.7),
+        tunings, F, prof, H, np.repeat(list(tunings), m), np.random.default_rng(2024),
+    )
+    merged = np.isfinite(rep.tau)
+    groups = [slice(g * m, (g + 1) * m) for g in range(3)]
+    assert [int(rep.log.counts[g].sum()) for g in groups] == [266, 618, 1303]
+    assert [int(merged[g].sum()) for g in groups] == [31, 96, 100]
+    assert int(np.isfinite(rep.tau_A).sum()) == 289
+    sums = [rep.tau[merged].sum(), rep.y.x.sum(), rep.y_tilde.x.sum(), rep.gap.sum()]
+    expected = [1221.4991416350822, 188.33807441618774, 229.55574364476325, 110.79995560557238]
+    assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
 
 
 def test_verify_runs_one_coupled_batch_per_block(tmp_path, monkeypatch):
