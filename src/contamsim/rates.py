@@ -3,8 +3,9 @@
 Everything here is deterministic given its inputs: the discounted
 inter-arrival kernel and its Laplace root w, the defective renewal
 solver, the intake-overlap deficit eta and its power-law envelope, the
-age-coalescence probabilities (p1, p2) for the three hazard regimes,
-and the assembled total-variation / Wasserstein bound curves.
+age-coalescence probabilities (p1, p2) for the three hazard regimes and
+the closed-form tail of the coalescence time, and the assembled
+total-variation / Wasserstein bound curves.
 """
 
 from __future__ import annotations
@@ -36,19 +37,15 @@ __all__ = [
     "eta_envelope",
     "age_bound",
     "age_bound_tail",
-    "fit_dominating_exponential",
     "convergence_bounds",
     "exp_case_bounds",
 ]
 
-_TAIL_SEED = 20140611  # fixed stream of the age-tail Monte Carlo sample
-
 # Numerics of the bound assembly
-W_CAP = 64.0  # the largest Laplace root find_w probes
-W_TOL = 1e-9  # width of the bracket find_w bisects to
+W_CAP = 64.0  # the largest Laplace root and age-tail abscissa probed
+W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa bisect to
 W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
 RENEWAL_STEP = 1e-3  # grid step of the renewal solve
-N_MC_TAIL = 10**6  # draws of the age-tail Monte Carlo sample
 ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
 ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
 
@@ -113,6 +110,28 @@ class RenewalKernel:
         return float(val[0])
 
 
+def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
+    """A bracket (lo, hi) of width at most W_TOL around the edge of
+    {s >= 0 : below(s)}, assumed an interval from 0, with below(lo) true
+    (or lo = 0) and below(hi) false; None when below holds up to W_CAP.
+
+    The edge is probed at 1, 2, 4, ... and then bisected.
+    """
+    hi = 1.0
+    while below(hi):
+        hi *= 2.0
+        if hi > W_CAP:
+            return None
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    while hi - lo > W_TOL:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def find_w(kernel: RenewalKernel) -> float:
     """Laplace root w = sup{u : psi_J(u) < 1}, bisected to a width of W_TOL.
 
@@ -123,19 +142,8 @@ def find_w(kernel: RenewalKernel) -> float:
         raise AssumptionError(
             "kernel mass must be below 1; the metabolic rate must be positive"
         )
-    hi = 1.0
-    while kernel.psi(hi) < 1.0:
-        hi *= 2.0
-        if hi > W_CAP:
-            return math.inf
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > W_TOL:
-        mid = 0.5 * (lo + hi)
-        if kernel.psi(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    bracket = _bracket_edge(lambda u: kernel.psi(u) < 1.0)
+    return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,6 +344,18 @@ def eta_envelope(F: DistributionSpec, holder: Optional[HolderData] = None) -> tu
 # ---------------------------------------------------------------------------
 
 
+def _log_geometric_pgf(p: float, u: float) -> float:
+    """log phi_p(e^u), phi_p(z) = p z / (1 - (1 - p) z) the generating
+    function of a Geometric(p) count on {1, 2, ...}; +inf at and past its
+    pole z = 1/(1 - p), which p = 1 does not have."""
+    if p == 1.0:
+        return u
+    log_q = math.log1p(-p)
+    if log_q + u >= 0.0:
+        return math.inf
+    return math.log(p) + u - math.log1p(-math.exp(log_q + u))
+
+
 @dataclass(frozen=True)
 class AgeBound:
     """The stochastic upper bound on the age-coalescence time; ``age_bound``
@@ -364,11 +384,53 @@ class AgeBound:
         blocks = H + rng.negative_binomial(H, self.p1)
         if self.case == "i":
             return c + (2.0 * H - 1.0) * eps + (self.profile.d - eps) * blocks
-        rate = self.profile.zeta(b) if self.case == "ii" else self.profile.zeta(c)
-        e_per_rep = rng.gamma(blocks, 1.0 / rate)
+        e_per_rep = rng.gamma(blocks, 1.0 / self.rate)
         if self.case == "ii":
             return b * blocks + e_per_rep
         return c - eps + 2.0 * eps * H + (c - eps) * blocks + e_per_rep
+
+    @property
+    def rate(self) -> float:
+        """Rate r of the exponential waits (regimes ii and iii)."""
+        return self.profile.zeta(self.b if self.case == "ii" else self.c)
+
+    def mgf(self, s: float) -> float:
+        """M(s) = E[exp(s T)], the moment generating function of the bound
+        variable T; +inf past its abscissa (and beyond the largest float).
+
+        With phi_p(z) = p z / (1 - (1 - p) z) the Geometric(p) generating
+        function and r the exponential rate, term by term from
+        :meth:`sample`, M(s) is
+          i:   e^{s(c-eps)} phi_p2(e^{2 eps s} phi_p1(e^{s(d-eps)})),
+          ii:  phi_p2(phi_p1(e^{sb} r/(r-s))),
+          iii: e^{s(c-eps)} phi_p2(e^{2 eps s} phi_p1(e^{s(c-eps)} r/(r-s))).
+        """
+        try:
+            return math.exp(self._log_mgf(s))
+        except OverflowError:
+            return math.inf
+
+    def _log_mgf(self, s: float) -> float:
+        """log M(s), built from logarithms so that no exponential overflows
+        on the way; +inf at and past the abscissa."""
+        eps, b, c = self.eps, self.b, self.c
+        if self.case == "i":
+            log_block = s * (self.profile.d - eps)
+        else:
+            r = self.rate
+            if s >= r:
+                return math.inf
+            log_block = s * (b if self.case == "ii" else c - eps) - math.log1p(-s / r)
+        log_blocks = _log_geometric_pgf(self.p1, log_block)
+        if self.case == "ii":
+            return _log_geometric_pgf(self.p2, log_blocks)
+        return s * (c - eps) + _log_geometric_pgf(self.p2, 2.0 * eps * s + log_blocks)
+
+    def abscissa(self) -> float:
+        """s_max = sup{s : M(s) < inf}, bisected to a width of W_TOL from
+        below, so M is finite there; W_CAP when M stays finite up to W_CAP."""
+        bracket = _bracket_edge(lambda s: self._log_mgf(s) < math.inf)
+        return W_CAP if bracket is None else bracket[0]
 
     def rate_cap(self) -> Optional[float]:
         """Analytic cap on the exponential rate of the coalescence-time
@@ -425,36 +487,28 @@ def age_bound(
     return AgeBound(profile, case, eps, b, c, p1, p2)
 
 
-def age_bound_tail(bound: AgeBound, grid: np.ndarray) -> np.ndarray:
-    """Monte Carlo survival function of the bound variable on a grid."""
-    rng = np.random.default_rng(_TAIL_SEED)
-    sample = np.sort(bound.sample(N_MC_TAIL, rng))
-    grid = np.asarray(grid, dtype=float)
-    return 1.0 - np.searchsorted(sample, grid, side="right") / len(sample)
-
-
-def fit_dominating_exponential(
-    grid: np.ndarray, tail: np.ndarray, v_cap: Optional[float] = None
-) -> tuple[float, float]:
-    """Fit (C, v) with C*exp(-v*t) >= tail(t) at every grid point.
-
-    The rate comes from a log-linear fit of the strictly positive tail
-    values, clamped by ``v_cap`` when an analytic cap applies; the
-    constant is then inflated to guarantee grid dominance.
+def age_bound_tail(bound: AgeBound) -> tuple[float, float]:
+    """(C1, v1) with P(T > t) <= C1 exp(-v1 t) for every t, T the bound
+    variable: the Chernoff bound at half the abscissa of its moment
+    generating function M, v1 = s_max / 2 (clamped by the analytic rate
+    cap where one applies) and C1 = M(v1) >= 1.
     """
-    grid = np.asarray(grid, dtype=float)
-    tail = np.asarray(tail, dtype=float)
-    mask = tail > 0
-    if mask.sum() >= 2 and np.ptp(grid[mask]) > 0:
-        slope, _ = np.polyfit(grid[mask], np.log(tail[mask]), 1)
-        v = max(-slope, 1e-12)
-    else:
-        v = 1e-12 if v_cap is None else v_cap
-    if v_cap is not None:
-        v = min(v, v_cap)
-    with np.errstate(over="ignore"):
-        C = float(np.max(np.where(tail > 0, tail * np.exp(v * grid), 0.0)))
-    return max(C, 1.0), float(v)
+    s_max = bound.abscissa()
+    if s_max == 0.0:
+        raise AssumptionError(
+            f"the age-coalescence rate is below W_TOL = {W_TOL:g} (p1 = {bound.p1:g}, "
+            f"p2 = {bound.p2:g}), so the phase fractions alpha and beta cannot be separated"
+        )
+    v1 = 0.5 * s_max
+    cap = bound.rate_cap()
+    if cap is not None:
+        v1 = min(v1, cap)
+    C1 = bound.mgf(v1)
+    if not math.isfinite(C1):
+        raise AssumptionError(
+            f"the age-coalescence constant C1 = E[exp(v1 T)] overflows at the rate v1 = {v1:g}"
+        )
+    return C1, v1
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +633,7 @@ def convergence_bounds(
         bound = age_bound(profile, age_params)
         age = dict(case=bound.case, p1=bound.p1, p2=bound.p2, eps_age=bound.eps,
                    b=bound.b, c=bound.c)
-        tail_grid = np.linspace(0.0, 400.0 * G.mean() / max(bound.p1 * bound.p2, 1e-3), 400)
-        C1p, v1 = fit_dominating_exponential(
-            tail_grid, age_bound_tail(bound, tail_grid), v_cap=bound.rate_cap()
-        )
+        C1p, v1 = age_bound_tail(bound)
 
     # phase 2: Wasserstein contraction rate
     const_rate = profile.constant_rate

@@ -11,10 +11,13 @@ from scipy import stats
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.errors import AssumptionError
 from contamsim.rates import (
+    AgeBound,
     HolderData,
     RenewalKernel,
     W_CAP,
+    W_TOL,
     age_bound,
+    age_bound_tail,
     eta,
     eta_envelope,
     exp_case_bounds,
@@ -377,6 +380,7 @@ def _per_block_age_bound(bound, n, rng):
         (DistributionSpec.uniform(0.0, 2.0), "i", 0.8, 0.2, 1.8),
         (DistributionSpec.shifted_exponential(1.0, 2.0), "ii", 0.55, 1.1, 2.0),
         (DistributionSpec.weibull(2.0, math.sqrt(2.0)), "iii", 1.0, 0.6, 3.5),
+        (DistributionSpec.gamma(2.0, 0.5), "ii", 0.2, 0.3, 1.25),  # zeta(b) < zeta(c)
     ],
 )
 def test_bound_sampler_matches_per_block_composition(spec, case, eps, b, c):
@@ -393,6 +397,109 @@ def test_bound_sampler_matches_per_block_composition(spec, case, eps, b, c):
     assert peak < 8 * new.nbytes  # a few arrays of length n, nothing per block
     ks = stats.ks_2samp(new, old).statistic
     assert ks < 1.63 * math.sqrt(2.0 / n)
+
+
+# ---------------------------------------------------------------------------
+# Age-coalescence tail: Chernoff bound from the closed-form MGF
+# ---------------------------------------------------------------------------
+
+# the default age bound of each regime on the inter-intake laws of the
+# regression lock below, where p1 p2 is small and the blocks dominate T,
+# and the tuned bounds of the sampler test above, where the constant
+# terms of T weigh more
+_TAIL_CASES = {
+    "i": (DistributionSpec.uniform(0.5, 2.5), None),
+    "ii": (DistributionSpec.shifted_exponential(1.0, 2.0), None),
+    "ii-gamma": (DistributionSpec.gamma(2.0, 0.5), None),  # zeta(b) < zeta(c)
+    "iii": (DistributionSpec.weibull(2.0, 1.0), None),
+    "i-tuned": (DistributionSpec.uniform(0.0, 2.0), (0.8, 0.2, 1.8)),
+    "iii-tuned": (DistributionSpec.weibull(2.0, math.sqrt(2.0)), (1.0, 0.6, 3.5)),
+}
+_N_TAIL = 10**6
+
+
+@pytest.fixture(scope="module", params=list(_TAIL_CASES))
+def tail_case(request):
+    G, params = _TAIL_CASES[request.param]
+    bound = age_bound(hazard_profile(G), params)
+    assert bound.case == request.param.split("-")[0]
+    C1, v1 = age_bound_tail(bound)
+    return bound, C1, v1, np.sort(bound.sample(_N_TAIL, np.random.default_rng(20140611)))
+
+
+def test_chernoff_tail_dominates_sample(tail_case):
+    # the empirical survival of 10^6 draws stays below B(t) = C1 exp(-v1 t)
+    # on a grid up to the largest draw.  Where B < 1 and the true survival
+    # is at most B, the empirical one has a standard deviation of at most
+    # sqrt(B / n); the binomial slack is 5 of them.
+    bound, C1, v1, sample = tail_case
+    assert C1 >= 1.0 and v1 > 0.0
+    grid = np.linspace(0.0, sample[-1], 200)
+    survival = 1.0 - np.searchsorted(sample, grid, side="right") / len(sample)
+    chernoff = C1 * np.exp(-v1 * grid)
+    slack = 5.0 * np.sqrt(np.minimum(chernoff, 1.0) / len(sample))
+    assert np.all(survival <= chernoff + slack)
+
+
+def test_mgf_matches_sample_mean(tail_case):
+    # C1 = M(v1) = E[exp(v1 T)] within 5 standard errors of the sample mean;
+    # at v1 / 2, where exp(s T) has a finite variance, the standard error
+    # is about 20 times smaller
+    bound, C1, v1, sample = tail_case
+    assert bound.mgf(v1) == C1
+    for s in (v1, 0.5 * v1):
+        e = np.exp(s * sample)
+        assert bound.mgf(s) == pytest.approx(e.mean(), abs=5.0 * e.std() / math.sqrt(len(e)))
+
+
+def test_mgf_abscissa(tail_case):
+    # M is finite up to the bisected abscissa and +inf just above it; v1 is
+    # half of it (the rate cap of regime i does not bind)
+    bound, C1, v1, sample = tail_case
+    s_max = bound.abscissa()
+    assert 0.0 < s_max < W_CAP and v1 == 0.5 * s_max
+    assert bound.mgf(0.0) == pytest.approx(1.0, rel=1e-12)
+    assert math.isfinite(bound.mgf(s_max - W_TOL)) and math.isfinite(bound.mgf(s_max))
+    assert bound.mgf(s_max + W_TOL) == math.inf
+    assert bound.mgf(2.0 * W_CAP) == math.inf
+
+
+def test_age_rate_too_small_to_split_phases():
+    # shifted_exponential(4.48, 4.96) waits: p1 = exp(-b sup zeta) = 2e-15,
+    # so M is finite only below about 1e-16 and no rate separates alpha
+    # from beta; the error names the age-coalescence rate
+    G = DistributionSpec.shifted_exponential(4.48, 4.96)
+    bound = age_bound(hazard_profile(G))
+    assert bound.p1 < 1e-14 and bound.abscissa() == 0.0
+    with pytest.raises(AssumptionError, match="age-coalescence rate"):
+        convergence_bounds(UNIF01, G, DIRAC1, 6.0)
+
+
+def test_abscissa_search_without_block_pole():
+    # uniform(0, 1000) waits with eps = 990: (eps - a/2) zeta(eps + a/2) = 99,
+    # so p1 rounds to 1 and phi_p1 has no pole, while exp(2 eps s) alone
+    # overflows a float from s = 0.36 on
+    bound = age_bound(hazard_profile(DistributionSpec.uniform(0.0, 1000.0)),
+                      (990.0, 1.0, 995.0))
+    assert bound.p1 == 1.0
+    assert bound.mgf(1.0) == math.inf and bound.mgf(W_CAP) == math.inf
+    # M(s) = e^{s(c - eps)} phi_p2(e^{s(eps + d)}) has its pole at
+    # -log(1 - p2) / (eps + d)
+    s_max = bound.abscissa()
+    assert s_max == pytest.approx(-math.log1p(-bound.p2) / 1990.0, abs=W_TOL)
+    C1, v1 = age_bound_tail(bound)
+    assert v1 == 0.5 * s_max and 1.0 <= C1 < math.inf
+    # p1 = p2 = 1 leaves T = b + Exp(zeta(b)), zeta(b) = 100 > W_CAP: M stays
+    # finite up to W_CAP and the search ends capped there
+    prof = hazard_profile(DistributionSpec.shifted_exponential(0.1, 100.0))
+    sure = AgeBound(prof, "ii", 0.2, 0.5, 1.0, 1.0, 1.0)
+    assert sure.abscissa() == W_CAP
+    C1, v1 = age_bound_tail(sure)
+    assert v1 == 0.5 * W_CAP
+    assert C1 == pytest.approx(math.exp(0.5 * v1) * 100.0 / (100.0 - v1), rel=1e-12)
+    # with b = 30, C1 = E[exp(32 T)] > e^960 is no float
+    with pytest.raises(AssumptionError, match="overflows"):
+        age_bound_tail(AgeBound(prof, "ii", 0.2, 30.0, 31.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +582,8 @@ def test_bounds_with_explicit_phases():
 # convergence_bounds(uniform(0, 1), G, dirac(1), 6.0).to_dict() at the
 # default numerics, one inter-intake law G per regime: a positive hazard
 # floor (no age bound), a finite blow-up age (case i), two bounded hazards
-# (case ii) and an unbounded hazard (case iii)
+# (case ii) and an unbounded hazard (case iii).  C1, v1, alpha, beta and
+# C1_w1 of the last four come from the closed-form age tail.
 _LOCK_KEYS = [
     "p", "w", "v_G", "rho", "q", "case", "p1", "p2", "eps_age", "b", "c", "C_renewal",
     "eta_C", "eta_v", "C1", "v1", "C2_prime", "v2_prime", "C2", "v2", "C3", "v3", "C4",
@@ -490,33 +598,33 @@ _LOCK_LAWS = [
     (DistributionSpec.uniform(0.5, 2.5), (
         1.0, 0.9999999995343387, math.inf, 0.7377771694556328, 0.2622228305443673, "i",
         0.24421625854427453, 0.08364867327169213, 0.6875, 0.9375, 2.0625, 1.0, 1.0, 1.0,
-        1.0, 0.005693768568109972, 1.0, 0.9499999995576217, 30.236725654834004,
+        2.0334731992027932, 0.004849044140428305, 1.0, 0.9499999995576217, 30.236725654834004,
         0.47499999977881086, 29.736467017361807, 1.8999999991152434, 1.0,
-        0.47499999977881086, 0.47499999977881086, 0.9852375925287558, 0.9970475185057511,
-        35.236725654834004, 30.236725654834004,
+        0.47499999977881086, 0.47499999977881086, 0.9874001398301809, 0.9974800279660362,
+        71.65293724676644, 30.236725654834004,
     )),
     (DistributionSpec.shifted_exponential(1.0, 2.0), (
         1.0, 0.9999999995343387, 2.0, 0.7547470392190384, 0.24525296078096157, "ii",
-        0.0301973834223185, 1.0, 0.875, 1.75, 3.375, 1.0, 1.0, 1.0, 2.8834976449264706,
-        0.013577227009108597, 1.0, 0.9499999995576217, 31.789483687504095,
+        0.0301973834223185, 1.0, 0.875, 1.75, 3.375, 1.0, 1.0, 1.0, 2.0146767411721824,
+        0.006808761972934008, 1.0, 0.9499999995576217, 31.789483687504095,
         0.47499999977881086, 5.43656365691809, 1.0, 1.0, 0.47499999977881086,
-        0.47499999977881086, 0.9595447647913614, 0.986972042903026, 106.08238957097886,
+        0.47499999977881086, 0.9792947728579905, 0.9933322149902715, 74.11891710494791,
         31.789483687504095,
     )),
     (DistributionSpec.gamma(2.0, 0.5), (
         1.0, 0.9999999995343387, 2.0, 0.5555555555555556, 0.4444444444444444, "ii",
         0.36787944117144233, 0.49999999999999994, 0.25, 0.5, 1.25, 1.0, 1.0, 1.0,
-        1.274332134621552, 0.1290615337972049, 1.0, 0.9499999995576217, 21.3,
+        2.0558965139944383, 0.06469830311834812, 1.0, 0.9499999995576217, 21.3,
         0.47499999977881086, 4.0, 1.0, 1.0, 0.47499999977881086, 0.47499999977881086,
-        0.7138930597793623, 0.9078638667376958, 32.240603005925266, 21.3,
+        0.8327051564435972, 0.9461253893802006, 52.01418180405929, 21.3,
     )),
     (DistributionSpec.weibull(2.0, 1.0), (
         1.0, 0.9999999995343387, math.inf, 0.5456413607650468, 0.45435863923495323, "iii",
         0.09350953781417137, 0.07207966850211824, 0.2215567313631895, 0.443113462726379,
-        1.1077836568159476, 1.0, 1.0, 1.0, 1.8739685173278093, 0.004764127079690087, 1.0,
+        1.1077836568159476, 1.0, 1.0, 1.0, 2.0093527824999367, 0.0024559912271797657, 1.0,
         0.9499999995576217, 21.03813298852108, 0.47499999977881086, 8.560198776324878,
         1.8999999991152434, 1.0, 0.47499999977881086, 0.47499999977881086,
-        0.9876180580605572, 0.9975236116121116, 46.49425863351312, 21.03813298852108,
+        0.9935783690551282, 0.9987156738110257, 49.85322170125816, 21.03813298852108,
     )),
 ]
 
