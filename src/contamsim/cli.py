@@ -57,14 +57,30 @@ def _jsonable(x):
     return x
 
 
+_CSV_SLICE = 1024  # rows formatted at a time
+
+
+def _fmt_column(values) -> list[str]:
+    """The cells of one column: a float or integer array in one ``%``
+    operation (``%.12g``, or ``%d`` with booleans as 0 and 1, as
+    :func:`_fmt`), anything else value by value."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "fiub":
+        spec = "%.12g\n" if values.dtype.kind == "f" else "%d\n"
+        return ((spec * values.size) % tuple(values.tolist())).split("\n")[:-1]
+    return [_fmt(v) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+
+
 def _write_csv(path: Path, table: dict):
     """Write ``table``, a mapping of column name to values, as CSV."""
-    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
+    columns = list(table.values())
+    n = min(map(len, columns), default=0)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table)
-        writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+        for lo in range(0, n, _CSV_SLICE):
+            cells = [_fmt_column(col[lo:min(lo + _CSV_SLICE, n)]) for col in columns]
+            writer.writerows(zip(*cells))
 
 
 def _transpose(rows: list) -> dict:
@@ -206,7 +222,7 @@ def dump_paths(config_path, seed, replicas, out, quiet, replica):
     ``simulate`` is run again, recording its events."""
     cfg = load_config(config_path, seed, replicas, out)
     block, row = divmod(replica, runner.CHUNK)
-    log, final = runner.marginal_block(cfg, block, record=True)
+    log, final = runner.marginal_blocks(cfg, range(block, block + 1), record=True)
     times, intakes, thetas = log.of(row)
     path = Path(cfg.out_dir) / f"path_{replica}.csv"
     _write_csv(path, {"t": times, "intake": intakes, "theta_after": thetas})

@@ -207,6 +207,7 @@ class RunConfig:
             (cfg.parallelism >= 1, "experiment.parallelism must be >= 1"),
             (cfg.epsilon_tv is None or 0.0 < cfg.epsilon_tv < 1.0,
              "coupling.epsilon_tv must lie in (0, 1)"),
+            (cfg.p >= 1.0, "rates.p, the order of the renewal kernel, must be >= 1"),
         ):
             if not holds:
                 raise ConfigError(message)

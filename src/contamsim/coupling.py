@@ -28,6 +28,7 @@ from .pdmp import EventLog, ProcessState
 from . import rates
 
 __all__ = [
+    "BlockStreams",
     "CouplingReport",
     "CouplingPhaseParams",
     "simulate_coupled",
@@ -78,6 +79,62 @@ class CouplingPhaseParams:
             raise AssumptionError("closeness threshold must lie in (0, 1)")
 
 
+class BlockStreams:
+    """The random streams of several replica blocks that share one batch.
+
+    ``gens[b]`` is the generator of block b and ``block[i]`` the block of
+    column i; the columns of a block are contiguous and in block order.
+    A draw for the columns is split by block, and each block's share comes
+    from its own generator, in column order.  So when a batch draws only
+    through views :meth:`at` makes from ascending columns, every block
+    gets exactly the draws it would get in a batch of its own (a block
+    with no share draws nothing, as a draw of size 0 would).  One
+    generator is one stream: ``at`` returns the object itself and the
+    draws go straight to the generator.
+    """
+
+    def __init__(self, gens, block: np.ndarray | None = None):
+        self.gens = list(gens)
+        self.block = block if len(self.gens) > 1 else None
+
+    @classmethod
+    def of(cls, rng) -> "BlockStreams":
+        """``rng`` itself, or a plain generator as one stream."""
+        return rng if isinstance(rng, cls) else cls([rng])
+
+    def at(self, cols) -> "BlockStreams":
+        """The streams of the columns ``cols`` (ascending indices or a mask)."""
+        return self if self.block is None else BlockStreams(self.gens, self.block[cols])
+
+    def _draw(self, method: str, size, *params) -> np.ndarray:
+        if self.block is None:
+            return getattr(self.gens[0], method)(*params, size=size)
+        n = self.block.size
+        if size != n and size != (n,):
+            raise ValueError(f"a draw for {n} columns must have size {n}, not {size}")
+        edges = [0, *np.searchsorted(self.block, range(1, len(self.gens))).tolist(), n]
+        out = np.empty(n)
+        for gen, lo, hi in zip(self.gens, edges, edges[1:]):
+            if hi > lo:
+                out[lo:hi] = getattr(gen, method)(*params, size=hi - lo)
+        return out
+
+    def random(self, size=None):
+        return self._draw("random", size)
+
+    def exponential(self, scale=1.0, size=None):
+        return self._draw("exponential", size, scale)
+
+    def gamma(self, shape, scale=1.0, size=None):
+        return self._draw("gamma", size, shape, scale)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return self._draw("uniform", size, low, high)
+
+    def weibull(self, a, size=None):
+        return self._draw("weibull", size, a)
+
+
 # ---------------------------------------------------------------------------
 # Maximal jump coupling
 # ---------------------------------------------------------------------------
@@ -87,7 +144,7 @@ def tv_jump_coupling(
     x_minus: np.ndarray,
     x_tilde_minus: np.ndarray,
     F: DistributionSpec,
-    rng: np.random.Generator,
+    rng: np.random.Generator | BlockStreams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Couple the post-jump quantities of pairs with maximal merge probability.
 
@@ -97,10 +154,12 @@ def tv_jump_coupling(
     and (shifted) exponential intakes draw by composition, each component
     in closed form: the overlap, or else the two residuals.  The other
     laws draw by rejection against F.  Returns the post-jump quantities
-    and whether each pair merged.
+    and whether each pair merged.  With :class:`BlockStreams` each pair
+    draws from the stream of its block.
     """
     if not F.has_density:
         raise NoDensityError("the jump coupling needs an intake law with a density")
+    rng = BlockStreams.of(rng)
     x = np.asarray(x_minus, dtype=float)
     x_tilde = np.asarray(x_tilde_minus, dtype=float)
     if F.family in (Family.GAMMA, Family.WEIBULL):
@@ -109,15 +168,16 @@ def tv_jump_coupling(
     merged = rng.random(delta.shape) < 1.0 - rates.eta(delta, F)
     apart = ~merged
     u = np.empty(delta.shape)
-    u[merged] = _overlap(F, delta[merged], rng)
-    u[apart] = _residual(F, delta[apart], rng)
+    u[merged] = _overlap(F, delta[merged], rng.at(merged))
+    rng_apart = rng.at(apart)
+    u[apart] = _residual(F, delta[apart], rng_apart)
     x_new = x + u
     x_tilde_new = x_new.copy()
-    x_tilde_new[apart] = x_tilde[apart] + _residual(F, -delta[apart], rng)
+    x_tilde_new[apart] = x_tilde[apart] + _residual(F, -delta[apart], rng_apart)
     return x_new, x_tilde_new, merged
 
 
-def _overlap(F: DistributionSpec, delta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _overlap(F: DistributionSpec, delta: np.ndarray, rng: BlockStreams) -> np.ndarray:
     """Intakes v of Y in merging pairs: density prop. to min(f(v), f(v - delta)),
     where delta is the gap x~ - x."""
     if F.family is Family.UNIFORM:
@@ -128,7 +188,7 @@ def _overlap(F: DistributionSpec, delta: np.ndarray, rng: np.random.Generator) -
     return shift + np.maximum(delta, 0.0) + rng.exponential(1.0 / rate, delta.size)
 
 
-def _residual(F: DistributionSpec, delta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _residual(F: DistributionSpec, delta: np.ndarray, rng: BlockStreams) -> np.ndarray:
     """Intakes v of Y in pairs that do not merge: density prop. to
     f(v) - min(f(v), f(v - delta)); Y~'s are the same law at -delta."""
     if F.family is Family.UNIFORM:
@@ -142,7 +202,7 @@ def _residual(F: DistributionSpec, delta: np.ndarray, rng: np.random.Generator) 
     return shift - np.log1p(-mass * rng.random(delta.size)) / rate
 
 
-def _rejection_coupling(x, x_tilde, F: DistributionSpec, rng) -> tuple:
+def _rejection_coupling(x, x_tilde, F: DistributionSpec, rng: BlockStreams) -> tuple:
     """The maximal coupling by rejection (Thorisson, "Coupling,
     Stationarity, and Regeneration", Springer 2000): Y's intake v ~ F
     lands Y~ on the same point with probability min(1, f(v - delta)/f(v));
@@ -158,8 +218,9 @@ def _rejection_coupling(x, x_tilde, F: DistributionSpec, rng) -> tuple:
     for _ in range(_MAX_REJECTIONS):
         if not todo.size:
             break
-        w = F.sample(rng, todo.size)
-        ok = rng.random(todo.size) * f(w) > f(w + delta[todo])
+        rng_todo = rng.at(todo)
+        w = F.sample(rng_todo, todo.size)
+        ok = rng_todo.random(todo.size) * f(w) > f(w + delta[todo])
         x_tilde_new[todo[ok]] = x_tilde[todo[ok]] + w[ok]
         todo = todo[~ok]
     if todo.size:
@@ -182,7 +243,7 @@ def simulate_coupled(
     G: DistributionSpec | HazardProfile,
     H: DistributionSpec,
     horizon: float | np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | BlockStreams,
     tv_from: float | np.ndarray = math.inf,
     stop_at_merge: bool = False,
     record: bool = False,
@@ -204,9 +265,13 @@ def simulate_coupled(
     The pairs move in lockstep: each step draws, one array per law, the
     next event of every pair still running.  Point-mass intake and rate
     laws draw nothing, so with them only the age pairs use the stream.
+    With :class:`BlockStreams` for ``rng`` each pair draws from the
+    stream of its block, and the pairs of a block get the draws they
+    would get in a call of their own.
     """
     init.validate()
     init_tilde.validate()
+    rng = BlockStreams.of(rng)  # the streams of the columns, compacted with them
     profile = G if isinstance(G, HazardProfile) else hazard_profile(G)
     start = (init.x, init.theta, init.age, init_tilde.x, init_tilde.theta, init_tilde.age)
     n = max(np.size(v) for v in (*start, horizon, tv_from))
@@ -232,7 +297,7 @@ def simulate_coupled(
     def retire(done, at_horizon=True):
         """Write the states of the columns ``done`` at their horizons (else
         at their last event), and end their runs."""
-        nonlocal S, ages_met, met, run
+        nonlocal S, ages_met, met, run, rng
         x, th, ag, xt, tht, agt, t, hor, _ = S[:, done]
         end = hor if at_horizon else t
         dt = end - t
@@ -241,6 +306,7 @@ def simulate_coupled(
         )
         keep = ~done
         S, ages_met, met, run = S[:, keep], ages_met[keep], met[keep], run[keep]
+        rng = rng.at(keep)
 
     if stop_at_merge:
         retire(ages_met.copy(), at_horizon=False)
@@ -276,25 +342,25 @@ def simulate_coupled(
         apart = np.flatnonzero(~ages_met)
         if apart.size:
             e, y = elder[apart] + s[apart], younger[apart] + s[apart]
-            common[apart] = rng.random(apart.size) * profile.zeta(e) < profile.zeta(y)
+            common[apart] = rng.at(apart).random(apart.size) * profile.zeta(e) < profile.zeta(y)
         # a lone jump is the elder's
         y_jumps = common | (ag > agt) if record else None
 
         c = np.flatnonzero(common)
-        theta_new = H.sample(rng, c.size)
+        theta_new = H.sample(rng.at(c), c.size)
         fused, unmet = c[met[c]], c[~met[c]]
         if fused.size:
-            x[fused] += F.sample(rng, fused.size)
+            x[fused] += F.sample(rng.at(fused), fused.size)
             xt[fused] = x[fused]
         if unmet.size:
             late = tev[unmet] >= tvf[unmet]
             shared, tv = unmet[~late], unmet[late]
-            u = F.sample(rng, shared.size)
+            u = F.sample(rng.at(shared), shared.size)
             x[shared] += u
             xt[shared] += u
             won = shared[x[shared] == xt[shared]]
             if tv.size:
-                x[tv], xt[tv], ok = tv_jump_coupling(x[tv], xt[tv], F, rng)
+                x[tv], xt[tv], ok = tv_jump_coupling(x[tv], xt[tv], F, rng.at(tv))
                 first = np.isinf(attempt[run[tv]])
                 attempt[run[tv[first]]] = tev[tv[first]]
                 attempt_ok[run[tv[first]]] = ok[first]
@@ -309,7 +375,8 @@ def simulate_coupled(
 
         lone = np.flatnonzero(~common)
         if lone.size:
-            u, theta_new = F.sample(rng, lone.size), H.sample(rng, lone.size)
+            rng_lone = rng.at(lone)
+            u, theta_new = F.sample(rng_lone, lone.size), H.sample(rng_lone, lone.size)
             y_elder = ag[lone] > agt[lone]
             a, b = lone[y_elder], lone[~y_elder]
             agt[a], ag[a] = younger[a] + s[a], 0.0
@@ -342,7 +409,7 @@ def run_three_phase(
     G: DistributionSpec | HazardProfile,
     H: DistributionSpec,
     horizon: float | np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator | BlockStreams,
 ) -> CouplingReport:
     """Run the three-phase coupling of a batch of pairs.
 

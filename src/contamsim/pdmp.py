@@ -79,7 +79,8 @@ def simulate_path(
     Returns the event log (with every event when ``record``) and the
     states at the horizon.  The waiting time to the first intake is the
     residual time of G from the initial age, so an initial age of 0 makes
-    the first inter-intake time a plain draw from G.
+    the first inter-intake time a plain draw from G.  ``rng`` may also be
+    the :class:`~contamsim.coupling.BlockStreams` of several blocks.
     """
     from .coupling import simulate_coupled  # here: coupling imports this module
 

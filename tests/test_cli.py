@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -15,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contamsim
-from contamsim.cli import main
+from contamsim.cli import _fmt, _write_csv, main
 from contamsim.config import RunConfig, load_config
 from contamsim.distributions import Family
 from contamsim.errors import ConfigError
@@ -217,6 +220,19 @@ def test_rates_rejects_unused_age_params(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_rates_rejects_kernel_order_below_one(tmp_path):
+    # p < 1 passed the loader and the renewal kernel rejected it: exit 1
+    # with an assumption error instead of 2 with the key that is wrong
+    cfg = _write_config(tmp_path, {
+        "rates": {"p": 0.5},
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    result = CliRunner().invoke(main, ["rates", "--config", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert "rates.p" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_negative_seed_and_replica(tmp_path):
     cfg = str(_write_config(tmp_path, {"outputs": {"directory": str(tmp_path / "out")}}))
     for args, message in (
@@ -304,8 +320,19 @@ def test_replica_override(tmp_path):
     assert len((out / "paths_summary.csv").read_text().splitlines()) == 1 + 7
 
 
-def test_byte_identical_reruns_and_parallelism(tmp_path):
-    # 1100 replicas make three chunks, so parallelism 2 really uses workers
+def test_byte_identical_reruns_and_parallelism(tmp_path, monkeypatch):
+    # 1100 replicas make three blocks, which parallelism 2 spreads over
+    # two payloads, so the workers really run
+    from contamsim import runner as replica_runner
+
+    payloads = []
+    real_run = replica_runner._run
+
+    def counting(cfg, worker, work):
+        payloads.append((cfg.parallelism, len(work)))
+        return real_run(cfg, worker, work)
+
+    monkeypatch.setattr(replica_runner, "_run", counting)
     runner = CliRunner()
     artifacts = {
         "simulate": ("paths_summary.csv",),
@@ -332,6 +359,7 @@ def test_byte_identical_reruns_and_parallelism(tmp_path):
             outputs[tag].update({name: (out / name).read_bytes() for name in names})
     assert outputs["a"] == outputs["b"]  # same seed, same bytes
     assert outputs["a"] == outputs["c"]  # worker count has no effect
+    assert [n for par, n in payloads if par == 2] == [2, 2, 2]
     # dump-paths replays replica 5 of simulate from the same stream
     result = runner.invoke(
         main, ["dump-paths", "--config", str(tmp_path / "cfg_a.yaml"), "--replica", "5"]
@@ -341,6 +369,43 @@ def test_byte_identical_reruns_and_parallelism(tmp_path):
     summary = outputs["a"]["paths_summary.csv"].decode().splitlines()
     assert summary[0].split(",")[-1] == "n_events"
     assert len(events) == int(summary[1 + 5].split(",")[-1])
+
+
+def _write_csv_by_value(path, table):
+    """The CSV writer as it was: every value through _fmt on its own."""
+    columns = [v.tolist() if isinstance(v, np.ndarray) else v for v in table.values()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+
+
+def test_csv_columns_in_bulk_write_the_bytes_of_value_by_value(tmp_path):
+    n = 2 * 4096 + 7  # eight full slices of 1024 rows and a part
+    rng = np.random.default_rng(0)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    floats[:6] = [math.inf, -math.inf, math.nan, -0.0, 1e-300, 0.1 + 0.2]
+    floats[4096:4099] = [5e-324, 1.7976931348623157e308, 0.0]
+    table = {
+        "f": floats,
+        "i": rng.integers(-2**62, 2**62, n),
+        "b": rng.random(n) < 0.5,
+        "small": rng.integers(0, 5, n, dtype=np.int8),
+        "listed": (floats[::-1] / 3.0).tolist(),
+        "text": [("a,b" if k % 3 else 'say "hi"') if k % 2 else "plain" for k in range(n)],
+    }
+    _write_csv(tmp_path / "bulk.csv", table)
+    _write_csv_by_value(tmp_path / "by_value.csv", table)
+    bulk, by_value = ((tmp_path / name).read_bytes() for name in ("bulk.csv", "by_value.csv"))
+    lines, expected = bulk.decode().splitlines(), by_value.decode().splitlines()
+    # the first differing row, not a diff of 8 000 rows
+    first = next((k for k, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]), None)
+    assert first is None, (first, lines[first], expected[first])
+    assert len(lines) == 1 + n and bulk == by_value
+    assert lines[1].startswith("inf,") and '"a,b"' in lines[2]
+    # an empty table is its header
+    _write_csv(tmp_path / "empty.csv", {"t": np.empty(0), "k": np.empty(0, dtype=np.int64)})
+    assert (tmp_path / "empty.csv").read_text() == "t,k\n"
 
 
 def test_block_contract(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from contamsim import coupling, rates
 from contamsim.coupling import (
+    BlockStreams,
     CouplingPhaseParams,
     run_three_phase,
     simulate_coupled,
@@ -510,3 +511,83 @@ def test_verify_runs_one_coupled_batch_per_block(tmp_path, monkeypatch):
     ])
     assert result.exit_code == 0, result.output
     assert calls == [9 * runner.CHUNK] * 3
+
+
+_DRAWS = [  # (method, parameters) of every draw the kernel makes
+    ("random", ()), ("exponential", (2.0,)), ("gamma", (0.7, 1.5)),
+    ("uniform", (1.0, 3.0)), ("weibull", (1.5,)),
+]
+
+
+def test_block_streams_draw_each_share_from_its_block():
+    # blocks of 4, 6 and 3 columns; the view skips block 1 entirely
+    block = np.repeat([0, 1, 2], [4, 6, 3])
+    cols = np.array([1, 2, 3, 10, 12])
+    streams = BlockStreams([np.random.default_rng(s) for s in (7, 8, 9)], block)
+    alone = [np.random.default_rng(s) for s in (7, 8, 9)]
+    mask = np.isin(np.arange(block.size), cols)
+    for method, params in _DRAWS:
+        # a mask selects the same columns as their indices
+        for view, size in ((streams.at(cols), cols.size), (streams.at(mask), (cols.size,))):
+            want = np.concatenate([getattr(alone[0], method)(*params, size=3),
+                                   getattr(alone[2], method)(*params, size=2)])
+            assert np.array_equal(getattr(view, method)(*params, size=size), want), method
+    # the block without a share drew nothing
+    assert streams.gens[1].bit_generator.state == np.random.default_rng(8).bit_generator.state
+    # and neither does a draw of size 0 from a generator, which is why a
+    # block's steps with nothing to draw at a site may be skipped or not
+    for method, params in _DRAWS:
+        rng = np.random.default_rng(5)
+        assert getattr(rng, method)(*params, size=0).size == 0
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state, method
+    with pytest.raises(ValueError, match="size 5"):
+        streams.at(cols).random(4)
+
+
+def test_one_stream_is_the_generator_itself():
+    rng = np.random.default_rng(3)
+    streams = BlockStreams.of(rng)
+    assert BlockStreams.of(streams) is streams
+    assert streams.at(np.array([0, 2])) is streams
+    want = np.random.default_rng(3).exponential(2.0, 4)
+    assert np.array_equal(streams.exponential(2.0, 4), want)
+    # one generator is one stream, whatever the labels
+    assert BlockStreams([rng], np.zeros(3, dtype=int)).block is None
+
+
+@pytest.mark.parametrize("F", [
+    DistributionSpec.gamma(2.0, 0.5),  # rejection coupling
+    DistributionSpec.uniform(0.0, 1.0),  # overlap and residuals of the box
+    DistributionSpec.shifted_exponential(0.1, 2.0),  # the same in closed form
+], ids=["gamma", "uniform", "shifted_exponential"])
+def test_a_group_of_blocks_draws_as_its_blocks_alone(F):
+    # Weibull waits, unequal ages (lone jumps), uniform rates and tv_from
+    # inside the horizon reach every draw site of the kernel; blocks of
+    # unequal size with mixed horizons end at different steps
+    prof = hazard_profile(DistributionSpec.weibull(2.0, 1.0))
+    H = DistributionSpec.uniform(0.5, 1.5)
+    tunings = {2.0: CouplingPhaseParams(0.2, 0.5, 0.3), 6.0: CouplingPhaseParams(0.1, 0.6, 0.2)}
+    horizons, seeds = [np.resize(list(tunings), n) for n in (30, 45, 20)], [11, 12, 13]
+
+    def run(rng, horizon):
+        n = horizon.size
+        return run_three_phase(ProcessState(np.full(n, 1.0), 1.0, 0.0),
+                               ProcessState(np.full(n, 3.0), 0.8, 0.7),
+                               tunings, F, prof, H, horizon, rng)
+
+    alone = [run(np.random.default_rng(s), h) for s, h in zip(seeds, horizons)]
+    block = np.repeat([0, 1, 2], [h.size for h in horizons])
+    group = run(BlockStreams([np.random.default_rng(s) for s in seeds], block),
+                np.concatenate(horizons))
+    assert np.isfinite(group.tau).any() and (group.log.counts > 0).all()
+
+    def arrays(rep):
+        return {"tau_A": rep.tau_A, "tau": rep.tau, "counts": rep.log.counts,
+                "attempt": rep.tv_attempt_time, "merged": rep.tv_first_attempt_merged,
+                "gap": rep.gap, **{f"y.{k}": v for k, v in vars(rep.y).items()},
+                **{f"y~.{k}": v for k, v in vars(rep.y_tilde).items()}, **rep.phase_outcomes}
+
+    whole = arrays(group)
+    parts = [arrays(rep) for rep in alone]
+    for name, col in whole.items():
+        assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
