@@ -432,16 +432,6 @@ class AgeBound:
         bracket = _bracket_edge(lambda s: self._log_mgf(s) < math.inf)
         return W_CAP if bracket is None else bracket[0]
 
-    def rate_cap(self) -> Optional[float]:
-        """Analytic cap on the exponential rate of the coalescence-time
-        tail; only the finite blow-up regime has one."""
-        if self.case != "i":
-            return None
-        return 0.5 * min(
-            -math.log(1.0 - self.p2) / (2.0 * self.eps),
-            -math.log(1.0 - self.p1 * self.p2) / (self.profile.d - self.eps),
-        )
-
 
 def age_bound(
     profile: HazardProfile, params: Optional[tuple[float, float, float]] = None
@@ -490,8 +480,7 @@ def age_bound(
 def age_bound_tail(bound: AgeBound) -> tuple[float, float]:
     """(C1, v1) with P(T > t) <= C1 exp(-v1 t) for every t, T the bound
     variable: the Chernoff bound at half the abscissa of its moment
-    generating function M, v1 = s_max / 2 (clamped by the analytic rate
-    cap where one applies) and C1 = M(v1) >= 1.
+    generating function M, v1 = s_max / 2 and C1 = M(v1) >= 1.
     """
     s_max = bound.abscissa()
     if s_max == 0.0:
@@ -500,9 +489,6 @@ def age_bound_tail(bound: AgeBound) -> tuple[float, float]:
             f"p2 = {bound.p2:g}), so the phase fractions alpha and beta cannot be separated"
         )
     v1 = 0.5 * s_max
-    cap = bound.rate_cap()
-    if cap is not None:
-        v1 = min(v1, cap)
     C1 = bound.mgf(v1)
     if not math.isfinite(C1):
         raise AssumptionError(

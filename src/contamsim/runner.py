@@ -21,7 +21,6 @@ constants below).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
 import numpy as np
@@ -104,6 +103,10 @@ def _run(cfg: RunConfig, worker, payloads: list) -> list[dict]:
     returns into the whole-run table of the same position, as the blocks
     arrive."""
     if cfg.parallelism > 1 and len(payloads) > 1:
+        # imported here, as it brings in multiprocessing, which every
+        # command would pay for at start-up and at exit
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             return _gather(cfg, chain.from_iterable(pool.map(worker, payloads)))
     return _gather(cfg, chain.from_iterable(map(worker, payloads)))

@@ -157,25 +157,33 @@ def test_cli_runs_load_no_scipy(tmp_path):
         ["rates", "--config", str(gamma)],
     ]
     runs = [args + ["--out", str(tmp_path / f"run{i}"), "--quiet"] for i, args in enumerate(runs)]
+    # nor does any command at parallelism 1 import the process pool, and
+    # each freezes the heap its imports built, so that exit skips it
     code = (
-        "import json, sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import gc, json, sys\n"
+        "def loaded_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
+        "                  or m in ('multiprocessing', 'concurrent.futures.process'))\n"
         "import contamsim.cli\n"
-        "loaded = [scipy_modules()]\n"
+        "loaded, frozen = [loaded_modules()], []\n"
         "for args in json.loads(sys.argv[1]):\n"
         "    try:\n"
         "        contamsim.cli.main(args, standalone_mode=False)\n"
         "    except SystemExit as exc:\n"
         "        assert exc.code == 0, (args, exc.code)\n"
-        "    loaded.append(scipy_modules())\n"
-        "print(json.dumps(loaded))\n"
+        "    loaded.append(loaded_modules())\n"
+        "    frozen.append(gc.get_freeze_count())\n"
+        "print(json.dumps([loaded, frozen]))\n"
     )
     result = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
                             capture_output=True, text=True, timeout=300, check=True)
-    after_import, after_reference, after_weibull, after_gamma = json.loads(result.stdout)
+    loaded, frozen = json.loads(result.stdout)
+    after_import, after_reference, after_weibull, after_gamma = loaded
     assert after_import == after_reference == after_weibull == []
     assert "scipy.special" in after_gamma
+    assert "multiprocessing" not in after_gamma
+    assert "concurrent.futures.process" not in after_gamma
+    assert frozen[0] > 0
     assert (tmp_path / "run2" / "rate_report.json").exists()
 
 
