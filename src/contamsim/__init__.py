@@ -36,7 +36,6 @@ from .rates import (
 from .estimators import (
     survival_compare,
     tv_via_coupling,
-    w1_sorted,
     wilson_interval,
 )
 from .config import InitLaw, RunConfig, load_config

@@ -419,7 +419,8 @@ def run_three_phase(
     jumps use the maximal jump coupling.  The report's ``phase_outcomes``
     hold, per pair, the four tree outcomes, the gap at the second
     boundary and the L1 distance of the states at the horizon (the
-    columns of ``coupling_reports.csv``, in order); the indicator of
+    columns of ``coupling_reports.csv`` after ``replica_id``, ``tau_A``,
+    ``tau`` and ``n_events``, in order); the indicator of
     non-coalescence bounds the total variation there.
     """
     times, which = np.unique(horizon, return_inverse=True)

@@ -17,7 +17,6 @@ from .errors import ContamsimError
 __all__ = [
     "wilson_interval",
     "tv_via_coupling",
-    "w1_sorted",
     "survival_compare",
     "mean_with_ci",
 ]
@@ -57,15 +56,6 @@ def tv_via_coupling(taus: Sequence[float], t: float) -> tuple[float, float, floa
     n = len(taus)
     k = int((taus > t).sum())
     return (k / n, *wilson_interval(k, n))
-
-
-def w1_sorted(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:
-    """Exact empirical Wasserstein-1 distance of two equal-size 1-D samples."""
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) == 0:
-        raise ContamsimError("need two equal-size non-empty 1-D samples")
-    return float(np.abs(np.sort(a) - np.sort(b)).mean())
 
 
 def survival_compare(

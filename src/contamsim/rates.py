@@ -303,27 +303,26 @@ class HolderData:
         if self.M is None and self.C_tail is None:
             raise AssumptionError("M or the tail pair (C_tail, p_tail) is required")
 
+    def envelope(self) -> tuple[float, float]:
+        """Power-law envelope (C, v) of the overlap deficit eta: with
+        compact support C = K(M+1)/2 and v = h, else the constants the
+        tail quantile q controls."""
+        if self.M is not None:
+            return self.K * (self.M + 1.0) / 2.0, self.h
+        q = (self.C_tail / (self.p_tail - 1.0)) ** (1.0 / (self.p_tail - 1.0))
+        return self.K * (q + 1.0) / 2.0 + 1.0, self.h - self.h / (self.p_tail - 1.0)
+
 
 def eta_envelope(F: DistributionSpec, holder: Optional[HolderData] = None) -> tuple[float, float]:
     """Power-law envelope (C, v) with sup_{x <= eps} eta(x) <= C * eps**v
     for eps up to ETA_EPS_MAX.
 
-    Uses the smoothness data when supplied (compact support:
-    C = K(M+1)/2, v = h; polynomial tail: the quantile-controlled
-    constants), a closed form for the box and exponential families, and
-    otherwise a numeric fit inflated to dominate eta on the grid.
+    Uses :meth:`HolderData.envelope` when smoothness data are supplied,
+    a closed form for the box and exponential families, and otherwise a
+    numeric fit inflated to dominate eta on the grid.
     """
     if holder is not None:
-        if holder.M is not None:
-            return holder.K * (holder.M + 1.0) / 2.0, holder.h
-        C = (
-            holder.K
-            * ((holder.C_tail / (holder.p_tail - 1.0)) ** (1.0 / (holder.p_tail - 1.0)) + 1.0)
-            / 2.0
-            + 1.0
-        )
-        v = holder.h - holder.h / (holder.p_tail - 1.0)
-        return C, v
+        return holder.envelope()
     if F.family is Family.UNIFORM:
         lo, hi = F.params
         return 1.0 / (hi - lo), 1.0
@@ -688,9 +687,7 @@ def exp_case_bounds(
     if holder.M is None:
         raise AssumptionError("the intake density must have compact support here")
     rho = 1.0 - RenewalKernel(DistributionSpec.exponential(lam), H, 1.0).mass()
-    h = holder.h
-    K, M = holder.K, holder.M
-    km = K * (M + 1.0) / 2.0
+    km, h = holder.envelope()
     r1 = lam * rho * h / (1.0 + h + 2.0 * rho * h)
     r2 = lam * rho * h / (1.0 + h)
     C_m1 = x0_sum_mean * (1.0 + 1.0 / (1.0 - rho)) + 2.0 * EU / rho

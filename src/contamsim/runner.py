@@ -17,11 +17,15 @@ one horizon depend on the whole list of horizons.  ``simulate`` and
 ``dump-paths`` use stream 0, ``verify`` stream 1 with every grid time,
 ``couple`` stream 2 with the configured horizon (the ``*_STREAM``
 constants below).
+
+``coupled_rows(cfg, stream, report, horizons, columns=None)`` tunes each
+horizon from the bound report, its phase fractions and its closeness
+threshold (``coupling.epsilon_tv`` overrides the threshold when set), and
+returns one table per horizon, mapping each column name to one value per
+replica.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .config import RunConfig
 from .coupling import BlockStreams, CouplingPhaseParams, run_three_phase
 from .distributions import hazard_profile
 from .pdmp import EventLog, ProcessState, simulate_path
+from .rates import RateReport
 
 __all__ = ["coupled_rows", "marginal_rows", "marginal_blocks", "block_rng", "CHUNK",
            "MARGINAL_STREAM", "VERIFY_STREAM", "COUPLE_STREAM"]
@@ -53,31 +58,20 @@ def _streams(cfg: RunConfig, stream: int, blocks: range, width: int) -> BlockStr
     return BlockStreams(gens, np.repeat(np.arange(len(gens)), width))
 
 
-def _table(cfg: RunConfig, block: int, columns: dict, at: int) -> dict:
-    """The rows of one block that are replicas of the run, with their ids,
-    from the CHUNK batch columns that start at ``at``."""
-    start = block * CHUNK
-    keep = min(CHUNK, cfg.n_replicas - start)
-    return {"replica_id": np.arange(start, start + keep),
-            **{name: col[at:at + keep] for name, col in columns.items()}}
-
-
-def _coupled_chunk(args) -> list[list[dict]]:
-    cfg, stream, horizons, params, columns, blocks = args
+def _coupled_chunk(args) -> list[dict]:
+    cfg, stream, horizons, tunings, columns, blocks = args
     width = len(horizons) * CHUNK
     rng = _streams(cfg, stream, blocks, width)
     init = cfg.init.sample(rng, len(blocks) * width)
     init_tilde = cfg.init_tilde.sample(rng, len(blocks) * width)
     G = hazard_profile(cfg.inter_arrival)
     horizon = np.tile(np.repeat(horizons, CHUNK), len(blocks))
-    rep = run_three_phase(init, init_tilde, dict(zip(horizons, params)),
-                          cfg.intake, G, cfg.metabolic, horizon, rng)
+    rep = run_three_phase(init, init_tilde, tunings, cfg.intake, G, cfg.metabolic, horizon, rng)
     every = {"tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes}
-    results = []
-    for i, block in enumerate(blocks):
-        tables = [_table(cfg, block, every, i * width + g * CHUNK) for g in range(len(horizons))]
-        results.append([{name: table[name] for name in columns or table} for table in tables])
-    return results
+    # the batch's columns run (block, horizon, pair): one table per horizon
+    split = {name: every[name].reshape(len(blocks), len(horizons), CHUNK).swapaxes(0, 1)
+             for name in columns or every}
+    return [{name: col[g].ravel() for name, col in split.items()} for g in range(len(horizons))]
 
 
 def marginal_blocks(
@@ -91,37 +85,41 @@ def marginal_blocks(
     return simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng, record=record)
 
 
-def _marginal_chunk(args) -> list[list[dict]]:
+def _marginal_chunk(args) -> list[dict]:
     cfg, blocks = args
     log, final = marginal_blocks(cfg, blocks)
-    columns = {"x": final.x, "theta": final.theta, "age": final.age, "n_events": log.counts}
-    return [[_table(cfg, block, columns, i * CHUNK)] for i, block in enumerate(blocks)]
+    return [{"x": final.x, "theta": final.theta, "age": final.age, "n_events": log.counts}]
 
 
-def _run(cfg: RunConfig, worker, payloads: list) -> list[dict]:
-    """Run ``worker`` on every group of blocks and copy each table it
-    returns into the whole-run table of the same position, as the blocks
-    arrive."""
+def _run(cfg: RunConfig, worker, payloads: list, ids: bool) -> list[dict]:
+    """Run ``worker`` on every payload, each ending in its group of
+    blocks, and gather the tables it returns."""
     if cfg.parallelism > 1 and len(payloads) > 1:
         # imported here, as it brings in multiprocessing, which every
         # command would pay for at start-up and at exit
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            return _gather(cfg, chain.from_iterable(pool.map(worker, payloads)))
-    return _gather(cfg, chain.from_iterable(map(worker, payloads)))
+            return _gather(cfg, payloads, pool.map(worker, payloads), ids)
+    return _gather(cfg, payloads, map(worker, payloads), ids)
 
 
-def _gather(cfg: RunConfig, results) -> list[dict]:
+def _gather(cfg: RunConfig, payloads: list, results, ids: bool) -> list[dict]:
+    """Copy each group's tables, as the groups arrive, into the whole-run
+    tables, preallocated, at the group's offset, dropping the rows past
+    ``n_replicas``; ``ids`` puts a ``replica_id`` column first."""
+    n = cfg.n_replicas
     whole = None
-    for block, tables in enumerate(results):
+    for payload, tables in zip(payloads, results):
         if whole is None:
-            whole = [{name: np.empty(cfg.n_replicas, col.dtype) for name, col in t.items()}
+            first = {"replica_id": np.arange(n)} if ids else {}
+            whole = [{**first, **{name: np.empty(n, col.dtype) for name, col in t.items()}}
                      for t in tables]
-        start = block * CHUNK
+        blocks = payload[-1]
+        start, stop = blocks.start * CHUNK, min(blocks.stop * CHUNK, n)
         for into, table in zip(whole, tables):
             for name, col in table.items():
-                into[name][start:start + col.size] = col
+                into[name][start:stop] = col[:stop - start]
     return whole
 
 
@@ -137,20 +135,22 @@ def _groups(cfg: RunConfig, n_horizons: int) -> list[range]:
 def coupled_rows(
     cfg: RunConfig,
     stream: int,
+    report: RateReport,
     horizons: list[float],
-    params: list[CouplingPhaseParams],
     columns: tuple[str, ...] | None = None,
 ) -> list[dict]:
-    """Three-phase coupling ensembles, one per horizon with the tuning of
-    the same position, each block in one batch for all horizons: one
-    table per horizon, mapping each column name (all of them, or those in
-    ``columns``) to an array with one entry per replica."""
-    payloads = [(cfg, stream, horizons, params, columns, blocks)
+    """Three-phase coupling ensembles, one table per horizon, each block
+    in one batch for all horizons; ``columns`` selects the columns, and
+    every column comes, ``replica_id`` first, when it is None."""
+    tunings = {t: CouplingPhaseParams(report.alpha, report.beta, report.epsilon_tv(t)
+                                      if cfg.epsilon_tv is None else cfg.epsilon_tv)
+               for t in horizons}
+    payloads = [(cfg, stream, horizons, tunings, columns, blocks)
                 for blocks in _groups(cfg, len(horizons))]
-    return _run(cfg, _coupled_chunk, payloads)
+    return _run(cfg, _coupled_chunk, payloads, columns is None)
 
 
 def marginal_rows(cfg: RunConfig) -> dict:
     """Single-process ensemble at the configured horizon, as a table like
     those of :func:`coupled_rows`."""
-    return _run(cfg, _marginal_chunk, [(cfg, blocks) for blocks in _groups(cfg, 1)])[0]
+    return _run(cfg, _marginal_chunk, [(cfg, blocks) for blocks in _groups(cfg, 1)], True)[0]

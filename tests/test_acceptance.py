@@ -17,11 +17,7 @@ from click.testing import CliRunner
 from contamsim import estimators, rates, runner
 from contamsim.cli import main as cli_main
 from contamsim.config import load_config
-from contamsim.coupling import (
-    CouplingPhaseParams,
-    simulate_coupled,
-    tv_jump_coupling,
-)
+from contamsim.coupling import simulate_coupled, tv_jump_coupling
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.pdmp import ProcessState
 from oracles import eta_quad
@@ -237,9 +233,7 @@ def _reference_run() -> dict:
                                       holder=cfg.holder)
     tails = {}
     w1_est = {}
-    params = [CouplingPhaseParams(alpha=report.alpha, beta=report.beta,
-                                  epsilon_tv=report.epsilon_tv(t)) for t in cfg.grid]
-    tables = runner.coupled_rows(cfg, runner.VERIFY_STREAM, cfg.grid, params,
+    tables = runner.coupled_rows(cfg, runner.VERIFY_STREAM, report, cfg.grid,
                                  columns=("tau", "l1_final"))
     for t, table in zip(cfg.grid, tables):
         tails[t] = estimators.tv_via_coupling(table["tau"], t)

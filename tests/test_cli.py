@@ -22,6 +22,7 @@ from contamsim.cli import _fmt, _write_csv, main
 from contamsim.config import RunConfig, load_config
 from contamsim.distributions import Family
 from contamsim.errors import ConfigError
+from contamsim.rates import RateReport
 
 BASE_CONFIG = {
     "model": {
@@ -318,6 +319,25 @@ def test_verify_command_and_exit_code(tmp_path):
         == ["1", "1"]
 
 
+@pytest.mark.parametrize("curve", ["tv", "w1"])
+def test_verify_fails_on_a_violated_bound(tmp_path, monkeypatch, curve):
+    # a bound of 0 lies below every estimate that is not 0
+    monkeypatch.setattr(RateReport, curve, lambda self, t: 0.0)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path, {"outputs": {"directory": str(out)}})
+    result = CliRunner().invoke(main, ["verify", "--config", str(cfg)])
+    assert result.exit_code == 1, result.output
+    lines = [line for line in result.output.splitlines() if line.startswith("t=")]
+    assert len(lines) == 2
+    for line in lines:
+        tv_part, w1_part = line.split("; ")
+        assert tv_part.endswith("[VIOLATED]" if curve == "tv" else "[vacuous]"), line
+        assert w1_part.endswith("[VIOLATED]" if curve == "w1" else "[ok]"), line
+    assert "verify: bound violation detected" in result.output
+    rows = list(csv.DictReader((out / "curves_tv.csv").read_text().splitlines()))
+    assert [row["vacuous"] for row in rows] == (["0", "0"] if curve == "tv" else ["1", "1"])
+
+
 def test_replica_override(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, {"outputs": {"directory": str(out)}})
@@ -329,16 +349,18 @@ def test_replica_override(tmp_path):
 
 
 def test_byte_identical_reruns_and_parallelism(tmp_path, monkeypatch):
-    # 1100 replicas make three blocks, which parallelism 2 spreads over
-    # two payloads, so the workers really run
+    # 1100 replicas make three blocks, the last one partial: parallelism 1
+    # runs them in one batch (with both grid times for verify),
+    # parallelism 2 spreads them over two payloads, so the workers really
+    # run, and a batch as wide as one block runs each block on its own
     from contamsim import runner as replica_runner
 
     payloads = []
     real_run = replica_runner._run
 
-    def counting(cfg, worker, work):
-        payloads.append((cfg.parallelism, len(work)))
-        return real_run(cfg, worker, work)
+    def counting(cfg, worker, work, ids):
+        payloads.append((tag, len(work)))
+        return real_run(cfg, worker, work, ids)
 
     monkeypatch.setattr(replica_runner, "_run", counting)
     runner = CliRunner()
@@ -348,7 +370,10 @@ def test_byte_identical_reruns_and_parallelism(tmp_path, monkeypatch):
         "verify": ("curves_tv.csv", "curves_w1.csv"),
     }
     outputs = {}
-    for tag, par in (("a", 1), ("b", 1), ("c", 2)):
+    wide = replica_runner.GROUP_COLUMNS
+    for tag, par, group in (("a", 1, wide), ("b", 1, wide), ("c", 2, wide),
+                            ("d", 1, replica_runner.CHUNK)):
+        monkeypatch.setattr(replica_runner, "GROUP_COLUMNS", group)
         out = tmp_path / f"out_{tag}"
         cfg = _write_config(
             tmp_path,
@@ -367,7 +392,9 @@ def test_byte_identical_reruns_and_parallelism(tmp_path, monkeypatch):
             outputs[tag].update({name: (out / name).read_bytes() for name in names})
     assert outputs["a"] == outputs["b"]  # same seed, same bytes
     assert outputs["a"] == outputs["c"]  # worker count has no effect
-    assert [n for par, n in payloads if par == 2] == [2, 2, 2]
+    assert outputs["a"] == outputs["d"]  # nor has the grouping of blocks
+    for tag, counts in (("a", [1, 1, 1]), ("c", [2, 2, 2]), ("d", [3, 3, 3])):
+        assert [n for run, n in payloads if run == tag] == counts
     # dump-paths replays replica 5 of simulate from the same stream
     result = runner.invoke(
         main, ["dump-paths", "--config", str(tmp_path / "cfg_a.yaml"), "--replica", "5"]

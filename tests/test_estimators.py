@@ -1,6 +1,5 @@
 """Tests of the Monte Carlo distance estimators and interval machinery."""
 
-import itertools
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from contamsim.estimators import (
     mean_with_ci,
     survival_compare,
     tv_via_coupling,
-    w1_sorted,
     wilson_interval,
 )
 
@@ -62,39 +60,6 @@ def test_tv_via_coupling_monotone():
     assert np.all(values <= ci_high + 1e-12)
     with pytest.raises(ContamsimError):
         tv_via_coupling([], 1.0)
-
-
-def test_w1_examples():
-    assert w1_sorted([0.0, 1.0], [0.0, 1.0]) == 0.0
-    assert w1_sorted([0.0], [2.0]) == 2.0
-    # sorting matters: pairing is between order statistics
-    assert w1_sorted([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert w1_sorted([0.0, 0.0], [1.0, -1.0]) == 1.0
-    with pytest.raises(ContamsimError):
-        w1_sorted([1.0], [1.0, 2.0])
-
-
-def test_w1_shift_invariance():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=500)
-    b = rng.normal(size=500)
-    d = w1_sorted(a, b)
-    assert w1_sorted(a + 5.0, b + 5.0) == pytest.approx(d, abs=1e-12)
-    assert w1_sorted(a, a + 0.7) == pytest.approx(0.7, abs=1e-12)
-
-
-def test_w1_brute_force_oracle():
-    # exhaustive check: the sorted pairing minimizes the mean |a_i - b_pi(i)|
-    vals = [0.0, 1.0, 2.0, 3.0]
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        a = rng.choice(vals, size=4)
-        b = rng.choice(vals, size=4)
-        best = min(
-            np.mean(np.abs(a - np.array(perm)))
-            for perm in itertools.permutations(b)
-        )
-        assert w1_sorted(a, b) == pytest.approx(best, abs=1e-12)
 
 
 def test_survival_compare_orders_exponentials():

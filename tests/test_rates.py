@@ -235,6 +235,9 @@ def test_eta_envelope_holder_data():
     hd = HolderData(K=1.0, h=1.0, M=1.0)
     C, v = eta_envelope(UNIF01, holder=hd)
     assert (C, v) == (1.0, 1.0)
+    # tail pair: C = K((C_tail/(p-1))^(1/(p-1)) + 1)/2 + 1, v = h - h/(p-1)
+    tail = HolderData(K=1.0, h=1.0, C_tail=2.0, p_tail=3.0)
+    assert eta_envelope(UNIF01, holder=tail) == tail.envelope() == (2.0, 0.5)
     with pytest.raises(AssumptionError, match="p_tail must be > 2"):
         HolderData(K=1.0, h=0.5, C_tail=1.0, p_tail=1.5)
     # data the envelope would not read is rejected, naming the missing key
@@ -664,6 +667,7 @@ def test_exp_case_exponent_comparison():
     assert meta["rate_method1"] == pytest.approx(1.0 / 6.0, abs=1e-9)
     assert meta["rate_method2"] == pytest.approx(1.0 / 4.0, abs=1e-9)
     assert meta["rate_method2"] > meta["rate_method1"]
+    assert meta["eta_envelope_constant"] == hd.envelope()[0] == 1.0
     # both curves are valid TV bounds and method 2 wins eventually
     for t in (0.0, 1.0, 5.0):
         assert 0.0 <= m1(t) <= 1.0
