@@ -296,17 +296,20 @@ def simulate_coupled(
 
     def retire(done, at_horizon=True):
         """Write the states of the columns ``done`` at their horizons (else
-        at their last event), and end their runs."""
+        at their last event), end their runs and return the indices of
+        the columns that go on."""
         nonlocal S, ages_met, met, run, rng
-        x, th, ag, xt, tht, agt, t, hor, _ = S[:, done]
+        gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
+        x, th, ag, xt, tht, agt, t, hor, _ = S.take(gone, axis=1)
         end = hor if at_horizon else t
         dt = end - t
-        final[:, run[done]] = (
+        final[:, run.take(gone)] = (
             x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, end
         )
-        keep = ~done
-        S, ages_met, met, run = S[:, keep], ages_met[keep], met[keep], run[keep]
+        S, ages_met = S.take(keep, axis=1), ages_met.take(keep)
+        met, run = met.take(keep), run.take(keep)
         rng = rng.at(keep)
+        return keep
 
     if stop_at_merge:
         retire(ages_met.copy(), at_horizon=False)
@@ -325,8 +328,8 @@ def simulate_coupled(
         out = tev > hor
         if out.any():
             events[run[out]] = step
-            retire(out)
-            s, tev, elder = s[~out], tev[~out], elder[~out]
+            keep = retire(out)
+            s, tev, elder = s.take(keep), tev.take(keep), elder.take(keep)
             if not run.size:
                 break
             x, th, ag, xt, tht, agt, t, hor, tvf = S

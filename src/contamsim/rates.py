@@ -11,7 +11,7 @@ total-variation / Wasserstein bound curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,6 +46,7 @@ W_CAP = 64.0  # the largest Laplace root and age-tail abscissa probed
 W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa bisect to
 W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
 RENEWAL_STEP = 1e-3  # grid step of the renewal solve
+PSI_MEMO_SIZE = 64  # node arrays whose log j one kernel keeps
 ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
 ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
 
@@ -71,6 +72,8 @@ class RenewalKernel:
     G: DistributionSpec
     H: DistributionSpec
     p: float = 1.0
+    # log j on the quadrature nodes psi has met, keyed by the node array
+    _log_j: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -98,16 +101,32 @@ class RenewalKernel:
         return self.p * self.H.support()[0] + self.G.laplace_domain_sup()
 
     def psi(self, u: float) -> float:
-        """Moment transform psi_J(u) = int exp(u*x) J(dx); +inf allowed."""
+        """Moment transform psi_J(u) = int exp(u*x) J(dx); +inf allowed.
+
+        The quadrature meets the same node arrays for every u until its
+        refinement parts ways, so log j(x), which does not depend on u,
+        is computed once per node array and kept (up to PSI_MEMO_SIZE
+        arrays, oldest dropped first)."""
         if self.H.family is Family.DIRAC:
             return self.G.laplace(u - self.p * self.H.params[0])
         if u >= self.domain_sup():
             return math.inf
         lo, hi = self.G.support()
         # exp(u*x) * j(x) as one exponential, so that neither factor overflows alone
-        with np.errstate(divide="ignore"):
-            val = integrate(lambda x, _: np.exp(u * x + np.log(self.density(x))), lo, hi)
+        val = integrate(lambda x, _: np.exp(u * x + self._log_density(x)), lo, hi)
         return float(val[0])
+
+    def _log_density(self, x: np.ndarray) -> np.ndarray:
+        """log j(x), from the memo when x has been met before."""
+        key = (x.shape, x.tobytes())
+        log_j = self._log_j.get(key)
+        if log_j is None:
+            with np.errstate(divide="ignore"):
+                log_j = np.log(self.density(x))
+            if len(self._log_j) >= PSI_MEMO_SIZE:
+                del self._log_j[next(iter(self._log_j))]
+            self._log_j[key] = log_j
+        return log_j
 
 
 def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
@@ -146,11 +165,27 @@ def find_w(kernel: RenewalKernel) -> float:
     return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
 
+def _fft_length(n: int) -> int:
+    """The least 5-smooth number 2^i 3^j 5^k >= n: a length numpy's real
+    FFT transforms fast.  Larger prime factors can cost 10x (rfft at
+    111 036 = 2^2 3 19 487 against 112 500 = 2^2 3^2 5^5)."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of ``a`` and ``b`` by real FFT, zero-padded
-    to a power of two."""
+    to a 5-smooth length."""
     n = len(a) + len(b) - 1
-    size = 1 << max(n - 1, 0).bit_length()
+    size = _fft_length(n)
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
@@ -176,15 +211,45 @@ class RenewalSolution:
 
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     """The first len(a) coefficients of the power series 1/a(x), a[0] != 0.
+
     Newton's iteration b <- b (2 - a b) doubles the number of correct
-    coefficients per step, each step two FFT convolutions."""
+    coefficients per step, from m to m2 <= 2m.  A step needs only the
+    coefficients [m, m2) of a b, its middle product (Hanrot, Quercia and
+    Zimmermann, "The middle product algorithm I", AAECC 14, 2004): a
+    cyclic convolution of length L >= m2 gives them exactly, because the
+    terms past L, of degree below m2 + m - 1, wrap around below m.  The
+    correction b e has degree below m2 - 1 < L, so the same transform of b
+    serves both products: five real FFTs of one 5-smooth length per step.
+    """
     b = np.array([1.0 / a[0]])
     while len(b) < len(a):
         m, m2 = len(b), min(2 * len(b), len(a))
+        size = _fft_length(m2)
+        fb = np.fft.rfft(b, size)
         # a b = 1 + x^m e(x) (mod x^m2), so b (2 - a b) = b - x^m b e
-        e = _convolve(a[:m2], b)[m:m2]
-        b = np.concatenate([b, -_convolve(b, e)[: m2 - m]])
+        e = np.fft.irfft(np.fft.rfft(a[:m2], size) * fb, size)[m:m2]
+        b = np.concatenate([b, -np.fft.irfft(fb * np.fft.rfft(e, size), size)[: m2 - m]])
     return b
+
+
+def _series_quotient(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The first n = len(a) coefficients of the power series r(x)/a(x).
+
+    The last Newton step is taken on the quotient itself (Karp and
+    Markstein, "High-precision division and square root", ACM TOMS 23(4),
+    1997): with b = 1/a to h = ceil(n/2) terms and q = b r (mod x^h),
+    a q = r + x^h e (mod x^n), so r/a = q - x^h b e (mod x^n).  The three
+    products fit one cyclic length L >= n without a wrap-around that
+    reaches the coefficients read, the middle one as in
+    ``_series_reciprocal``, and share the transform of b.
+    """
+    n = len(a)
+    h = (n + 1) // 2
+    size = _fft_length(n)
+    fb = np.fft.rfft(_series_reciprocal(a[:h]), size)
+    q = np.fft.irfft(fb * np.fft.rfft(r[:h], size), size)[:h]
+    e = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(q, size), size)[h:n] - r[h:n]
+    return np.concatenate([q, -np.fft.irfft(fb * np.fft.rfft(e, size), size)[: n - h]])
 
 
 def solve_renewal(
@@ -198,11 +263,13 @@ def solve_renewal(
 
     The trapezoid-discretized convolution is a lower-triangular Toeplitz
     system a * Z' = r: a product of power series truncated to n terms.
-    Its solution is the power series 1/a times r.  1/a comes from Newton's
-    iteration b <- b (2 - a b) on FFT convolutions (Brent and Kung, "Fast
+    Its solution is the power series r/a.  1/a to half the terms comes
+    from Newton's iteration b <- b (2 - a b) (Brent and Kung, "Fast
     algorithms for manipulating formal power series", J. ACM 25(4), 1978),
-    and one more convolution applies it.  The cost is O(n log n) for n grid
-    points, with no LAPACK.
+    each step a middle product on real FFTs, and one Newton step on the
+    quotient itself gives r/a (see ``_series_quotient``).  Every transform
+    has a 5-smooth length.  The cost is O(n log n) for n grid points, with
+    no LAPACK.
 
     Requires the tilted kernel to stay defective (psi_J(w_shift) < 1)
     unless the caller vouches for direct Riemann integrability of the
@@ -227,7 +294,7 @@ def solve_renewal(
         a = -hj[: n - 1]
         a[0] = 1.0 - 0.5 * hj[0]
         rhs = zp[1:] + 0.5 * hj[1:] * Zp[0]
-        Zp[1:] = _convolve(_series_reciprocal(a), rhs)[: n - 1]
+        Zp[1:] = _series_quotient(rhs, a)
     Z = Zp * np.exp(-w_shift * grid)
     return RenewalSolution(grid=grid, Z_tilted=Zp, Z=Z, C=float(Zp.max()), w_shift=w_shift)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from contamsim import rates
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.errors import AssumptionError
 from contamsim.rates import (
@@ -56,6 +57,22 @@ def test_kernel_psi_monotone():
     vals = [k.psi(u) for u in us]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert k.psi(0.0) < 1.0
+
+
+@pytest.mark.parametrize("memo_size", [rates.PSI_MEMO_SIZE, 3])
+def test_kernel_psi_memo_keeps_bits(monkeypatch, memo_size):
+    # one kernel's memoised log j gives psi the bits of a fresh kernel's,
+    # also when a small memo drops node arrays; the memo stays bounded
+    # and does not enter the kernel's equality or hash
+    monkeypatch.setattr(rates, "PSI_MEMO_SIZE", memo_size)
+    G, H = DistributionSpec.weibull(2.0, 1.0), DistributionSpec.gamma(2.0, 0.1)
+    kernel = RenewalKernel(G, H, 1.0)
+    for u in np.linspace(-20.0, 5.0, 50).tolist():
+        assert kernel.psi(u) == RenewalKernel(G, H, 1.0).psi(u), u
+        assert len(kernel._log_j) <= memo_size
+    assert len(kernel._log_j) == min(memo_size, 7)  # 7 distinct node arrays
+    assert kernel == RenewalKernel(G, H, 1.0)
+    assert hash(kernel) == hash(RenewalKernel(G, H, 1.0))
 
 
 def test_kernel_psi_matches_quadpack():
@@ -166,9 +183,11 @@ def test_renewal_solver_matches_forward_substitution():
     ]
     step = 0.01
     for kernel, shift, dri in instances:
-        # the series 1/a has n - 1 terms: at 1025 and 4097 points the Newton
-        # doublings end on its length, at 1026 and 4098 a partial step follows
-        for n in (1, 2, 128, 129, 999, 1025, 1026, 4097, 4098):
+        # the quotient has n - 1 terms and 1/a half of them: at 1025 and 4097
+        # points the Newton doublings end on that half, at 1026 and 4098 a
+        # partial step follows; at 1500, 2431 and 3001 the partial step and
+        # the quotient's step transform at 5-smooth lengths with factors 3, 5
+        for n in (1, 2, 128, 129, 999, 1025, 1026, 1500, 2431, 3001, 4097, 4098):
             horizon = (n - 1) * step
             sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon,
                                 dri=dri)
@@ -177,6 +196,20 @@ def test_renewal_solver_matches_forward_substitution():
             assert np.max(np.abs(sol.Z_tilted - ref)) <= 1e-12 * np.max(np.abs(ref))
             if kernel is weibull:
                 assert sol.C == 1.0  # the tilted solution peaks at t = 0
+
+
+def test_fft_length_is_the_least_5_smooth_number():
+    smooth = sorted(2**i * 3**j * 5**k for i in range(15) for j in range(10) for k in range(7)
+                    if 2**i * 3**j * 5**k <= 2 * 10**4)
+    at = 0
+    for n in range(1, 10**4 + 1):
+        while smooth[at] < n:
+            at += 1
+        assert rates._fft_length(n) == smooth[at], n
+    # the solver test's last three lengths transform at lengths with factors
+    # 3 and 5: the quotient's step at n - 1, 1/a's partial step at n // 2
+    assert [rates._fft_length(n - 1) for n in (1500, 2431, 3001)] == [1500, 2430, 3000]
+    assert [rates._fft_length(n // 2) for n in (1500, 2431, 3001)] == [750, 1215, 1500]
 
 
 def test_exponential_case_decay_values():
@@ -635,13 +668,33 @@ _LOCK_LAWS = [
 
 @pytest.mark.parametrize("G, values", _LOCK_LAWS, ids=[G.family.value for G, _ in _LOCK_LAWS])
 def test_bounds_regression_lock(G, values):
-    report = convergence_bounds(UNIF01, G, DIRAC1, 6.0).to_dict()
+    _assert_locked(convergence_bounds(UNIF01, G, DIRAC1, 6.0).to_dict(), values)
+
+
+def _assert_locked(report, values):
     assert list(report) == _LOCK_KEYS
     for key, want in zip(_LOCK_KEYS, values):
         if isinstance(want, float):
             assert report[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
         else:
             assert report[key] == want, key
+
+
+def test_bounds_quadrature_psi_lock():
+    # gamma metabolic rates take psi through quadrature rather than the
+    # closed-form Laplace transform of the Dirac laws above; the values
+    # predate the log j memo of RenewalKernel.psi and the middle-product
+    # renewal solve
+    report = convergence_bounds(UNIF01, DistributionSpec.weibull(2.0, 1.0),
+                                DistributionSpec.gamma(2.0, 0.1), 6.0).to_dict()
+    _assert_locked(report, (
+        1.0, 0.18960548238828778, math.inf, 0.15172771173426258, 0.8482722882657374, "iii",
+        0.09350953781417137, 0.07207966850211824, 0.2215567313631895, 0.443113462726379,
+        1.1077836568159476, 1.0, 1.0, 1.0, 2.0093527824999367, 0.0024559912271797657, 1.0,
+        0.18012520826887338, 19.66395437950127, 0.09006260413443669, 2.7302344337037, 1.0,
+        1.0, 0.09006260413443669, 0.09006260413443669, 0.9711323020990359,
+        0.9976149075856139, 43.877047637572396, 19.66395437950127,
+    ))
 
 
 def test_bounds_nonconstant_hazard_instance():
