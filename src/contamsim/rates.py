@@ -151,13 +151,14 @@ def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float
     return lo, hi
 
 
-def find_w(kernel: RenewalKernel) -> float:
+def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
     """Laplace root w = sup{u : psi_J(u) < 1}, bisected to a width of W_TOL.
 
     Returns +inf when psi_J stays below 1 all the way up to W_CAP
     (the decay is then faster than any probed exponential rate).
+    ``mass`` is the kernel mass psi_J(0) when the caller has it already.
     """
-    if kernel.psi(0.0) >= 1.0:
+    if (kernel.mass() if mass is None else mass) >= 1.0:
         raise AssumptionError(
             "kernel mass must be below 1; the metabolic rate must be positive"
         )
@@ -165,27 +166,11 @@ def find_w(kernel: RenewalKernel) -> float:
     return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
 
-def _fft_length(n: int) -> int:
-    """The least 5-smooth number 2^i 3^j 5^k >= n: a length numpy's real
-    FFT transforms fast.  Larger prime factors can cost 10x (rfft at
-    111 036 = 2^2 3 19 487 against 112 500 = 2^2 3^2 5^5)."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power-of-two multiple of p35 that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of ``a`` and ``b`` by real FFT, zero-padded
-    to a 5-smooth length."""
+    to a power of two."""
     n = len(a) + len(b) - 1
-    size = _fft_length(n)
+    size = 1 << max(n - 1, 0).bit_length()
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
@@ -219,12 +204,12 @@ def _series_reciprocal(a: np.ndarray) -> np.ndarray:
     cyclic convolution of length L >= m2 gives them exactly, because the
     terms past L, of degree below m2 + m - 1, wrap around below m.  The
     correction b e has degree below m2 - 1 < L, so the same transform of b
-    serves both products: five real FFTs of one 5-smooth length per step.
+    serves both products: five real FFTs of one power-of-two length per step.
     """
     b = np.array([1.0 / a[0]])
     while len(b) < len(a):
         m, m2 = len(b), min(2 * len(b), len(a))
-        size = _fft_length(m2)
+        size = 1 << (m2 - 1).bit_length()
         fb = np.fft.rfft(b, size)
         # a b = 1 + x^m e(x) (mod x^m2), so b (2 - a b) = b - x^m b e
         e = np.fft.irfft(np.fft.rfft(a[:m2], size) * fb, size)[m:m2]
@@ -245,7 +230,7 @@ def _series_quotient(r: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     n = len(a)
     h = (n + 1) // 2
-    size = _fft_length(n)
+    size = 1 << (n - 1).bit_length()
     fb = np.fft.rfft(_series_reciprocal(a[:h]), size)
     q = np.fft.irfft(fb * np.fft.rfft(r[:h], size), size)[:h]
     e = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(q, size), size)[h:n] - r[h:n]
@@ -268,7 +253,7 @@ def solve_renewal(
     algorithms for manipulating formal power series", J. ACM 25(4), 1978),
     each step a middle product on real FFTs, and one Newton step on the
     quotient itself gives r/a (see ``_series_quotient``).  Every transform
-    has a 5-smooth length.  The cost is O(n log n) for n grid points, with
+    has a power-of-two length.  The cost is O(n log n) for n grid points, with
     no LAPACK.
 
     Requires the tilted kernel to stay defective (psi_J(w_shift) < 1)
@@ -695,7 +680,7 @@ def convergence_bounds(
         v2p = w / p
         C2p = 1.0
     else:
-        w = find_w(kernel)
+        w = find_w(kernel, q)
         w_eff = w if math.isfinite(w) else W_CAP
         shift = w_eff * (1.0 - W_EPS_FRAC)
         sol = solve_renewal(

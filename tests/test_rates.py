@@ -119,6 +119,17 @@ def test_laplace_root_can_be_unbounded():
     assert math.isinf(find_w(k))
 
 
+def test_laplace_root_needs_a_defective_kernel():
+    # a zero metabolic rate leaves the kernel mass at 1; a caller's mass
+    # replaces find_w's own psi(0) and is checked the same way
+    with pytest.raises(AssumptionError, match="kernel mass must be below 1"):
+        find_w(RenewalKernel(EXP1, DistributionSpec.dirac(0.0), 1.0))
+    k = RenewalKernel(EXP1, DIRAC1, 1.0)
+    assert find_w(k, k.mass()) == find_w(k)
+    with pytest.raises(AssumptionError, match="kernel mass must be below 1"):
+        find_w(k, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Renewal solver
 # ---------------------------------------------------------------------------
@@ -185,8 +196,8 @@ def test_renewal_solver_matches_forward_substitution():
     for kernel, shift, dri in instances:
         # the quotient has n - 1 terms and 1/a half of them: at 1025 and 4097
         # points the Newton doublings end on that half, at 1026 and 4098 a
-        # partial step follows; at 1500, 2431 and 3001 the partial step and
-        # the quotient's step transform at 5-smooth lengths with factors 3, 5
+        # partial step follows; at 1500, 2431 and 3001 1/a ends on a partial
+        # step to 750, 1215 and 1500 terms, and 1499 is an odd quotient length
         for n in (1, 2, 128, 129, 999, 1025, 1026, 1500, 2431, 3001, 4097, 4098):
             horizon = (n - 1) * step
             sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon,
@@ -196,20 +207,6 @@ def test_renewal_solver_matches_forward_substitution():
             assert np.max(np.abs(sol.Z_tilted - ref)) <= 1e-12 * np.max(np.abs(ref))
             if kernel is weibull:
                 assert sol.C == 1.0  # the tilted solution peaks at t = 0
-
-
-def test_fft_length_is_the_least_5_smooth_number():
-    smooth = sorted(2**i * 3**j * 5**k for i in range(15) for j in range(10) for k in range(7)
-                    if 2**i * 3**j * 5**k <= 2 * 10**4)
-    at = 0
-    for n in range(1, 10**4 + 1):
-        while smooth[at] < n:
-            at += 1
-        assert rates._fft_length(n) == smooth[at], n
-    # the solver test's last three lengths transform at lengths with factors
-    # 3 and 5: the quotient's step at n - 1, 1/a's partial step at n // 2
-    assert [rates._fft_length(n - 1) for n in (1500, 2431, 3001)] == [1500, 2430, 3000]
-    assert [rates._fft_length(n // 2) for n in (1500, 2431, 3001)] == [750, 1215, 1500]
 
 
 def test_exponential_case_decay_values():
