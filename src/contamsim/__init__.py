@@ -14,7 +14,6 @@ from .errors import (
 )
 from .pdmp import EventLog, ProcessState, simulate_path
 from .coupling import (
-    CouplingPhaseParams,
     CouplingReport,
     run_three_phase,
     simulate_coupled,

@@ -79,12 +79,13 @@ class _Record:
 
 def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSpec:
     if isinstance(node, (int, float)):
-        return DistributionSpec(Family.DIRAC, (float(node),), role)
-    if not isinstance(node, dict) or "family" not in node or "params" not in node:
+        family, params = Family.DIRAC, (node,)
+    elif not isinstance(node, dict) or "family" not in node or "params" not in node:
         raise ConfigError(f"{where}: expected a number or {{family, params}} record")
-    rec = _Record(node, where)
-    family, params = rec.get("family"), rec.get("params")
-    rec.done()
+    else:
+        rec = _Record(node, where)
+        family, params = rec.get("family"), rec.get("params")
+        rec.done()
     try:
         return DistributionSpec(Family(family), tuple(params), role)
     except (ValueError, TypeError) as exc:
@@ -147,10 +148,13 @@ class RunConfig:
             rec = _Record(node, f"model.{key}")
             law = InitLaw(
                 x=_parse_spec(rec.get("x", 0.0), f"{rec.where}.x"),
-                theta=_parse_spec(rec.get("theta"), f"{rec.where}.theta"),
+                theta=_parse_spec(rec.get("theta"), f"{rec.where}.theta", Role.METABOLIC),
                 age=_parse_spec(rec.get("age", 0.0), f"{rec.where}.age"),
             )
             rec.done()
+            for name in ("x", "age"):
+                if getattr(law, name).support()[0] < 0.0:
+                    raise ConfigError(f"{rec.where}.{name}: the law needs support in [0, inf)")
             return law
 
         holder = None

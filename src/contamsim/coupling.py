@@ -17,7 +17,6 @@ closeness into exact coalescence.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ from . import rates
 __all__ = [
     "BlockStreams",
     "CouplingReport",
-    "CouplingPhaseParams",
     "simulate_coupled",
     "tv_jump_coupling",
     "run_three_phase",
@@ -58,25 +56,6 @@ class CouplingReport:
     def n_events(self) -> int:
         """The events of all runs together."""
         return self.log.n_events()
-
-
-@dataclass(frozen=True)
-class CouplingPhaseParams:
-    """Tuning of the three-phase coupling.
-
-    ``alpha`` and ``beta`` are the phase-boundary fractions of the
-    horizon, ``epsilon_tv`` the closeness threshold entering phase 3.
-    """
-
-    alpha: float
-    beta: float
-    epsilon_tv: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < self.beta < 1.0:
-            raise AssumptionError("phase fractions must satisfy 0 < alpha < beta < 1")
-        if not 0.0 < self.epsilon_tv < 1.0:
-            raise AssumptionError("closeness threshold must lie in (0, 1)")
 
 
 class BlockStreams:
@@ -407,33 +386,37 @@ def simulate_coupled(
 def run_three_phase(
     init: ProcessState,
     init_tilde: ProcessState,
-    params: Mapping[float, CouplingPhaseParams],
     F: DistributionSpec,
     G: DistributionSpec | HazardProfile,
     H: DistributionSpec,
     horizon: float | np.ndarray,
     rng: np.random.Generator | BlockStreams,
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
+    epsilon_tv: float | np.ndarray,
 ) -> CouplingReport:
     """Run the three-phase coupling of a batch of pairs.
 
-    ``horizon`` is one time for every pair or one per pair, and
-    ``params`` maps each horizon to its tuning.  Phase boundaries are
-    alpha*horizon and beta*horizon; from the second boundary on, common
-    jumps use the maximal jump coupling.  The report's ``phase_outcomes``
-    hold, per pair, the four tree outcomes, the gap at the second
-    boundary and the L1 distance of the states at the horizon (the
-    columns of ``coupling_reports.csv`` after ``replica_id``, ``tau_A``,
-    ``tau`` and ``n_events``, in order); the indicator of
+    ``horizon`` and the tuning, the phase-boundary fractions ``alpha`` and
+    ``beta`` and the closeness threshold ``epsilon_tv`` entering phase 3,
+    are each one value for every pair or one per pair.  Phase boundaries
+    are alpha*horizon and beta*horizon; from the second boundary on,
+    common jumps use the maximal jump coupling.  The report's
+    ``phase_outcomes`` hold, per pair, the four tree outcomes, the gap at
+    the second boundary and the L1 distance of the states at the horizon
+    (the columns of ``coupling_reports.csv`` after ``replica_id``,
+    ``tau_A``, ``tau`` and ``n_events``, in order); the indicator of
     non-coalescence bounds the total variation there.
     """
-    times, which = np.unique(horizon, return_inverse=True)
-    tunings = [params[t] for t in times.tolist()]
-    alpha, beta, eps = np.array([(p.alpha, p.beta, p.epsilon_tv) for p in tunings])[which].T
+    if not np.all((0.0 < alpha) & (alpha < beta) & (beta < 1.0)):
+        raise AssumptionError("phase fractions must satisfy 0 < alpha < beta < 1")
+    if not np.all((0.0 < epsilon_tv) & (epsilon_tv < 1.0)):
+        raise AssumptionError("closeness threshold must lie in (0, 1)")
     rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta * horizon)
     y, yt = rep.y, rep.y_tilde
     rep.phase_outcomes = {
         "age_merge_by_alpha": rep.tau_A <= alpha * horizon,
-        "close_at_beta": rep.gap < eps,
+        "close_at_beta": rep.gap < epsilon_tv,
         "jump_by_horizon": rep.tv_attempt_time <= horizon,
         "merged_at_first_attempt": rep.tv_first_attempt_merged,
         "gap_at_beta": rep.gap,

@@ -166,32 +166,14 @@ def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
     return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of ``a`` and ``b`` by real FFT, zero-padded
-    to a power of two."""
-    n = len(a) + len(b) - 1
-    size = 1 << max(n - 1, 0).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
-
-
 @dataclass
 class RenewalSolution:
-    grid: np.ndarray
-    Z_tilted: np.ndarray  # exp(w_shift*t) * Z(t)
-    Z: np.ndarray
-    C: float  # grid maximum of the tilted solution
-    w_shift: float
+    """The tilted solution exp(w_shift t) Z(t) of the renewal equation on
+    its grid, and its maximum there, the constant the bound reads."""
 
-    def residual(self, kernel: RenewalKernel) -> np.ndarray:
-        """Self-consistency defect |Z' - z' - J' * Z'| on the grid."""
-        h = self.grid[1] - self.grid[0]
-        tilt = np.exp(self.w_shift * self.grid)
-        j, z = kernel.on_grid(self.grid)
-        jp, zp = j * tilt, z * tilt
-        n = len(self.grid)
-        conv = _convolve(jp, self.Z_tilted)[:n] * h
-        conv -= 0.5 * h * (jp[0] * self.Z_tilted + jp * self.Z_tilted[0])
-        return np.abs(self.Z_tilted - zp - conv)
+    grid: np.ndarray
+    Z_tilted: np.ndarray
+    C: float
 
 
 def _series_reciprocal(a: np.ndarray) -> np.ndarray:
@@ -242,7 +224,6 @@ def solve_renewal(
     w_shift: float = 0.0,
     grid_step: float = 1e-3,
     horizon: float = 10.0,
-    dri: bool = False,
 ) -> RenewalSolution:
     """Solve the tilted renewal equation Z' = z' + J' * Z' on a grid.
 
@@ -256,15 +237,13 @@ def solve_renewal(
     has a power-of-two length.  The cost is O(n log n) for n grid points, with
     no LAPACK.
 
-    Requires the tilted kernel to stay defective (psi_J(w_shift) < 1)
-    unless the caller vouches for direct Riemann integrability of the
-    tilted forcing via ``dri=True``.
+    Requires the tilted kernel to stay defective (psi_J(w_shift) < 1).
+    Returns the grid, the tilted solution Z' on it and its maximum C.
     """
     psi_at_shift = kernel.psi(w_shift)
-    if psi_at_shift >= 1.0 and not dri:
+    if psi_at_shift >= 1.0:
         raise AssumptionError(
-            f"tilted kernel is not defective (psi_J({w_shift:g}) = {psi_at_shift:g}); "
-            "pass dri=True only if the tilted forcing is directly Riemann-integrable"
+            f"tilted kernel is not defective (psi_J({w_shift:g}) = {psi_at_shift:g})"
         )
     grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
     n = len(grid)
@@ -280,8 +259,7 @@ def solve_renewal(
         a[0] = 1.0 - 0.5 * hj[0]
         rhs = zp[1:] + 0.5 * hj[1:] * Zp[0]
         Zp[1:] = _series_quotient(rhs, a)
-    Z = Zp * np.exp(-w_shift * grid)
-    return RenewalSolution(grid=grid, Z_tilted=Zp, Z=Z, C=float(Zp.max()), w_shift=w_shift)
+    return RenewalSolution(grid=grid, Z_tilted=Zp, C=float(Zp.max()))
 
 
 # ---------------------------------------------------------------------------

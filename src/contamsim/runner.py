@@ -18,9 +18,10 @@ one horizon depend on the whole list of horizons.  ``simulate`` and
 ``couple`` stream 2 with the configured horizon (the ``*_STREAM``
 constants below).
 
-``coupled_rows(cfg, stream, report, horizons, columns=None)`` tunes each
-horizon from the bound report, its phase fractions and its closeness
-threshold (``coupling.epsilon_tv`` overrides the threshold when set), and
+``coupled_rows(cfg, stream, report, horizons, columns=None)`` tunes the
+pairs from the bound report: its phase fractions for every pair, and the
+closeness threshold of each pair's horizon (``coupling.epsilon_tv``
+overrides it when set), spread over the pairs as the horizons are.  It
 returns one table per horizon, mapping each column name to one value per
 replica.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .coupling import BlockStreams, CouplingPhaseParams, run_three_phase
+from .coupling import BlockStreams, run_three_phase
 from .distributions import hazard_profile
 from .pdmp import EventLog, ProcessState, simulate_path
 from .rates import RateReport
@@ -59,14 +60,15 @@ def _streams(cfg: RunConfig, stream: int, blocks: range, width: int) -> BlockStr
 
 
 def _coupled_chunk(args) -> list[dict]:
-    cfg, stream, horizons, tunings, columns, blocks = args
+    cfg, stream, horizons, alpha, beta, epsilon_tv, columns, blocks = args
     width = len(horizons) * CHUNK
     rng = _streams(cfg, stream, blocks, width)
     init = cfg.init.sample(rng, len(blocks) * width)
     init_tilde = cfg.init_tilde.sample(rng, len(blocks) * width)
     G = hazard_profile(cfg.inter_arrival)
-    horizon = np.tile(np.repeat(horizons, CHUNK), len(blocks))
-    rep = run_three_phase(init, init_tilde, tunings, cfg.intake, G, cfg.metabolic, horizon, rng)
+    horizon, eps = (np.tile(np.repeat(v, CHUNK), len(blocks)) for v in (horizons, epsilon_tv))
+    rep = run_three_phase(init, init_tilde, cfg.intake, G, cfg.metabolic, horizon, rng,
+                          alpha, beta, eps)
     every = {"tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes}
     # the batch's columns run (block, horizon, pair): one table per horizon
     split = {name: every[name].reshape(len(blocks), len(horizons), CHUNK).swapaxes(0, 1)
@@ -142,10 +144,8 @@ def coupled_rows(
     """Three-phase coupling ensembles, one table per horizon, each block
     in one batch for all horizons; ``columns`` selects the columns, and
     every column comes, ``replica_id`` first, when it is None."""
-    tunings = {t: CouplingPhaseParams(report.alpha, report.beta, report.epsilon_tv(t)
-                                      if cfg.epsilon_tv is None else cfg.epsilon_tv)
-               for t in horizons}
-    payloads = [(cfg, stream, horizons, tunings, columns, blocks)
+    eps = [report.epsilon_tv(t) if cfg.epsilon_tv is None else cfg.epsilon_tv for t in horizons]
+    payloads = [(cfg, stream, horizons, report.alpha, report.beta, eps, columns, blocks)
                 for blocks in _groups(cfg, len(horizons))]
     return _run(cfg, _coupled_chunk, payloads, columns is None)
 

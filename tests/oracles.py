@@ -1,9 +1,11 @@
-"""Reference computations the tests check the package against, by
-scipy's QUADPACK quadrature, independent of the package's own numerics:
-``eta_quad`` evaluates its densities with ``math`` alone."""
+"""Reference computations the tests check the package against,
+independent of the package's own numerics: scipy's QUADPACK quadrature,
+for which ``eta_quad`` evaluates its densities with ``math`` alone, and
+the point-by-point solve of the discretized renewal equation."""
 
 import math
 
+import numpy as np
 from scipy import integrate
 
 
@@ -61,3 +63,23 @@ def moment_quad(density, u: float, lo: float, hi: float) -> float:
 
     val, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500)
     return val
+
+
+def forward_substitution(kernel, w_shift: float, grid_step: float, horizon: float) -> np.ndarray:
+    """The O(n^2) point-by-point solve of the trapezoid-discretized
+    tilted renewal equation: the tilted solution on the grid of
+    ``solve_renewal``, from the kernel evaluated one point at a time."""
+    grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
+    n, h = len(grid), grid_step
+    tilt = np.exp(w_shift * grid)
+    jp = np.array([kernel.density(t) for t in grid]) * tilt
+    zp = np.array([kernel.discount(t) * kernel.G.survival(t) for t in grid]) * tilt
+    Zp = np.empty(n)
+    Zp[0] = zp[0]
+    denom = 1.0 - 0.5 * h * jp[0]
+    for i in range(1, n):
+        acc = 0.5 * h * jp[i] * Zp[0]
+        if i > 1:
+            acc += h * np.dot(jp[1:i], Zp[i - 1 : 0 : -1])
+        Zp[i] = (zp[i] + acc) / denom
+    return Zp

@@ -242,6 +242,29 @@ def test_rates_rejects_kernel_order_below_one(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("law, key, value", [
+    ("init", "theta", 0),
+    ("init", "theta", {"family": "uniform", "params": [-0.5, 1.0]}),
+    ("init", "x", -1),
+    ("init", "x", {"family": "uniform", "params": [-1.0, 1.0]}),
+    ("init_tilde", "age", -0.5),
+    ("init_tilde", "age", {"family": "uniform", "params": [-0.5, 0.5]}),
+])
+def test_cli_rejects_invalid_initial_law(tmp_path, law, key, value):
+    # theta = 0 passed the loader, so rates exited 0 and simulate 1 with
+    # "invalid process state"; x = -1 exited 1 without naming its key
+    init = {**BASE_CONFIG["model"][law], key: value}
+    cfg = str(_write_config(tmp_path, {
+        "model": {**BASE_CONFIG["model"], law: init},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }))
+    for command in ("rates", "simulate"):
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--quiet"])
+        assert result.exit_code == 2, result.output
+        assert f"model.{law}.{key}" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_negative_seed_and_replica(tmp_path):
     cfg = str(_write_config(tmp_path, {"outputs": {"directory": str(tmp_path / "out")}}))
     for args, message in (

@@ -9,7 +9,6 @@ import pytest
 from contamsim import coupling, rates
 from contamsim.coupling import (
     BlockStreams,
-    CouplingPhaseParams,
     run_three_phase,
     simulate_coupled,
     tv_jump_coupling,
@@ -32,11 +31,26 @@ def _ages(a0, a0_tilde, prof, horizon, rng, stop_at_merge=False, n=1):
     )
 
 
+def _arrays(rep):
+    """Every per-pair array of a coupling report, by name."""
+    return {"tau_A": rep.tau_A, "tau": rep.tau, "counts": rep.log.counts,
+            "attempt": rep.tv_attempt_time, "merged": rep.tv_first_attempt_merged,
+            "gap": rep.gap, **{f"y.{k}": v for k, v in vars(rep.y).items()},
+            **{f"y~.{k}": v for k, v in vars(rep.y_tilde).items()}, **rep.phase_outcomes}
+
+
 def test_phase_params_validation():
-    with pytest.raises(AssumptionError):
-        CouplingPhaseParams(alpha=0.5, beta=0.3, epsilon_tv=0.1)
-    with pytest.raises(AssumptionError):
-        CouplingPhaseParams(alpha=0.1, beta=0.5, epsilon_tv=1.5)
+    F, G = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.exponential(1.0)
+    pairs = ProcessState(np.full(3, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0)
+    for alpha, beta, eps, message in (
+        (0.5, 0.3, 0.1, "0 < alpha < beta < 1"),
+        (0.1, 0.5, 1.5, "closeness threshold"),
+        (np.array([0.1, 0.5, 0.1]), 0.3, 0.1, "0 < alpha < beta < 1"),  # one pair is bad
+        (0.1, 0.5, np.array([0.1, 0.1, 1.0]), "closeness threshold"),
+    ):
+        with pytest.raises(AssumptionError, match=message):
+            run_three_phase(*pairs, F, G, UNIT_RATE, 5.0, np.random.default_rng(0),
+                            alpha, beta, eps)
 
 
 def test_equal_ages_coalesce_immediately():
@@ -299,10 +313,9 @@ def test_three_phase_trivial_pair():
     F = DistributionSpec.uniform(0.0, 1.0)
     G = DistributionSpec.exponential(1.0)
     H = DistributionSpec.dirac(1.0)
-    params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.5)
     rep = run_three_phase(
         ProcessState(np.ones(10), 1.0, 0.0), ProcessState(1.0, 1.0, 0.0),
-        {5.0: params}, F, G, H, 5.0, np.random.default_rng(9),
+        F, G, H, 5.0, np.random.default_rng(9), 0.2, 0.6, 0.5,
     )
     assert np.all(rep.tau == 0.0)
     assert np.all(rep.phase_outcomes["age_merge_by_alpha"])
@@ -313,19 +326,25 @@ def test_three_phase_age_merge_probability():
     F = DistributionSpec.uniform(0.0, 1.0)
     G = DistributionSpec.exponential(1.0)
     H = DistributionSpec.dirac(1.0)
-    horizon = 10.0
-    params = CouplingPhaseParams(alpha=0.2, beta=0.6, epsilon_tv=0.5)
-    rng = np.random.default_rng(10)
+    horizon, alpha, beta, eps = 10.0, 0.2, 0.6, 0.5
     n = 20_000
-    rep = run_three_phase(
-        ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
-        {horizon: params}, F, G, H, horizon, rng,
-    )
+
+    def run(*tuning):
+        return run_three_phase(
+            ProcessState(np.full(n, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.5),
+            F, G, H, horizon, np.random.default_rng(10), *tuning,
+        )
+
+    rep = run(alpha, beta, eps)
+    # a tuning of one value per pair is the same run as its float
+    per_pair = _arrays(run(*(np.full(n, v) for v in (alpha, beta, eps))))
+    for name, col in _arrays(rep).items():
+        assert np.array_equal(per_pair[name], col), name
     hits = rep.phase_outcomes["age_merge_by_alpha"].sum()
     tau = rep.tau[np.isfinite(rep.tau)]
-    assert np.all(tau >= params.beta * horizon)  # merges only in phase 3
+    assert np.all(tau >= beta * horizon)  # merges only in phase 3
     assert np.all(tau <= horizon)
-    p_ref = 1.0 - math.exp(-params.alpha * horizon)
+    p_ref = 1.0 - math.exp(-alpha * horizon)
     se = math.sqrt(p_ref * (1 - p_ref) / n)
     assert hits / n == pytest.approx(p_ref, abs=4.5 * se)
 
@@ -445,24 +464,24 @@ def test_three_phase_takes_each_horizons_tuning():
     # equal ages and a unit point-mass rate: the gap at beta*h is exactly
     # 2 exp(-beta*h), so each group's closeness outcome is known
     F, G = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.exponential(1.0)
-    tunings = {  # horizon: (tuning, close at beta*h)
-        2.0: (CouplingPhaseParams(alpha=0.2, beta=0.5, epsilon_tv=0.9), True),  # gap 0.74
-        5.0: (CouplingPhaseParams(alpha=0.3, beta=0.6, epsilon_tv=0.05), False),  # gap 0.10
-        11.0: (CouplingPhaseParams(alpha=0.1, beta=0.7, epsilon_tv=0.01), True),  # gap 9e-4
+    tunings = {  # horizon: ((alpha, beta, epsilon_tv), close at beta*h)
+        2.0: ((0.2, 0.5, 0.9), True),  # gap 0.74
+        5.0: ((0.3, 0.6, 0.05), False),  # gap 0.10
+        11.0: ((0.1, 0.7, 0.01), True),  # gap 9e-4
     }
     m = 300
     horizon = np.repeat(list(tunings), m)
+    alpha, beta, eps = np.repeat([p for p, _ in tunings.values()], m, axis=0).T
     rep = run_three_phase(
         ProcessState(np.full(3 * m, 2.0), 1.0, 0.0), ProcessState(4.0, 1.0, 0.0),
-        {h: p for h, (p, _) in tunings.items()}, F, G, UNIT_RATE, horizon,
-        np.random.default_rng(24),
+        F, G, UNIT_RATE, horizon, np.random.default_rng(24), alpha, beta, eps,
     )
-    for g, (h, (params, close)) in enumerate(tunings.items()):
+    for g, (h, ((_, b, _), close)) in enumerate(tunings.items()):
         rows = slice(g * m, (g + 1) * m)
         gap = rep.phase_outcomes["gap_at_beta"][rows]
-        assert np.allclose(gap, 2.0 * math.exp(-params.beta * h), rtol=0.0, atol=1e-14)
+        assert np.allclose(gap, 2.0 * math.exp(-b * h), rtol=0.0, atol=1e-14)
         assert np.all(rep.phase_outcomes["close_at_beta"][rows] == close)
-        assert np.all(rep.tv_attempt_time[rows] >= params.beta * h)
+        assert np.all(rep.tv_attempt_time[rows] >= b * h)
 
 
 def test_coupled_draws_are_pinned():
@@ -472,12 +491,12 @@ def test_coupled_draws_are_pinned():
     # end pairs at different steps; distinct ages make lone jumps.
     prof = hazard_profile(DistributionSpec.weibull(2.0, 1.0))
     F, H = DistributionSpec.exponential(2.0), DistributionSpec.uniform(0.5, 1.5)
-    tunings = {2.0: CouplingPhaseParams(0.2, 0.5, 0.3), 5.0: CouplingPhaseParams(0.2, 0.6, 0.2),
-               11.0: CouplingPhaseParams(0.1, 0.7, 0.1)}
+    tunings = {2.0: (0.2, 0.5, 0.3), 5.0: (0.2, 0.6, 0.2), 11.0: (0.1, 0.7, 0.1)}
     m = 100
     rep = run_three_phase(
         ProcessState(np.full(3 * m, 1.0), 1.0, 0.0), ProcessState(3.0, 0.8, 0.7),
-        tunings, F, prof, H, np.repeat(list(tunings), m), np.random.default_rng(2024),
+        F, prof, H, np.repeat(list(tunings), m), np.random.default_rng(2024),
+        *np.repeat(list(tunings.values()), m, axis=0).T,
     )
     merged = np.isfinite(rep.tau)
     groups = [slice(g * m, (g + 1) * m) for g in range(3)]
@@ -566,28 +585,22 @@ def test_a_group_of_blocks_draws_as_its_blocks_alone(F):
     # unequal size with mixed horizons end at different steps
     prof = hazard_profile(DistributionSpec.weibull(2.0, 1.0))
     H = DistributionSpec.uniform(0.5, 1.5)
-    tunings = {2.0: CouplingPhaseParams(0.2, 0.5, 0.3), 6.0: CouplingPhaseParams(0.1, 0.6, 0.2)}
+    tunings = {2.0: (0.2, 0.5, 0.3), 6.0: (0.1, 0.6, 0.2)}
     horizons, seeds = [np.resize(list(tunings), n) for n in (30, 45, 20)], [11, 12, 13]
 
     def run(rng, horizon):
         n = horizon.size
         return run_three_phase(ProcessState(np.full(n, 1.0), 1.0, 0.0),
                                ProcessState(np.full(n, 3.0), 0.8, 0.7),
-                               tunings, F, prof, H, horizon, rng)
+                               F, prof, H, horizon, rng,
+                               *np.array([tunings[h] for h in horizon.tolist()]).T)
 
     alone = [run(np.random.default_rng(s), h) for s, h in zip(seeds, horizons)]
     block = np.repeat([0, 1, 2], [h.size for h in horizons])
     group = run(BlockStreams([np.random.default_rng(s) for s in seeds], block),
                 np.concatenate(horizons))
     assert np.isfinite(group.tau).any() and (group.log.counts > 0).all()
-
-    def arrays(rep):
-        return {"tau_A": rep.tau_A, "tau": rep.tau, "counts": rep.log.counts,
-                "attempt": rep.tv_attempt_time, "merged": rep.tv_first_attempt_merged,
-                "gap": rep.gap, **{f"y.{k}": v for k, v in vars(rep.y).items()},
-                **{f"y~.{k}": v for k, v in vars(rep.y_tilde).items()}, **rep.phase_outcomes}
-
-    whole = arrays(group)
-    parts = [arrays(rep) for rep in alone]
+    whole = _arrays(group)
+    parts = [_arrays(rep) for rep in alone]
     for name, col in whole.items():
         assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name

@@ -26,7 +26,7 @@ from contamsim.rates import (
     convergence_bounds,
     solve_renewal,
 )
-from oracles import eta_quad, moment_quad
+from oracles import eta_quad, forward_substitution, moment_quad
 
 EXP1 = DistributionSpec.exponential(1.0)
 DIRAC1 = DistributionSpec.dirac(1.0)
@@ -135,22 +135,12 @@ def test_laplace_root_needs_a_defective_kernel():
 # ---------------------------------------------------------------------------
 
 
-def test_renewal_solver_deterministic_rate_oracle():
-    # Theta = theta a.s. makes the solution exactly exp(-p*theta*t)
-    k = RenewalKernel(EXP1, DIRAC1, 1.0)
-    sol = solve_renewal(k, w_shift=0.0, grid_step=1e-3, horizon=10.0)
-    ref = np.exp(-sol.grid)
-    assert np.max(np.abs(sol.Z - ref)) <= 1e-3
-    res = sol.residual(k)
-    assert np.max(res) <= 1e-6
-
-
 def test_renewal_solver_tilted_oracle():
     # tilting by a sub-critical rate must reproduce the same solution
     k = RenewalKernel(EXP1, DIRAC1, 1.0)
     sol = solve_renewal(k, w_shift=0.5, grid_step=1e-3, horizon=10.0)
     ref = np.exp(-sol.grid)
-    assert np.max(np.abs(sol.Z - ref)) <= 2e-3
+    assert np.max(np.abs(sol.Z_tilted * np.exp(-0.5 * sol.grid) - ref)) <= 2e-3
     # the tilted solution exp(0.5 t) Z(t) stays bounded
     assert sol.C <= 1.0 + 1e-6
 
@@ -159,50 +149,26 @@ def test_renewal_solver_rejects_supercritical_tilt():
     k = RenewalKernel(EXP1, DIRAC1, 1.0)
     with pytest.raises(AssumptionError):
         solve_renewal(k, w_shift=1.5, horizon=2.0, grid_step=1e-2)
-    # the caller can vouch for integrability at the critical rate
-    sol = solve_renewal(k, w_shift=1.5, horizon=2.0, grid_step=1e-2, dri=True)
-    assert np.all(np.isfinite(sol.Z))
-
-
-def _forward_substitution(kernel, w_shift, grid_step, horizon):
-    """The O(n^2) point-by-point solve of the trapezoid-discretized
-    tilted renewal equation; the reference for solve_renewal."""
-    grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
-    n, h = len(grid), grid_step
-    tilt = np.exp(w_shift * grid)
-    jp = np.array([kernel.density(t) for t in grid]) * tilt
-    zp = np.array([kernel.discount(t) * kernel.G.survival(t) for t in grid]) * tilt
-    Zp = np.empty(n)
-    Zp[0] = zp[0]
-    denom = 1.0 - 0.5 * h * jp[0]
-    for i in range(1, n):
-        acc = 0.5 * h * jp[i] * Zp[0]
-        if i > 1:
-            acc += h * np.dot(jp[1:i], Zp[i - 1 : 0 : -1])
-        Zp[i] = (zp[i] + acc) / denom
-    return Zp
 
 
 def test_renewal_solver_matches_forward_substitution():
     weibull = RenewalKernel(DistributionSpec.weibull(2.0, 1.0),
                             DistributionSpec.gamma(2.0, 0.1), 1.0)
-    instances = [  # (kernel, w_shift, dri)
-        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.0, False),
-        (RenewalKernel(DistributionSpec.gamma(2.0, 0.5), DIRAC1, 1.0), 0.5, False),
-        (weibull, 0.95 * find_w(weibull), False),
-        (RenewalKernel(EXP1, DIRAC1, 1.0), 1.5, True),  # supercritical, vouched for
+    instances = [  # (kernel, w_shift)
+        (RenewalKernel(EXP1, DIRAC1, 1.0), 0.0),
+        (RenewalKernel(DistributionSpec.gamma(2.0, 0.5), DIRAC1, 1.0), 0.5),
+        (weibull, 0.95 * find_w(weibull)),
     ]
     step = 0.01
-    for kernel, shift, dri in instances:
+    for kernel, shift in instances:
         # the quotient has n - 1 terms and 1/a half of them: at 1025 and 4097
         # points the Newton doublings end on that half, at 1026 and 4098 a
         # partial step follows; at 1500, 2431 and 3001 1/a ends on a partial
         # step to 750, 1215 and 1500 terms, and 1499 is an odd quotient length
         for n in (1, 2, 128, 129, 999, 1025, 1026, 1500, 2431, 3001, 4097, 4098):
             horizon = (n - 1) * step
-            sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon,
-                                dri=dri)
-            ref = _forward_substitution(kernel, shift, step, horizon)
+            sol = solve_renewal(kernel, w_shift=shift, grid_step=step, horizon=horizon)
+            ref = forward_substitution(kernel, shift, step, horizon)
             assert len(sol.grid) == len(ref) == n
             assert np.max(np.abs(sol.Z_tilted - ref)) <= 1e-12 * np.max(np.abs(ref))
             if kernel is weibull:
