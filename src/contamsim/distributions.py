@@ -205,7 +205,7 @@ class DistributionSpec:
             lo, hi = params
             if not lo < hi:
                 raise DistributionError("uniform requires lo < hi")
-            if self.role in (Role.INTER_ARRIVAL, Role.METABOLIC) and lo < 0:
+            if self.role is not None and lo < 0:
                 raise DistributionError(f"{self.role.value} law needs support in [0, inf)")
         elif fam is Family.DIRAC:
             if params[0] < 0:

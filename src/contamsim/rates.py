@@ -43,9 +43,9 @@ __all__ = [
 
 # Numerics of the bound assembly
 W_CAP = 64.0  # the largest Laplace root and age-tail abscissa probed
-W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa bisect to
+W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa close to
 W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
-RENEWAL_STEP = 1e-3  # grid step of the renewal solve
+RENEWAL_TOL = 1e-6  # relative error target of the renewal constant C
 PSI_MEMO_SIZE = 64  # node arrays whose log j one kernel keeps
 ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
 ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
@@ -129,6 +129,17 @@ class RenewalKernel:
         return log_j
 
 
+def _doubling_probe(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
+    """The first hi of 1, 2, 4, ... with below(hi) false, and lo = hi/2 (0
+    when hi = 1); None when below holds up to W_CAP."""
+    hi = 1.0
+    while below(hi):
+        hi *= 2.0
+        if hi > W_CAP:
+            return None
+    return (hi / 2.0 if hi > 1.0 else 0.0), hi
+
+
 def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
     """A bracket (lo, hi) of width at most W_TOL around the edge of
     {s >= 0 : below(s)}, assumed an interval from 0, with below(lo) true
@@ -136,12 +147,10 @@ def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float
 
     The edge is probed at 1, 2, 4, ... and then bisected.
     """
-    hi = 1.0
-    while below(hi):
-        hi *= 2.0
-        if hi > W_CAP:
-            return None
-    lo = hi / 2.0 if hi > 1.0 else 0.0
+    bracket = _doubling_probe(below)
+    if bracket is None:
+        return None
+    lo, hi = bracket
     while hi - lo > W_TOL:
         mid = 0.5 * (lo + hi)
         if below(mid):
@@ -151,19 +160,86 @@ def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float
     return lo, hi
 
 
+def _weight(f_new: float, f_old: float) -> float:
+    """Anderson and Bjorck's factor on the value at the kept end of a
+    regula falsi bracket when the other end moves twice in a row:
+    1 - f_new / f_old, or Illinois' 1/2 when that is not positive."""
+    m = 1.0 - f_new / f_old if f_old else 0.0
+    return m if m > 0.0 else 0.5
+
+
 def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
-    """Laplace root w = sup{u : psi_J(u) < 1}, bisected to a width of W_TOL.
+    """Laplace root w = sup{u : psi_J(u) < 1}: the midpoint of the bracket
+    of width at most W_TOL that ``_bracket_edge`` bisects to, bit for bit.
+
+    The doubling probe gives a first bracket of a power-of-two width, so
+    bisecting it would end on a cell [j d, (j + 1) d] of one dyadic width
+    d <= W_TOL.  Regula falsi finds that cell in a third of the psi_J
+    calls or fewer.  It runs on log psi_J, which is convex and, near a pole of
+    psi_J, far flatter than psi_J - 1, and weights the kept end as
+    Anderson and Bjorck do (BIT 13, 1973), an Illinois-type method.
+    While psi_J is infinite at the upper end it tries the cell edges
+    around domain_sup, where psi_J turns infinite and the root may sit,
+    or else halves the bracket.  Each step stays d/2 inside the bracket.
+    It stops once the bracket lies in one cell, or spans two, which one
+    call at their shared edge settles.  psi_J is increasing, so the cell
+    is the one bisection ends on.
 
     Returns +inf when psi_J stays below 1 all the way up to W_CAP
     (the decay is then faster than any probed exponential rate).
     ``mass`` is the kernel mass psi_J(0) when the caller has it already.
     """
-    if (kernel.mass() if mass is None else mass) >= 1.0:
+    q = kernel.mass() if mass is None else mass
+    if q >= 1.0:
         raise AssumptionError(
             "kernel mass must be below 1; the metabolic rate must be positive"
         )
-    bracket = _bracket_edge(lambda u: kernel.psi(u) < 1.0)
-    return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
+
+    def log(x: float) -> float:
+        return math.log(x) if x > 0.0 else -math.inf
+
+    log_psi = {0.0: log(q)}  # at the points met
+
+    def below(u: float) -> bool:
+        psi = kernel.psi(u)
+        log_psi[u] = log(psi)
+        return psi < 1.0
+
+    bracket = _doubling_probe(below)
+    if bracket is None:
+        return math.inf
+    lo, hi = bracket
+    f_lo, f_hi = log_psi[lo], log_psi[hi]
+    sup = kernel.domain_sup()
+    cell = hi - lo
+    while cell > W_TOL:
+        cell *= 0.5
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
+    while True:
+        first, last = math.floor(lo / cell), math.ceil(hi / cell)
+        if last - first <= 2:
+            break
+        if math.isinf(f_hi) and lo < sup <= hi:
+            # psi_J is infinite from domain_sup on, and the root may lie
+            # right below it: try the cell edges on either side of it
+            edge = math.ceil(sup / cell) * cell
+            u = edge if edge < hi else edge - cell
+        elif math.isinf(f_lo) or math.isinf(f_hi):
+            u = 0.5 * (lo + hi)
+        else:
+            u = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            u = min(max(u, lo + 0.5 * cell), hi - 0.5 * cell)
+        if below(u):
+            if kept == 1:
+                f_hi *= _weight(log_psi[u], f_lo)
+            lo, f_lo, kept = u, log_psi[u], 1
+        else:
+            if kept == -1:
+                f_lo *= _weight(log_psi[u], f_hi)
+            hi, f_hi, kept = u, log_psi[u], -1
+    if last - first == 2 and below((first + 1) * cell):
+        first += 1
+    return (first + 0.5) * cell
 
 
 @dataclass
@@ -222,20 +298,22 @@ def _series_quotient(r: np.ndarray, a: np.ndarray) -> np.ndarray:
 def solve_renewal(
     kernel: RenewalKernel,
     w_shift: float = 0.0,
-    grid_step: float = 1e-3,
+    grid_step: Optional[float] = None,
     horizon: float = 10.0,
 ) -> RenewalSolution:
     """Solve the tilted renewal equation Z' = z' + J' * Z' on a grid.
 
-    The trapezoid-discretized convolution is a lower-triangular Toeplitz
-    system a * Z' = r: a product of power series truncated to n terms.
-    Its solution is the power series r/a.  1/a to half the terms comes
-    from Newton's iteration b <- b (2 - a b) (Brent and Kung, "Fast
-    algorithms for manipulating formal power series", J. ACM 25(4), 1978),
-    each step a middle product on real FFTs, and one Newton step on the
-    quotient itself gives r/a (see ``_series_quotient``).  Every transform
-    has a power-of-two length.  The cost is O(n log n) for n grid points, with
-    no LAPACK.
+    With ``grid_step`` the grid is 0, grid_step, 2 grid_step, ... up to
+    ``horizon`` and the trapezoid-discretized equation is solved once on
+    it (see ``_solve_on_grid``).  Without it the grid step is halved until
+    the maximum C is known to RENEWAL_TOL: the first grid has 2^k + 1
+    points, 2^k >= max(1024, 16 horizon / E[DeltaT]) so that a mean wait
+    spans 16 steps, and each halving nests the grid before it.  At the
+    shared points, e_i = |Z'_fine[2i] - Z'_coarse[i]| / 3 is Richardson's
+    estimate of the error of the trapezoid rule's O(h^2) fine solution,
+    and the fine solution is returned once max_i(Z'_fine[2i] + e_i) - C
+    <= RENEWAL_TOL * C, C = max Z'_fine.  A grid past 2^22 + 1 points is
+    rejected.
 
     Requires the tilted kernel to stay defective (psi_J(w_shift) < 1).
     Returns the grid, the tilted solution Z' on it and its maximum C.
@@ -245,12 +323,53 @@ def solve_renewal(
         raise AssumptionError(
             f"tilted kernel is not defective (psi_J({w_shift:g}) = {psi_at_shift:g})"
         )
-    grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
+    if grid_step is not None:
+        grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
+        Zp = _solve_on_grid(kernel, w_shift, grid, grid_step)
+        return RenewalSolution(grid=grid, Z_tilted=Zp, C=float(Zp.max()))
+    cells = 1 << max(1023, math.ceil(16.0 * horizon / kernel.G.mean()) - 1).bit_length()
+    coarse = None
+    while cells <= 1 << 22:
+        grid = np.linspace(0.0, horizon, cells + 1)
+        Zp = _solve_on_grid(kernel, w_shift, grid, horizon / cells)
+        C = float(Zp.max())
+        if coarse is not None:
+            shared = Zp[::2]
+            if np.max(shared + np.abs(shared - coarse) / 3.0) - C <= RENEWAL_TOL * C:
+                return RenewalSolution(grid=grid, Z_tilted=Zp, C=C)
+        coarse = Zp
+        cells *= 2
+    raise AssumptionError(
+        f"the renewal solve does not reach RENEWAL_TOL = {RENEWAL_TOL:g} on 2^22 + 1 grid "
+        f"points over [0, {horizon:g}]"
+    )
+
+
+def _solve_on_grid(
+    kernel: RenewalKernel, w_shift: float, grid: np.ndarray, step: float
+) -> np.ndarray:
+    """The tilted solution Z' on ``grid``, 0, step, 2 step, ...
+
+    The trapezoid-discretized convolution is a lower-triangular Toeplitz
+    system a * Z' = r: a product of power series truncated to n terms.
+    Its solution is the power series r/a.  1/a to half the terms comes
+    from Newton's iteration b <- b (2 - a b) (Brent and Kung, "Fast
+    algorithms for manipulating formal power series", J. ACM 25(4), 1978),
+    each step a middle product on real FFTs, and one Newton step on the
+    quotient itself gives r/a (see ``_series_quotient``).  Every transform
+    has a power-of-two length.  The cost is O(n log n) for n grid points, with
+    no LAPACK.  A kernel or forcing that is not finite on the grid (a
+    density infinite at 0) is rejected, and so is a solution that is not.
+    """
     n = len(grid)
     tilt = np.exp(w_shift * grid)
     j, z = kernel.on_grid(grid)
-    hj = grid_step * (j * tilt)  # the tilted kernel times the trapezoid step
+    hj = step * (j * tilt)  # the tilted kernel times the trapezoid step
     zp = z * tilt
+    if not (np.isfinite(hj).all() and np.isfinite(zp).all()):
+        raise AssumptionError(
+            "the renewal solve needs a kernel density and forcing finite on its grid"
+        )
     Zp = np.empty(n)
     Zp[0] = zp[0]
     if n > 1:
@@ -259,7 +378,9 @@ def solve_renewal(
         a[0] = 1.0 - 0.5 * hj[0]
         rhs = zp[1:] + 0.5 * hj[1:] * Zp[0]
         Zp[1:] = _series_quotient(rhs, a)
-    return RenewalSolution(grid=grid, Z_tilted=Zp, C=float(Zp.max()))
+    if not np.isfinite(Zp).all():
+        raise AssumptionError(f"the renewal solve is not finite on {n} grid points")
+    return Zp
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +782,7 @@ def convergence_bounds(
         w = find_w(kernel, q)
         w_eff = w if math.isfinite(w) else W_CAP
         shift = w_eff * (1.0 - W_EPS_FRAC)
-        sol = solve_renewal(
-            kernel, w_shift=shift, grid_step=RENEWAL_STEP, horizon=10.0 / max(shift, 1e-3)
-        )
+        sol = solve_renewal(kernel, w_shift=shift, horizon=10.0 / max(shift, 1e-3))
         v2p = shift / p
         C2p = sol.C
 

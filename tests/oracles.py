@@ -1,12 +1,15 @@
 """Reference computations the tests check the package against,
 independent of the package's own numerics: scipy's QUADPACK quadrature,
-for which ``eta_quad`` evaluates its densities with ``math`` alone, and
-the point-by-point solve of the discretized renewal equation."""
+for which ``eta_quad`` evaluates its densities with ``math`` alone, the
+point-by-point solve of the discretized renewal equation, and the
+Laplace root by plain bisection."""
 
 import math
 
 import numpy as np
 from scipy import integrate
+
+from contamsim.rates import _bracket_edge
 
 
 def _density(F):
@@ -83,3 +86,11 @@ def forward_substitution(kernel, w_shift: float, grid_step: float, horizon: floa
             acc += h * np.dot(jp[1:i], Zp[i - 1 : 0 : -1])
         Zp[i] = (zp[i] + acc) / denom
     return Zp
+
+
+def bisected_w(kernel) -> float:
+    """The Laplace root sup{u : psi_J(u) < 1} by bisection alone: the
+    midpoint of the bracket ``_bracket_edge`` closes to W_TOL, +inf when
+    psi_J stays below 1 up to W_CAP."""
+    bracket = _bracket_edge(lambda u: kernel.psi(u) < 1.0)
+    return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])

@@ -265,6 +265,20 @@ def test_cli_rejects_invalid_initial_law(tmp_path, law, key, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_an_intake_law_below_zero(tmp_path):
+    # uniform(-1, 0.5) intakes passed the loader, and simulate wrote X
+    # below 0 with exit 0
+    cfg = str(_write_config(tmp_path, {
+        "model": {**BASE_CONFIG["model"], "intake": {"family": "uniform", "params": [-1.0, 0.5]}},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }))
+    for command in ("rates", "simulate"):
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--quiet"])
+        assert result.exit_code == 2, result.output
+        assert "model.intake" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_negative_seed_and_replica(tmp_path):
     cfg = str(_write_config(tmp_path, {"outputs": {"directory": str(tmp_path / "out")}}))
     for args, message in (

@@ -43,6 +43,9 @@ def test_role_constraints():
     # metabolic rates must be positive
     with pytest.raises(DistributionError):
         DistributionSpec.uniform(-1.0, 1.0, role=Role.METABOLIC)
+    # and so must intake sizes
+    with pytest.raises(DistributionError, match="intake law needs support"):
+        DistributionSpec.uniform(-1.0, 0.5, role=Role.INTAKE)
     # hazard_profile applies the inter-arrival checks whatever the tag
     for spec in [
         DistributionSpec.dirac(1.0),

@@ -26,11 +26,27 @@ from contamsim.rates import (
     convergence_bounds,
     solve_renewal,
 )
-from oracles import eta_quad, forward_substitution, moment_quad
+from oracles import bisected_w, eta_quad, forward_substitution, moment_quad
 
 EXP1 = DistributionSpec.exponential(1.0)
 DIRAC1 = DistributionSpec.dirac(1.0)
 UNIF01 = DistributionSpec.uniform(0.0, 1.0)
+
+# (G, H) of renewal kernels with Weibull, uniform, gamma and shifted
+# exponential waits and gamma, uniform and Dirac rates
+KERNEL_LAWS = [
+    (DistributionSpec.weibull(2.0, 1.0), DistributionSpec.gamma(2.0, 0.1)),
+    (DistributionSpec.weibull(2.0, 0.02), DistributionSpec.gamma(2.0, 0.1)),  # near-critical tilt
+    (DistributionSpec.uniform(0.0, 10.0), DistributionSpec.gamma(0.2, 1.0)),
+    (DistributionSpec.uniform(0.5, 2.5), DIRAC1),
+    (DistributionSpec.uniform(1.0, 2.0), DistributionSpec.uniform(0.0, 0.5)),
+    (DistributionSpec.gamma(2.0, 0.5), DistributionSpec.uniform(0.5, 1.5)),
+    (DistributionSpec.gamma(3.0, 1.0), DistributionSpec.gamma(1.0, 1.0)),
+    (DistributionSpec.shifted_exponential(1.0, 2.0), DIRAC1),
+    (DistributionSpec.shifted_exponential(0.5, 1.0), DistributionSpec.gamma(2.0, 0.5)),
+    (DistributionSpec.weibull(1.5, 2.0), DistributionSpec.uniform(0.1, 0.3)),
+]
+KERNEL_IDS = [f"{G.family.value}-{H.family.value}-{i}" for i, (G, H) in enumerate(KERNEL_LAWS)]
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +135,20 @@ def test_laplace_root_can_be_unbounded():
     assert math.isinf(find_w(k))
 
 
+@pytest.mark.parametrize("G, H", KERNEL_LAWS, ids=KERNEL_IDS)
+def test_laplace_root_has_the_bits_of_bisection(monkeypatch, G, H):
+    # regula falsi ends on the cell bisection ends on, in at most 20 psi
+    # calls (bisection takes 32), the kernel mass included
+    kernel = RenewalKernel(G, H)
+    calls = []
+    psi = RenewalKernel.psi
+    monkeypatch.setattr(RenewalKernel, "psi", lambda self, u: calls.append(u) or psi(self, u))
+    w = find_w(kernel)
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    assert w == bisected_w(kernel)
+
+
 def test_laplace_root_needs_a_defective_kernel():
     # a zero metabolic rate leaves the kernel mass at 1; a caller's mass
     # replaces find_w's own psi(0) and is checked the same way
@@ -173,6 +203,32 @@ def test_renewal_solver_matches_forward_substitution():
             assert np.max(np.abs(sol.Z_tilted - ref)) <= 1e-12 * np.max(np.abs(ref))
             if kernel is weibull:
                 assert sol.C == 1.0  # the tilted solution peaks at t = 0
+
+
+@pytest.mark.parametrize("G, H", KERNEL_LAWS, ids=KERNEL_IDS)
+def test_renewal_default_grid_reaches_its_tolerance(G, H):
+    # the step-doubling grid, on the tilt and horizon the bound uses, gives
+    # C within RENEWAL_TOL of a fixed-step solve four times finer
+    kernel = RenewalKernel(G, H)
+    shift = (1.0 - rates.W_EPS_FRAC) * find_w(kernel)
+    horizon = 10.0 / shift
+    sol = solve_renewal(kernel, w_shift=shift, horizon=horizon)
+    cells = len(sol.grid) - 1
+    assert cells >= 2048 and cells & (cells - 1) == 0 and sol.grid[-1] == horizon
+    finer = solve_renewal(kernel, w_shift=shift, grid_step=horizon / cells / 4, horizon=horizon)
+    assert len(finer.grid) == 4 * cells + 1
+    assert sol.C == pytest.approx(finer.C, rel=rates.RENEWAL_TOL, abs=0.0)
+
+
+def test_renewal_solver_rejects_an_infinite_kernel_density():
+    # gamma(0.5) waits, which no inter-arrival role checks here, have an
+    # infinite density at 0: an AssumptionError, not a NaN C
+    kernel = RenewalKernel(DistributionSpec.gamma(0.5, 2.0), DistributionSpec.gamma(2.0, 0.1))
+    shift = 0.95 * find_w(kernel)
+    with pytest.raises(AssumptionError, match="renewal solve"):
+        solve_renewal(kernel, w_shift=shift, horizon=10.0 / shift)
+    with pytest.raises(AssumptionError, match="renewal solve"):
+        solve_renewal(kernel, w_shift=shift, grid_step=0.01, horizon=10.0)
 
 
 def test_exponential_case_decay_values():
