@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import math
 import sys
@@ -63,27 +64,53 @@ def _jsonable(x):
 _CSV_SLICE = 1024  # rows formatted at a time
 
 
-def _fmt_column(values) -> list[str]:
-    """The cells of one column: a float or integer array in one ``%``
-    operation (``%.12g``, or ``%d`` with booleans as 0 and 1, as
-    :func:`_fmt`), anything else value by value."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "fiub":
-        spec = "%.12g\n" if values.dtype.kind == "f" else "%d\n"
-        return ((spec * values.size) % tuple(values.tolist())).split("\n")[:-1]
-    return [_fmt(v) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+def _field(values) -> str:
+    """The ``%`` field of a column's cells, as :func:`_fmt` writes them:
+    ``%.12g`` for floats, ``%d`` for integers and booleans (0 and 1), and
+    ``%s`` for anything else, whose cells go in as quoted text."""
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        return "%.12g" if kind == "f" else "%d" if kind in "iub" else "%s"
+    if all(isinstance(v, float) for v in values):
+        return "%.12g"
+    return "%d" if all(isinstance(v, int) for v in values) else "%s"
+
+
+def _quoted(values, alone: bool) -> list[str]:
+    """Text cells as ``csv.writer`` writes them: beside other cells, or
+    in a row of their own when ``alone`` (an empty cell is then quoted)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for v in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((_fmt(v),) if alone else (_fmt(v), ""))
+        cells.append(buf.getvalue()[:-1 if alone else -2])
+    return cells
 
 
 def _write_csv(path: Path, table: dict):
-    """Write ``table``, a mapping of column name to values, as CSV."""
+    """Write ``table``, a mapping of column name to values, as CSV.
+
+    The rows are written a slice at a time, each slice in one ``%`` of a
+    row format string, one field per column (see :func:`_field`), with
+    the slice's cells interleaved row by row."""
     columns = list(table.values())
-    n = min(map(len, columns), default=0)
+    m, n = len(columns), min(map(len, columns), default=0)
+    fields = [_field(col) for col in columns]
+    row = ",".join(fields) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table)
+        csv.writer(fh, lineterminator="\n").writerow(table)
         for lo in range(0, n, _CSV_SLICE):
-            cells = [_fmt_column(col[lo:min(lo + _CSV_SLICE, n)]) for col in columns]
-            writer.writerows(zip(*cells))
+            hi = min(lo + _CSV_SLICE, n)
+            cells = [None] * ((hi - lo) * m)
+            for j, (col, field) in enumerate(zip(columns, fields)):
+                part = col[lo:hi]
+                part = part.tolist() if isinstance(part, np.ndarray) else part
+                cells[j::m] = _quoted(part, m == 1) if field == "%s" else part
+            fh.write((row * (hi - lo)) % tuple(cells))
 
 
 def _write_json(path: Path, payload: dict):
@@ -216,6 +243,10 @@ def dump_paths(config_path, seed, replicas, out, quiet, replica):
     """Write the full event log of one replica: the replica's block of
     ``simulate`` is run again, recording its events."""
     cfg = load_config(config_path, seed, replicas, out)
+    if replica >= cfg.n_replicas:
+        raise click.BadParameter(
+            f"{replica} is not below the replica count {cfg.n_replicas}",
+            param_hint="'--replica'")
     block, row = divmod(replica, runner.CHUNK)
     log, final = runner.marginal_blocks(cfg, range(block, block + 1), record=True)
     times, intakes, thetas = log.of(row)

@@ -82,7 +82,8 @@ class BlockStreams:
         return rng if isinstance(rng, cls) else cls([rng])
 
     def at(self, cols) -> "BlockStreams":
-        """The streams of the columns ``cols`` (ascending indices or a mask)."""
+        """The streams of the columns ``cols`` (ascending indices, a mask or
+        a basic slice)."""
         return self if self.block is None else BlockStreams(self.gens, self.block[cols])
 
     def _draw(self, method: str, size, *params) -> np.ndarray:
@@ -215,6 +216,13 @@ def _rejection_coupling(x, x_tilde, F: DistributionSpec, rng: BlockStreams) -> t
 # ---------------------------------------------------------------------------
 
 
+def _where(mask: np.ndarray) -> tuple[slice | np.ndarray, int]:
+    """The columns where ``mask`` holds, and how many: a basic slice, which
+    indexes by view, when they are every column, else their indices."""
+    k = int(np.count_nonzero(mask))
+    return (slice(None) if k == mask.size else np.flatnonzero(mask)), k
+
+
 def simulate_coupled(
     init: ProcessState,
     init_tilde: ProcessState,
@@ -242,8 +250,12 @@ def simulate_coupled(
     With ``record`` the log keeps every jump of Y.
 
     The pairs move in lockstep: each step draws, one array per law, the
-    next event of every pair still running.  Point-mass intake and rate
-    laws draw nothing, so with them only the age pairs use the stream.
+    next event of every pair still running.  A subset of a step that is
+    every running column (every jump common, every pair fused or every
+    pair sharing an intake) is indexed by a basic slice, a view, not by
+    an index array.  Point-mass
+    intake and rate laws draw nothing, so with them only the age pairs
+    use the stream.
     With :class:`BlockStreams` for ``rng`` each pair draws from the
     stream of its block, and the pairs of a block get the draws they
     would get in a call of their own.
@@ -328,26 +340,30 @@ def simulate_coupled(
         # a lone jump is the elder's
         y_jumps = common | (ag > agt) if record else None
 
-        c = np.flatnonzero(common)
-        theta_new = H.sample(rng.at(c), c.size)
-        fused, unmet = c[met[c]], c[~met[c]]
-        if fused.size:
-            x[fused] += F.sample(rng.at(fused), fused.size)
-            xt[fused] = x[fused]
-        if unmet.size:
-            late = tev[unmet] >= tvf[unmet]
-            shared, tv = unmet[~late], unmet[late]
-            u = F.sample(rng.at(shared), shared.size)
-            x[shared] += u
-            xt[shared] += u
-            won = shared[x[shared] == xt[shared]]
+        c, n_common = _where(common)
+        theta_new = H.sample(rng.at(c), n_common)
+        fused = common & met
+        f, n_fused = _where(fused)
+        if n_fused:
+            x[f] += F.sample(rng.at(f), n_fused)
+            xt[f] = x[f]
+        if n_fused < n_common:
+            unmet = common ^ fused
+            late = unmet & (tev >= tvf)
+            shared = unmet ^ late
+            sh, n_shared = _where(shared)
+            u = F.sample(rng.at(sh), n_shared)
+            x[sh] += u
+            xt[sh] += u
+            won = shared & (x == xt)
+            tv = np.flatnonzero(late)
             if tv.size:
                 x[tv], xt[tv], ok = tv_jump_coupling(x[tv], xt[tv], F, rng.at(tv))
                 first = np.isinf(attempt[run[tv]])
                 attempt[run[tv[first]]] = tev[tv[first]]
                 attempt_ok[run[tv[first]]] = ok[first]
-                won = np.concatenate([won, tv[ok]])
-            met[won] = True
+                won[tv[ok]] = True
+            met |= won
             tau[run[won]] = tev[won]
         th[c] = tht[c] = theta_new
         ag[c] = agt[c] = 0.0
@@ -355,8 +371,8 @@ def simulate_coupled(
         ages_met |= common
         tau_A[run[fresh]] = tev[fresh]
 
-        lone = np.flatnonzero(~common)
-        if lone.size:
+        if n_common < run.size:
+            lone = np.flatnonzero(~common)
             rng_lone = rng.at(lone)
             u, theta_new = F.sample(rng_lone, lone.size), H.sample(rng_lone, lone.size)
             y_elder = ag[lone] > agt[lone]

@@ -284,12 +284,16 @@ def test_cli_rejects_negative_seed_and_replica(tmp_path):
     for args, message in (
         (["simulate", "--config", cfg, "--replicas", "3", "--seed", "-1"], "experiment.seed"),
         (["dump-paths", "--config", cfg, "--replica", "-2"], "--replica"),
+        # 120 replicas in the config, ids 0 to 119
+        (["dump-paths", "--config", cfg, "--replica", "120"], "--replica"),
+        (["dump-paths", "--config", cfg, "--replicas", "100", "--replica", "5000"], "--replica"),
     ):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
         assert message in result.output
         assert "Traceback" not in result.output
         assert not isinstance(result.exception, ValueError)
+    assert not (tmp_path / "out").exists()
 
 
 def test_rates_command(tmp_path):
@@ -475,6 +479,23 @@ def test_csv_columns_in_bulk_write_the_bytes_of_value_by_value(tmp_path):
     assert first is None, (first, lines[first], expected[first])
     assert len(lines) == 1 + n and bulk == by_value
     assert lines[1].startswith("inf,") and '"a,b"' in lines[2]
+    # where quoting by hand could drift from csv.writer: empty text, line
+    # breaks, a lone empty cell (csv quotes it), plain lists of ints and
+    # bools, float32 and one-row tables
+    f32 = (rng.standard_normal(7) * 1e3).astype(np.float32)
+    for name, small in {
+        "text": {"s": ["", "a\nb", "c\rd", "e\r\nf", " g ", '"', ","], "k": list(range(7))},
+        "lone_empty": {"s": [""]},
+        "lone_text": {"s": ["", "x", "a\nb", "y,z"]},
+        "lists": {"i": [-3, 0, 2**70, 7], "b": [True, False, True, True], "mixed": [1, 2.5, True, "q"]},
+        "float32": {"f": f32, "g": f32.astype(np.float64)},
+        "one_row": {"f": np.array([0.1]), "i": np.array([7]), "s": [""]},
+    }.items():
+        _write_csv(tmp_path / f"{name}.csv", small)
+        _write_csv_by_value(tmp_path / f"{name}_by_value.csv", small)
+        got, want = ((tmp_path / f"{stem}.csv").read_bytes() for stem in (name, f"{name}_by_value"))
+        assert got == want, (name, got, want)
+    assert (tmp_path / "lone_empty.csv").read_text() == 's\n""\n'
     # an empty table is its header
     _write_csv(tmp_path / "empty.csv", {"t": np.empty(0), "k": np.empty(0, dtype=np.int64)})
     assert (tmp_path / "empty.csv").read_text() == "t,k\n"
@@ -499,11 +520,11 @@ def test_block_contract(tmp_path):
         assert len(lines) == 1 + 700 and len(texts[1100][name]) == 1 + 1100
         assert lines == texts[1100][name][: 1 + 700], name
     # dump-paths replays a row of the first block and one of the second
+    # of the same 1100-replica run
     summary = texts[1100]["paths_summary.csv"]
     for k in (5, 600):
-        result = runner.invoke(
-            main, ["dump-paths", "--config", str(tmp_path / "cfg_1100.yaml"), "--replica", str(k)]
-        )
+        result = runner.invoke(main, ["dump-paths", "--config", str(tmp_path / "cfg_1100.yaml"),
+                                      "--replicas", "1100", "--replica", str(k)])
         assert result.exit_code == 0, result.output
         events = (tmp_path / "out_1100" / f"path_{k}.csv").read_text().splitlines()
         assert events[0] == "t,intake,theta_after"

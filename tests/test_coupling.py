@@ -574,24 +574,38 @@ def test_one_stream_is_the_generator_itself():
     assert BlockStreams([rng], np.zeros(3, dtype=int)).block is None
 
 
-@pytest.mark.parametrize("F", [
-    DistributionSpec.gamma(2.0, 0.5),  # rejection coupling
-    DistributionSpec.uniform(0.0, 1.0),  # overlap and residuals of the box
-    DistributionSpec.shifted_exponential(0.1, 2.0),  # the same in closed form
-], ids=["gamma", "uniform", "shifted_exponential"])
-def test_a_group_of_blocks_draws_as_its_blocks_alone(F):
+_LAWS = {
+    "gamma": DistributionSpec.gamma(2.0, 0.5),  # rejection coupling
+    "uniform": DistributionSpec.uniform(0.0, 1.0),  # overlap and residuals of the box
+    "shifted_exponential": DistributionSpec.shifted_exponential(0.1, 2.0),  # closed form too
+}
+_STARTS = {
+    "": ((1.0, 1.0, 0.0), (3.0, 0.8, 0.7)),  # unequal ages: lone jumps
+    "-fused": ((2.0, 1.0, 0.0), (2.0, 1.0, 0.0)),  # equal states, as simulate: all fused
+    "-unmet": ((2.0, 1.0, 0.0), (4.0, 1.0, 0.0)),  # unequal x, as verify: fused and unmet
+}
+
+
+@pytest.mark.parametrize("F, start", [
+    pytest.param(F, start, id=law + variant)
+    for variant, start in _STARTS.items() for law, F in _LAWS.items()
+])
+def test_a_group_of_blocks_draws_as_its_blocks_alone(F, start):
     # Weibull waits, unequal ages (lone jumps), uniform rates and tv_from
     # inside the horizon reach every draw site of the kernel; blocks of
-    # unequal size with mixed horizons end at different steps
+    # unequal size with mixed horizons end at different steps.  From
+    # equal ages every jump is common, so the steps that draw for every
+    # running column draw through whole-slice views of the streams
     prof = hazard_profile(DistributionSpec.weibull(2.0, 1.0))
     H = DistributionSpec.uniform(0.5, 1.5)
     tunings = {2.0: (0.2, 0.5, 0.3), 6.0: (0.1, 0.6, 0.2)}
     horizons, seeds = [np.resize(list(tunings), n) for n in (30, 45, 20)], [11, 12, 13]
+    (x0, theta0, age0), (x1, theta1, age1) = start
 
     def run(rng, horizon):
         n = horizon.size
-        return run_three_phase(ProcessState(np.full(n, 1.0), 1.0, 0.0),
-                               ProcessState(np.full(n, 3.0), 0.8, 0.7),
+        return run_three_phase(ProcessState(np.full(n, x0), theta0, age0),
+                               ProcessState(np.full(n, x1), theta1, age1),
                                F, prof, H, horizon, rng,
                                *np.array([tunings[h] for h in horizon.tolist()]).T)
 
