@@ -30,7 +30,6 @@ from .rates import (
     exp_case_bounds,
     find_w,
     convergence_bounds,
-    solve_renewal,
 )
 from .estimators import (
     survival_compare,

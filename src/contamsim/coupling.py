@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +84,17 @@ class BlockStreams:
 
     def at(self, cols) -> "BlockStreams":
         """The streams of the columns ``cols`` (ascending indices, a mask or
-        a basic slice)."""
-        return self if self.block is None else BlockStreams(self.gens, self.block[cols])
+        a basic slice); every column, ``slice(None)``, is these streams."""
+        if self.block is None or (isinstance(cols, slice) and cols == slice(None)):
+            return self
+        return BlockStreams(self.gens, self.block[cols])
+
+    @cached_property
+    def _edges(self) -> list:
+        """The first column of each block, then the column count: found
+        once, on the first draw, for every draw of these columns."""
+        inner = np.searchsorted(self.block, range(1, len(self.gens))).tolist()
+        return [0, *inner, self.block.size]
 
     def _draw(self, method: str, size, *params) -> np.ndarray:
         if self.block is None:
@@ -92,7 +102,7 @@ class BlockStreams:
         n = self.block.size
         if size != n and size != (n,):
             raise ValueError(f"a draw for {n} columns must have size {n}, not {size}")
-        edges = [0, *np.searchsorted(self.block, range(1, len(self.gens))).tolist(), n]
+        edges = self._edges
         out = np.empty(n)
         for gen, lo, hi in zip(self.gens, edges, edges[1:]):
             if hi > lo:

@@ -1,11 +1,11 @@
 """Analytic and numeric convergence-rate machinery.
 
 Everything here is deterministic given its inputs: the discounted
-inter-arrival kernel and its Laplace root w, the defective renewal
-solver, the intake-overlap deficit eta and its power-law envelope, the
-age-coalescence probabilities (p1, p2) for the three hazard regimes and
-the closed-form tail of the coalescence time, and the assembled
-total-variation / Wasserstein bound curves.
+inter-arrival kernel and its Laplace root w, the intake-overlap deficit
+eta and its power-law envelope, the age-coalescence probabilities
+(p1, p2) for the three hazard regimes and the closed-form tail of the
+coalescence time, and the assembled total-variation / Wasserstein bound
+curves.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .errors import AssumptionError, NoDensityError
 
 __all__ = [
     "RenewalKernel",
-    "RenewalSolution",
     "HolderData",
     "RateReport",
     "AgeBound",
     "find_w",
-    "solve_renewal",
     "eta",
     "eta_envelope",
     "age_bound",
@@ -44,8 +42,7 @@ __all__ = [
 # Numerics of the bound assembly
 W_CAP = 64.0  # the largest Laplace root and age-tail abscissa probed
 W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa close to
-W_EPS_FRAC = 0.05  # back-off of the renewal tilt from the Laplace root
-RENEWAL_TOL = 1e-6  # relative error target of the renewal constant C
+W_EPS_FRAC = 0.05  # back-off of the phase-2 rate from the Laplace root
 PSI_MEMO_SIZE = 64  # node arrays whose log j one kernel keeps
 ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
 ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
@@ -63,10 +60,10 @@ W1_PROVENANCE = "age-tail plus contraction bound (Wasserstein-1)"
 class RenewalKernel:
     """Sub-probability kernel J(dx) = E[exp(-p*Theta*x)] G(dx).
 
-    ``density`` is the kernel density j; ``on_grid`` also gives the
-    forcing z(t) = E[exp(-p*Theta*t)] P(DeltaT > t).  The kernel mass J(R) is
+    ``density`` is the kernel density j.  The kernel mass J(R) is
     strictly below 1 whenever Theta has positive support, which makes
-    the renewal equation Z = z + J * Z defective.
+    the renewal equation Z = z + J * Z defective, with forcing
+    z(t) = E[exp(-p*Theta*t)] P(DeltaT > t).
     """
 
     G: DistributionSpec
@@ -86,11 +83,6 @@ class RenewalKernel:
     def density(self, x: float) -> float:
         return self.discount(x) * self.G.density(x)
 
-    def on_grid(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``density`` and ``forcing`` on ``grid``, sharing one discount."""
-        disc = self.discount(grid)
-        return disc * self.G.density(grid), disc * self.G.survival(grid)
-
     def mass(self) -> float:
         """The mean discount factor E[exp(-p*Theta*DeltaT)], Theta ~ H and
         DeltaT ~ G independent."""
@@ -101,7 +93,9 @@ class RenewalKernel:
         return self.p * self.H.support()[0] + self.G.laplace_domain_sup()
 
     def psi(self, u: float) -> float:
-        """Moment transform psi_J(u) = int exp(u*x) J(dx); +inf allowed.
+        """Moment transform psi_J(u) = int exp(u*x) J(dx); +inf at and past
+        domain_sup, but only for u > 0: at u <= 0, exp(u*x) j <= j keeps
+        psi_J(u) at most the mass, also where domain_sup is 0.
 
         The quadrature meets the same node arrays for every u until its
         refinement parts ways, so log j(x), which does not depend on u,
@@ -109,7 +103,7 @@ class RenewalKernel:
         arrays, oldest dropped first)."""
         if self.H.family is Family.DIRAC:
             return self.G.laplace(u - self.p * self.H.params[0])
-        if u >= self.domain_sup():
+        if u > 0.0 and u >= self.domain_sup():
             return math.inf
         lo, hi = self.G.support()
         # exp(u*x) * j(x) as one exponential, so that neither factor overflows alone
@@ -240,154 +234,6 @@ def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
     if last - first == 2 and below((first + 1) * cell):
         first += 1
     return (first + 0.5) * cell
-
-
-@dataclass
-class RenewalSolution:
-    """The tilted solution exp(w_shift t) Z(t) of the renewal equation on
-    its grid, and its maximum there, the constant the bound reads.
-
-    On the default grid of :func:`solve_renewal` only ``C`` is accurate
-    to ``RENEWAL_TOL``: the step doubling controls the error of the
-    maximum, not of ``Z_tilted`` past t = 0, which can be far off where
-    the tilt is near-critical (Weibull(2, 0.02) waits with gamma(2, 0.1)
-    rates: Z'(50) reads 0.502 on the accepted grid, 0.284 on the grid
-    before it)."""
-
-    grid: np.ndarray
-    Z_tilted: np.ndarray
-    C: float
-
-
-def _series_reciprocal(a: np.ndarray) -> np.ndarray:
-    """The first len(a) coefficients of the power series 1/a(x), a[0] != 0.
-
-    Newton's iteration b <- b (2 - a b) doubles the number of correct
-    coefficients per step, from m to m2 <= 2m.  A step needs only the
-    coefficients [m, m2) of a b, its middle product (Hanrot, Quercia and
-    Zimmermann, "The middle product algorithm I", AAECC 14, 2004): a
-    cyclic convolution of length L >= m2 gives them exactly, because the
-    terms past L, of degree below m2 + m - 1, wrap around below m.  The
-    correction b e has degree below m2 - 1 < L, so the same transform of b
-    serves both products: five real FFTs of one power-of-two length per step.
-    """
-    b = np.array([1.0 / a[0]])
-    while len(b) < len(a):
-        m, m2 = len(b), min(2 * len(b), len(a))
-        size = 1 << (m2 - 1).bit_length()
-        fb = np.fft.rfft(b, size)
-        # a b = 1 + x^m e(x) (mod x^m2), so b (2 - a b) = b - x^m b e
-        e = np.fft.irfft(np.fft.rfft(a[:m2], size) * fb, size)[m:m2]
-        b = np.concatenate([b, -np.fft.irfft(fb * np.fft.rfft(e, size), size)[: m2 - m]])
-    return b
-
-
-def _series_quotient(r: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The first n = len(a) coefficients of the power series r(x)/a(x).
-
-    The last Newton step is taken on the quotient itself (Karp and
-    Markstein, "High-precision division and square root", ACM TOMS 23(4),
-    1997): with b = 1/a to h = ceil(n/2) terms and q = b r (mod x^h),
-    a q = r + x^h e (mod x^n), so r/a = q - x^h b e (mod x^n).  The three
-    products fit one cyclic length L >= n without a wrap-around that
-    reaches the coefficients read, the middle one as in
-    ``_series_reciprocal``, and share the transform of b.
-    """
-    n = len(a)
-    h = (n + 1) // 2
-    size = 1 << (n - 1).bit_length()
-    fb = np.fft.rfft(_series_reciprocal(a[:h]), size)
-    q = np.fft.irfft(fb * np.fft.rfft(r[:h], size), size)[:h]
-    e = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(q, size), size)[h:n] - r[h:n]
-    return np.concatenate([q, -np.fft.irfft(fb * np.fft.rfft(e, size), size)[: n - h]])
-
-
-def solve_renewal(
-    kernel: RenewalKernel,
-    w_shift: float = 0.0,
-    grid_step: Optional[float] = None,
-    horizon: float = 10.0,
-) -> RenewalSolution:
-    """Solve the tilted renewal equation Z' = z' + J' * Z' on a grid.
-
-    With ``grid_step`` the grid is 0, grid_step, 2 grid_step, ... up to
-    ``horizon`` and the trapezoid-discretized equation is solved once on
-    it (see ``_solve_on_grid``).  Without it the grid step is halved until
-    the maximum C is known to RENEWAL_TOL: the first grid has 2^k + 1
-    points, 2^k >= max(1024, 16 horizon / E[DeltaT]) so that a mean wait
-    spans 16 steps, and each halving nests the grid before it.  At the
-    shared points, e_i = |Z'_fine[2i] - Z'_coarse[i]| / 3 is Richardson's
-    estimate of the error of the trapezoid rule's O(h^2) fine solution,
-    and the fine solution is returned once max_i(Z'_fine[2i] + e_i) - C
-    <= RENEWAL_TOL * C, C = max Z'_fine.  A grid past 2^22 + 1 points is
-    rejected.
-
-    Requires the tilted kernel to stay defective (psi_J(w_shift) < 1).
-    Returns the grid, the tilted solution Z' on it and its maximum C.
-    """
-    psi_at_shift = kernel.psi(w_shift)
-    if psi_at_shift >= 1.0:
-        raise AssumptionError(
-            f"tilted kernel is not defective (psi_J({w_shift:g}) = {psi_at_shift:g})"
-        )
-    if grid_step is not None:
-        grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
-        Zp = _solve_on_grid(kernel, w_shift, grid, grid_step)
-        return RenewalSolution(grid=grid, Z_tilted=Zp, C=float(Zp.max()))
-    cells = 1 << max(1023, math.ceil(16.0 * horizon / kernel.G.mean()) - 1).bit_length()
-    coarse = None
-    while cells <= 1 << 22:
-        grid = np.linspace(0.0, horizon, cells + 1)
-        Zp = _solve_on_grid(kernel, w_shift, grid, horizon / cells)
-        C = float(Zp.max())
-        if coarse is not None:
-            shared = Zp[::2]
-            if np.max(shared + np.abs(shared - coarse) / 3.0) - C <= RENEWAL_TOL * C:
-                return RenewalSolution(grid=grid, Z_tilted=Zp, C=C)
-        coarse = Zp
-        cells *= 2
-    raise AssumptionError(
-        f"the renewal solve does not reach RENEWAL_TOL = {RENEWAL_TOL:g} on 2^22 + 1 grid "
-        f"points over [0, {horizon:g}]"
-    )
-
-
-def _solve_on_grid(
-    kernel: RenewalKernel, w_shift: float, grid: np.ndarray, step: float
-) -> np.ndarray:
-    """The tilted solution Z' on ``grid``, 0, step, 2 step, ...
-
-    The trapezoid-discretized convolution is a lower-triangular Toeplitz
-    system a * Z' = r: a product of power series truncated to n terms.
-    Its solution is the power series r/a.  1/a to half the terms comes
-    from Newton's iteration b <- b (2 - a b) (Brent and Kung, "Fast
-    algorithms for manipulating formal power series", J. ACM 25(4), 1978),
-    each step a middle product on real FFTs, and one Newton step on the
-    quotient itself gives r/a (see ``_series_quotient``).  Every transform
-    has a power-of-two length.  The cost is O(n log n) for n grid points, with
-    no LAPACK.  A kernel or forcing that is not finite on the grid (a
-    density infinite at 0) is rejected, and so is a solution that is not.
-    """
-    n = len(grid)
-    tilt = np.exp(w_shift * grid)
-    j, z = kernel.on_grid(grid)
-    hj = step * (j * tilt)  # the tilted kernel times the trapezoid step
-    zp = z * tilt
-    if not (np.isfinite(hj).all() and np.isfinite(zp).all()):
-        raise AssumptionError(
-            "the renewal solve needs a kernel density and forcing finite on its grid"
-        )
-    Zp = np.empty(n)
-    Zp[0] = zp[0]
-    if n > 1:
-        # rows i >= 1: (1 - hj[0]/2) Zp[i] - sum_{0<m<i} hj[i-m] Zp[m] = zp[i] + hj[i] Zp[0]/2
-        a = -hj[: n - 1]
-        a[0] = 1.0 - 0.5 * hj[0]
-        rhs = zp[1:] + 0.5 * hj[1:] * Zp[0]
-        Zp[1:] = _series_quotient(rhs, a)
-    if not np.isfinite(Zp).all():
-        raise AssumptionError(f"the renewal solve is not finite on {n} grid points")
-    return Zp
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +597,29 @@ def convergence_bounds(
     Wasserstein curve C1 exp(-v1 alpha t) + C2 exp(-v2 (1-alpha) t),
     with every constant computed from the model laws.  ``age_params``
     (eps, b, c) tunes :func:`age_bound`, so it is rejected where none is built.
+
+    Phase 2 contracts at the tilt u = (1 - W_EPS_FRAC) w, below the
+    Laplace root w (W_CAP when w is infinite), so psi_J(u) < 1: for
+    w > 10 W_TOL the back-off exceeds the half-width of find_w's
+    bracket around the root.  Its constant C2' = sup_t e^{ut} Z(t), with
+    Z(t) = E[exp(-p int_0^t Theta_s ds)] started at a renewal, is exactly
+    1 whenever psi_J(u) < 1.  This is the inductive proof of Lundberg's
+    inequality (Asmussen and Albrecher, Ruin Probabilities, 2nd ed.,
+    2010, ch. IV):
+
+    * Z'(t) = e^{ut} Z(t) solves Z'(t) = phi(t) S_G(t)
+      + int_0^t phi(x) Z'(t - x) G(dx), with phi(s) = E[e^{(u - p Theta) s}]
+      and S_G(t) = P(DeltaT > t), so psi_J(u) = int phi dG.
+    * phi is a moment generating function: log-convex, with phi(0) = 1.
+      h(t) = E[phi(min(t, DeltaT))] = phi(t) S_G(t) + int_0^t phi dG has
+      h' = phi' S_G, so h first falls, then rises, and
+      h <= max(h(0), h(inf)) = max(1, psi_J(u)) = 1.
+    * Let M = sup of Z' on [0, T], finite, and M >= Z'(0) = 1.  Then
+      Z'(t) <= h(t) + (M - 1) int_0^t phi dG <= 1 + (M - 1) psi_J(u) on
+      [0, T], so (M - 1)(1 - psi_J(u)) <= 0 and M = 1 for every T.
+
+    So no renewal equation is solved here: bound assembly is find_w and
+    closed forms.
     """
     if (alpha is None) != (beta is None):
         missing, given = ("alpha", "beta") if alpha is None else ("beta", "alpha")
@@ -778,20 +647,17 @@ def convergence_bounds(
                    b=bound.b, c=bound.c)
         C1p, v1 = age_bound_tail(bound)
 
-    # phase 2: Wasserstein contraction rate
+    # phase 2: Wasserstein contraction rate, with the constant C2' = 1
     const_rate = profile.constant_rate
     if const_rate is not None:
-        # closed Poisson bound: exp(-lam*(1 - E[e^{-p Theta DT}])*t), no constant
+        # closed Poisson bound: exp(-lam*(1 - E[e^{-p Theta DT}])*t)
         w = const_rate * rho
         v2p = w / p
-        C2p = 1.0
     else:
         w = find_w(kernel, q)
         w_eff = w if math.isfinite(w) else W_CAP
-        shift = w_eff * (1.0 - W_EPS_FRAC)
-        sol = solve_renewal(kernel, w_shift=shift, horizon=10.0 / max(shift, 1e-3))
-        v2p = shift / p
-        C2p = sol.C
+        v2p = w_eff * (1.0 - W_EPS_FRAC) / p
+    C2p = 1.0
 
     v_G = G.laplace_domain_sup()
     if v3 is None:

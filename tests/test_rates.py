@@ -1,4 +1,4 @@
-"""Tests of the analytic rate machinery: kernel, renewal solver,
+"""Tests of the analytic rate machinery: kernel, renewal solver oracle,
 overlap deficit, age-coalescence parameters and assembled curves."""
 
 import math
@@ -24,9 +24,15 @@ from contamsim.rates import (
     exp_case_bounds,
     find_w,
     convergence_bounds,
+)
+from oracles import (
+    RENEWAL_TOL,
+    bisected_w,
+    eta_quad,
+    forward_substitution,
+    moment_quad,
     solve_renewal,
 )
-from oracles import bisected_w, eta_quad, forward_substitution, moment_quad
 
 EXP1 = DistributionSpec.exponential(1.0)
 DIRAC1 = DistributionSpec.dirac(1.0)
@@ -106,9 +112,24 @@ def test_kernel_psi_matches_quadpack():
                 val = k.psi(u)
                 assert not math.isnan(val)
                 assert val == pytest.approx(moment_quad(k.density, u, *G.support()), rel=1e-10)
-            # +inf at and above the end of the domain
+            # +inf above the end of the domain, and at it where it is positive
+            # (at u <= 0, exp(u x) j <= j keeps psi at most the mass)
             if math.isfinite(sup):
-                assert k.psi(sup) == math.inf and k.psi(sup + 0.5) == math.inf
+                assert k.psi(sup + 0.5) == math.inf
+                assert k.psi(sup) == (math.inf if sup > 0.0 else k.mass())
+
+
+def test_kernel_mass_is_finite_where_the_domain_ends_at_zero():
+    # Weibull(0.7) waits have no exponential moment and U(0, 2) rates come
+    # arbitrarily close to 0, so psi_J is infinite for every u > 0; at u = 0
+    # it is the kernel mass, below 1, and QUADPACK's to 1e-8
+    k = RenewalKernel(DistributionSpec.weibull(0.7, 3.0), DistributionSpec.uniform(0.0, 2.0))
+    assert k.domain_sup() == 0.0
+    for u in (0.0, -0.5):
+        ref = moment_quad(k.density, u, *k.G.support())
+        assert k.psi(u) == pytest.approx(ref, rel=1e-8, abs=0.0), u
+    assert k.mass() == pytest.approx(0.37729, rel=1e-5)
+    assert k.psi(1e-6) == math.inf
 
 
 def test_laplace_root_unit_instance():
@@ -217,7 +238,23 @@ def test_renewal_default_grid_reaches_its_tolerance(G, H):
     assert cells >= 2048 and cells & (cells - 1) == 0 and sol.grid[-1] == horizon
     finer = solve_renewal(kernel, w_shift=shift, grid_step=horizon / cells / 4, horizon=horizon)
     assert len(finer.grid) == 4 * cells + 1
-    assert sol.C == pytest.approx(finer.C, rel=rates.RENEWAL_TOL, abs=0.0)
+    assert sol.C == pytest.approx(finer.C, rel=RENEWAL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("G, H", KERNEL_LAWS, ids=KERNEL_IDS)
+def test_renewal_constant_is_one_below_the_root(G, H):
+    # below the Laplace root the tilted solution e^{ut} Z(t) never exceeds
+    # Z'(0) = 1 (Lundberg's induction, in convergence_bounds' docstring), so
+    # the bound takes C2' = 1 without a solve; the oracle's step-doubling
+    # grid reads that maximum exactly, at t = 0, also near the root
+    kernel = RenewalKernel(G, H)
+    w = find_w(kernel)
+    for tilt in (0.95, 0.999):
+        shift = tilt * w
+        sol = solve_renewal(kernel, w_shift=shift, horizon=10.0 / shift)
+        assert sol.C == 1.0 and np.argmax(sol.Z_tilted) == 0, tilt
+    report = convergence_bounds(UNIF01, G, H, 6.0)
+    assert report.C_renewal == report.C2_prime == 1.0
 
 
 def test_renewal_solver_rejects_an_infinite_kernel_density():
