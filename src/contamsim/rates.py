@@ -598,14 +598,13 @@ def convergence_bounds(
     with every constant computed from the model laws.  ``age_params``
     (eps, b, c) tunes :func:`age_bound`, so it is rejected where none is built.
 
-    Phase 2 contracts at the tilt u = (1 - W_EPS_FRAC) w, below the
-    Laplace root w (W_CAP when w is infinite), so psi_J(u) < 1: for
-    w > 10 W_TOL the back-off exceeds the half-width of find_w's
-    bracket around the root.  Its constant C2' = sup_t e^{ut} Z(t), with
-    Z(t) = E[exp(-p int_0^t Theta_s ds)] started at a renewal, is exactly
-    1 whenever psi_J(u) < 1.  This is the inductive proof of Lundberg's
-    inequality (Asmussen and Albrecher, Ruin Probabilities, 2nd ed.,
-    2010, ch. IV):
+    Phase 2 contracts at the tilt u = (1 - W_EPS_FRAC) w, w the Laplace
+    root (W_CAP when infinite).  Its constant C2' = sup_t e^{ut} Z(t),
+    Z(t) = E[exp(-p int_0^t Theta_s ds)] from a renewal, is exactly 1
+    when psi_J(u) < 1, which is checked: a root below find_w's bracket
+    (Dirac(1e-10) rates) can leave psi_J(u) >= 1, and is rejected.  The
+    proof is the inductive one of Lundberg's inequality (Asmussen and
+    Albrecher, Ruin Probabilities, 2nd ed., 2010, ch. IV):
 
     * Z'(t) = e^{ut} Z(t) solves Z'(t) = phi(t) S_G(t)
       + int_0^t phi(x) Z'(t - x) G(dx), with phi(s) = E[e^{(u - p Theta) s}]
@@ -618,7 +617,7 @@ def convergence_bounds(
       Z'(t) <= h(t) + (M - 1) int_0^t phi dG <= 1 + (M - 1) psi_J(u) on
       [0, T], so (M - 1)(1 - psi_J(u)) <= 0 and M = 1 for every T.
 
-    So no renewal equation is solved here: bound assembly is find_w and
+    So no renewal equation is solved: bound assembly is find_w and
     closed forms.
     """
     if (alpha is None) != (beta is None):
@@ -656,7 +655,12 @@ def convergence_bounds(
     else:
         w = find_w(kernel, q)
         w_eff = w if math.isfinite(w) else W_CAP
-        v2p = w_eff * (1.0 - W_EPS_FRAC) / p
+        shift = w_eff * (1.0 - W_EPS_FRAC)
+        if kernel.psi(shift) >= 1.0:
+            raise AssumptionError(
+                f"the phase-2 tilt {shift:g} is not below the Laplace root, where C2' = 1 holds"
+            )
+        v2p = shift / p
     C2p = 1.0
 
     v_G = G.laplace_domain_sup()

@@ -257,6 +257,16 @@ def test_renewal_constant_is_one_below_the_root(G, H):
     assert report.C_renewal == report.C2_prime == 1.0
 
 
+def test_bound_rejects_a_tilt_past_the_root():
+    # with Dirac(1e-10) rates the root is 1e-10, below find_w's first cell:
+    # w = 4.7e-10 and the backed-off tilt 4.4e-10 still has psi_J > 1, where
+    # C2' = 1 has no proof
+    G, H = DistributionSpec.gamma(2.0, 0.5), DistributionSpec.dirac(1e-10)
+    assert find_w(RenewalKernel(G, H)) > 1e-10 / (1.0 - rates.W_EPS_FRAC)
+    with pytest.raises(AssumptionError, match="not below the Laplace root"):
+        convergence_bounds(UNIF01, G, H, 6.0)
+
+
 def test_renewal_solver_rejects_an_infinite_kernel_density():
     # gamma(0.5) waits, which no inter-arrival role checks here, have an
     # infinite density at 0: an AssumptionError, not a NaN C
