@@ -27,12 +27,10 @@ from .rates import (
     age_bound,
     eta,
     eta_envelope,
-    exp_case_bounds,
     find_w,
     convergence_bounds,
 )
 from .estimators import (
-    survival_compare,
     tv_via_coupling,
     wilson_interval,
 )

@@ -15,6 +15,7 @@ import yaml
 
 from .distributions import DistributionSpec, Family, Role
 from .errors import AssumptionError, ConfigError
+from .pdmp import ProcessState
 from .rates import HolderData
 
 __all__ = ["InitLaw", "RunConfig", "load_config"]
@@ -27,9 +28,11 @@ def _number(value, where: str, cast=float):
     """``value`` as a float, or with ``cast=int`` as an int; an integer
     key takes an integral float such as 1.0e6 but rejects 2.5."""
     try:
-        number = float(value)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+        number = math.nan
+    if math.isnan(number):  # also a YAML boolean, such as yes or off
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     if cast is float:
         return number
     if not number.is_integer():
@@ -78,7 +81,7 @@ class _Record:
 
 
 def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSpec:
-    if isinstance(node, (int, float)):
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
         family, params = Family.DIRAC, (node,)
     elif not isinstance(node, dict) or "family" not in node or "params" not in node:
         raise ConfigError(f"{where}: expected a number or {{family, params}} record")
@@ -86,6 +89,8 @@ def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSp
         rec = _Record(node, where)
         family, params = rec.get("family"), rec.get("params")
         rec.done()
+        if isinstance(params, list) and any(isinstance(v, bool) for v in params):
+            raise ConfigError(f"{where}.params: expected numbers, got {params!r}")
     try:
         return DistributionSpec(Family(family), tuple(params), role)
     except (ValueError, TypeError) as exc:
@@ -102,8 +107,6 @@ class InitLaw:
 
     def sample(self, rng, size: int | None = None):
         """One initial state, or with ``size`` a batch of that many."""
-        from .pdmp import ProcessState
-
         return ProcessState(*(law.sample(rng, size) for law in (self.x, self.theta, self.age)))
 
 

@@ -242,7 +242,6 @@ def simulate_coupled(
     horizon: float | np.ndarray,
     rng: np.random.Generator | BlockStreams,
     tv_from: float | np.ndarray = math.inf,
-    stop_at_merge: bool = False,
     record: bool = False,
 ) -> CouplingReport:
     """Simulate coupled pairs (Y, Y~) up to the horizon, one pair per
@@ -254,10 +253,10 @@ def simulate_coupled(
     can produce full coalescence.  ``horizon`` and ``tv_from`` are one
     time for every pair or one per pair; a float gives the same draws as
     an array of it.  The report's ``gap`` is |X - X~| at the pair's
-    ``tv_from`` (infinite if that lies past its horizon).  With
-    ``stop_at_merge`` a run ends at its first common jump (the
-    age-coalescence time ``tau_A``), in the state just after that jump.
-    With ``record`` the log keeps every jump of Y.
+    ``tv_from`` (infinite if that lies past its horizon).  ``tau_A`` is
+    the pair's first common jump, the age-coalescence time (infinite if
+    it lies past the horizon).  With ``record`` the log keeps every jump
+    of Y.
 
     The pairs move in lockstep: each step draws, one array per law, the
     next event of every pair still running.  A subset of a step that is
@@ -295,25 +294,21 @@ def simulate_coupled(
     run = np.arange(n)  # the pair of each column
     jumps = []  # with record: (run, time, intake, theta) of Y's jumps, per step
 
-    def retire(done, at_horizon=True):
-        """Write the states of the columns ``done`` at their horizons (else
-        at their last event), end their runs and return the indices of
-        the columns that go on."""
+    def retire(done):
+        """Write the states of the columns ``done`` at their horizons, end
+        their runs and return the indices of the columns that go on."""
         nonlocal S, ages_met, met, run, rng
         gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
         x, th, ag, xt, tht, agt, t, hor, _ = S.take(gone, axis=1)
-        end = hor if at_horizon else t
-        dt = end - t
+        dt = hor - t
         final[:, run.take(gone)] = (
-            x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, end
+            x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, hor
         )
         S, ages_met = S.take(keep, axis=1), ages_met.take(keep)
         met, run = met.take(keep), run.take(keep)
         rng = rng.at(keep)
         return keep
 
-    if stop_at_merge:
-        retire(ages_met.copy(), at_horizon=False)
     step = 0
     while run.size:
         x, th, ag, xt, tht, agt, t, hor, tvf = S
@@ -396,9 +391,6 @@ def simulate_coupled(
         if record:
             j = np.flatnonzero(y_jumps)
             jumps.append((run[j], t[j], x[j] - before[j], th[j]))
-        if stop_at_merge and fresh.any():
-            events[run[fresh]] = step
-            retire(fresh, at_horizon=False)
 
     log = EventLog(events)
     if record:

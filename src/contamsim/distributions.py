@@ -201,6 +201,8 @@ class DistributionSpec:
             raise DistributionError(
                 f"{fam.value} takes {_N_PARAMS[fam]} parameter(s), got {len(params)}"
             )
+        if not all(map(math.isfinite, params)):
+            raise DistributionError(f"{fam.value} requires finite parameters, got {params}")
         if fam is Family.UNIFORM:
             lo, hi = params
             if not lo < hi:

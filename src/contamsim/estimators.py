@@ -17,7 +17,6 @@ from .errors import ContamsimError
 __all__ = [
     "wilson_interval",
     "tv_via_coupling",
-    "survival_compare",
     "mean_with_ci",
 ]
 
@@ -57,19 +56,3 @@ def tv_via_coupling(taus: Sequence[float], t: float) -> tuple[float, float, floa
     k = int((taus > t).sum())
     return (k / n, *wilson_interval(k, n))
 
-
-def survival_compare(
-    sample_a: Sequence[float], sample_b: Sequence[float], grid: Sequence[float]
-) -> bool:
-    """Whether sample A is stochastically below sample B: at every grid
-    point the empirical survival of A is at most that of B plus the joint
-    95% confidence slack."""
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    sa = np.array([(a > t).mean() for t in grid])
-    sb = np.array([(b > t).mean() for t in grid])
-    se_a = np.sqrt(sa * (1 - sa) / len(a))
-    se_b = np.sqrt(sb * (1 - sb) / len(b))
-    slack = _Z95 * np.sqrt(se_a**2 + se_b**2)
-    return bool(np.all(sa <= sb + slack))

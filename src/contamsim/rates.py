@@ -11,7 +11,7 @@ curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,14 +36,12 @@ __all__ = [
     "age_bound",
     "age_bound_tail",
     "convergence_bounds",
-    "exp_case_bounds",
 ]
 
 # Numerics of the bound assembly
 W_CAP = 64.0  # the largest Laplace root and age-tail abscissa probed
 W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa close to
 W_EPS_FRAC = 0.05  # back-off of the phase-2 rate from the Laplace root
-PSI_MEMO_SIZE = 64  # node arrays whose log j one kernel keeps
 ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
 ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
 
@@ -69,8 +67,6 @@ class RenewalKernel:
     G: DistributionSpec
     H: DistributionSpec
     p: float = 1.0
-    # log j on the quadrature nodes psi has met, keyed by the node array
-    _log_j: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 1:
@@ -95,32 +91,20 @@ class RenewalKernel:
     def psi(self, u: float) -> float:
         """Moment transform psi_J(u) = int exp(u*x) J(dx); +inf at and past
         domain_sup, but only for u > 0: at u <= 0, exp(u*x) j <= j keeps
-        psi_J(u) at most the mass, also where domain_sup is 0.
-
-        The quadrature meets the same node arrays for every u until its
-        refinement parts ways, so log j(x), which does not depend on u,
-        is computed once per node array and kept (up to PSI_MEMO_SIZE
-        arrays, oldest dropped first)."""
+        psi_J(u) at most the mass, also where domain_sup is 0."""
         if self.H.family is Family.DIRAC:
             return self.G.laplace(u - self.p * self.H.params[0])
         if u > 0.0 and u >= self.domain_sup():
             return math.inf
         lo, hi = self.G.support()
-        # exp(u*x) * j(x) as one exponential, so that neither factor overflows alone
-        val = integrate(lambda x, _: np.exp(u * x + self._log_density(x)), lo, hi)
-        return float(val[0])
 
-    def _log_density(self, x: np.ndarray) -> np.ndarray:
-        """log j(x), from the memo when x has been met before."""
-        key = (x.shape, x.tobytes())
-        log_j = self._log_j.get(key)
-        if log_j is None:
-            with np.errstate(divide="ignore"):
+        def integrand(x, _):
+            with np.errstate(divide="ignore"):  # log j = -inf where j = 0
                 log_j = np.log(self.density(x))
-            if len(self._log_j) >= PSI_MEMO_SIZE:
-                del self._log_j[next(iter(self._log_j))]
-            self._log_j[key] = log_j
-        return log_j
+            # exp(u*x) * j(x) as one exponential, so that neither factor overflows alone
+            return np.exp(u * x + log_j)
+
+        return float(integrate(integrand, lo, hi)[0])
 
 
 def _doubling_probe(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
@@ -361,8 +345,17 @@ def _log_geometric_pgf(p: float, u: float) -> float:
 
 @dataclass(frozen=True)
 class AgeBound:
-    """The stochastic upper bound on the age-coalescence time; ``age_bound``
-    builds it and checks the hypotheses of its regime."""
+    """The stochastic upper bound T on the age-coalescence time;
+    ``age_bound`` builds it and checks the hypotheses of its regime.
+
+    T is a geometric mixture of blocks: H ~ Geometric(p2) outer rounds of
+    Geometric(p1) blocks each, N = H + NegativeBinomial(H, p1) blocks in
+    all, and in regimes ii and iii one exponential wait of rate r per
+    block, S_N ~ gamma(N, 1/r) in all:
+      i:   T = c + (2H - 1) eps + (d - eps) N,
+      ii:  T = b N + S_N,
+      iii: T = c - eps + 2 eps H + (c - eps) N + S_N.
+    """
 
     profile: HazardProfile
     case: str  # "i": finite blow-up age d, "ii": bounded hazard, "iii": unbounded
@@ -371,26 +364,6 @@ class AgeBound:
     c: float
     p1: float  # success probability of one block
     p2: float  # success probability of one outer round
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n copies of the bound variable.
-
-        The bound is a geometric mixture of geometric/exponential blocks;
-        the exponential rate is zeta(b) in the bounded-hazard regime and
-        zeta(c) otherwise.  Each replica's totals are drawn from their
-        closed-form laws: H ~ Geometric(p2) rounds, a sum of H Geometric(p1)
-        block counts, which is H + NegativeBinomial(H, p1), and a sum of that
-        many exponential waits, which is a gamma variate.
-        """
-        eps, b, c = self.eps, self.b, self.c
-        H = rng.geometric(self.p2, size=n)
-        blocks = H + rng.negative_binomial(H, self.p1)
-        if self.case == "i":
-            return c + (2.0 * H - 1.0) * eps + (self.profile.d - eps) * blocks
-        e_per_rep = rng.gamma(blocks, 1.0 / self.rate)
-        if self.case == "ii":
-            return b * blocks + e_per_rep
-        return c - eps + 2.0 * eps * H + (c - eps) * blocks + e_per_rep
 
     @property
     def rate(self) -> float:
@@ -402,8 +375,8 @@ class AgeBound:
         variable T; +inf past its abscissa (and beyond the largest float).
 
         With phi_p(z) = p z / (1 - (1 - p) z) the Geometric(p) generating
-        function and r the exponential rate, term by term from
-        :meth:`sample`, M(s) is
+        function and r the exponential rate, term by term from the
+        terms of T, M(s) is
           i:   e^{s(c-eps)} phi_p2(e^{2 eps s} phi_p1(e^{s(d-eps)})),
           ii:  phi_p2(phi_p1(e^{sb} r/(r-s))),
           iii: e^{s(c-eps)} phi_p2(e^{2 eps s} phi_p1(e^{s(c-eps)} r/(r-s))).
@@ -692,58 +665,3 @@ def convergence_bounds(
         C3=C3, v3=v3, C4=eta_C, v4=v4, v_prime=v_prime,
         alpha=alpha, beta=beta, C1_w1=C1_w1, C2_w1=C2,
     )
-
-
-def exp_case_bounds(
-    lam: float,
-    H: DistributionSpec,
-    holder: HolderData,
-    x0_sum_mean: float,
-    x0_max_mean: float,
-    EU: float,
-) -> tuple[Callable[[float], float], Callable[[float], float], dict]:
-    """The two total-variation bounds specific to memoryless inter-intakes,
-    as functions of time, and their constants.
-
-    Method 1 refines the deterministic three-phase split with the
-    memoryless age coalescence; method 2 splits at the random intake
-    times and achieves the strictly better exponent lam*rho*h/(1+h).
-    Requires a Holder intake density with compact support.
-    """
-    if holder.M is None:
-        raise AssumptionError("the intake density must have compact support here")
-    rho = 1.0 - RenewalKernel(DistributionSpec.exponential(lam), H, 1.0).mass()
-    km, h = holder.envelope()
-    r1 = lam * rho * h / (1.0 + h + 2.0 * rho * h)
-    r2 = lam * rho * h / (1.0 + h)
-    C_m1 = x0_sum_mean * (1.0 + 1.0 / (1.0 - rho)) + 2.0 * EU / rho
-
-    def m1_eval(t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        e = math.exp(-r1 * t)
-        val = 1.0 - max(0.0, 1.0 - e) ** 2 * max(0.0, 1.0 - C_m1 * e) * max(0.0, 1.0 - km * e)
-        return min(1.0, val)
-
-    def m2_eval(t: float) -> float:
-        if t <= 0.0:
-            return 1.0
-        eps = math.exp(-lam * rho * t / (1.0 + h))
-        miss = math.exp(-lam * t) * (
-            1.0
-            + lam * t
-            + x0_max_mean
-            / (eps * (1.0 - rho) ** 2)
-            * (math.exp(lam * (1.0 - rho) * t) - 1.0 - lam * (1.0 - rho) * t)
-        )
-        val = 1.0 - max(0.0, 1.0 - miss) * max(0.0, 1.0 - km * eps**h)
-        return min(1.0, val)
-
-    meta = {
-        "rho": rho,
-        "rate_method1": r1,
-        "rate_method2": r2,
-        "C_method1": C_m1,
-        "eta_envelope_constant": km,
-    }
-    return m1_eval, m2_eval, meta

@@ -3,17 +3,22 @@ independent of the package's own numerics: scipy's QUADPACK quadrature,
 for which ``eta_quad`` evaluates its densities with ``math`` alone, the
 renewal solve the phase-2 constant C2' = 1 of the bound replaces (an
 FFT power-series solve, checked against the point-by-point solve of the
-discretized renewal equation), and the Laplace root by plain bisection."""
+discretized renewal equation), the Laplace root by plain bisection, a
+sampler of the age-coalescence bound variable with an empirical
+stochastic-dominance check, and the two total-variation bounds of the
+memoryless case."""
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
 
+from contamsim.distributions import DistributionSpec
 from contamsim.errors import AssumptionError
-from contamsim.rates import RenewalKernel, _bracket_edge
+from contamsim.estimators import _Z95
+from contamsim.rates import AgeBound, HolderData, RenewalKernel, _bracket_edge
 
 RENEWAL_TOL = 1e-6  # relative error target of the renewal constant C
 
@@ -249,3 +254,94 @@ def bisected_w(kernel) -> float:
     psi_J stays below 1 up to W_CAP."""
     bracket = _bracket_edge(lambda u: kernel.psi(u) < 1.0)
     return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
+
+
+def age_bound_sample(bound: AgeBound, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n copies of the bound variable T of ``bound``.
+
+    Each replica's totals are drawn from their closed-form laws (see
+    :class:`AgeBound`): H ~ Geometric(p2) rounds, a sum of H Geometric(p1)
+    block counts, which is H + NegativeBinomial(H, p1), and a sum of that
+    many exponential waits, which is a gamma variate.
+    """
+    eps, b, c = bound.eps, bound.b, bound.c
+    H = rng.geometric(bound.p2, size=n)
+    blocks = H + rng.negative_binomial(H, bound.p1)
+    if bound.case == "i":
+        return c + (2.0 * H - 1.0) * eps + (bound.profile.d - eps) * blocks
+    e_per_rep = rng.gamma(blocks, 1.0 / bound.rate)
+    if bound.case == "ii":
+        return b * blocks + e_per_rep
+    return c - eps + 2.0 * eps * H + (c - eps) * blocks + e_per_rep
+
+
+def survival_compare(
+    sample_a: Sequence[float], sample_b: Sequence[float], grid: Sequence[float]
+) -> bool:
+    """Whether sample A is stochastically below sample B: at every grid
+    point the empirical survival of A is at most that of B plus the joint
+    95% confidence slack."""
+    a = np.asarray(sample_a, dtype=float)
+    b = np.asarray(sample_b, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    sa = np.array([(a > t).mean() for t in grid])
+    sb = np.array([(b > t).mean() for t in grid])
+    se_a = np.sqrt(sa * (1 - sa) / len(a))
+    se_b = np.sqrt(sb * (1 - sb) / len(b))
+    slack = _Z95 * np.sqrt(se_a**2 + se_b**2)
+    return bool(np.all(sa <= sb + slack))
+
+
+def exp_case_bounds(
+    lam: float,
+    H: DistributionSpec,
+    holder: HolderData,
+    x0_sum_mean: float,
+    x0_max_mean: float,
+    EU: float,
+) -> tuple[Callable[[float], float], Callable[[float], float], dict]:
+    """The two total-variation bounds specific to memoryless inter-intakes,
+    as functions of time, and their constants.
+
+    Method 1 refines the deterministic three-phase split with the
+    memoryless age coalescence; method 2 splits at the random intake
+    times and achieves the strictly better exponent lam*rho*h/(1+h).
+    Requires a Holder intake density with compact support.
+    """
+    if holder.M is None:
+        raise AssumptionError("the intake density must have compact support here")
+    rho = 1.0 - RenewalKernel(DistributionSpec.exponential(lam), H, 1.0).mass()
+    km, h = holder.envelope()
+    r1 = lam * rho * h / (1.0 + h + 2.0 * rho * h)
+    r2 = lam * rho * h / (1.0 + h)
+    C_m1 = x0_sum_mean * (1.0 + 1.0 / (1.0 - rho)) + 2.0 * EU / rho
+
+    def m1_eval(t: float) -> float:
+        if t <= 0.0:
+            return 1.0
+        e = math.exp(-r1 * t)
+        val = 1.0 - max(0.0, 1.0 - e) ** 2 * max(0.0, 1.0 - C_m1 * e) * max(0.0, 1.0 - km * e)
+        return min(1.0, val)
+
+    def m2_eval(t: float) -> float:
+        if t <= 0.0:
+            return 1.0
+        eps = math.exp(-lam * rho * t / (1.0 + h))
+        miss = math.exp(-lam * t) * (
+            1.0
+            + lam * t
+            + x0_max_mean
+            / (eps * (1.0 - rho) ** 2)
+            * (math.exp(lam * (1.0 - rho) * t) - 1.0 - lam * (1.0 - rho) * t)
+        )
+        val = 1.0 - max(0.0, 1.0 - miss) * max(0.0, 1.0 - km * eps**h)
+        return min(1.0, val)
+
+    meta = {
+        "rho": rho,
+        "rate_method1": r1,
+        "rate_method2": r2,
+        "C_method1": C_m1,
+        "eta_envelope_constant": km,
+    }
+    return m1_eval, m2_eval, meta

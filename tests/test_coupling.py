@@ -23,12 +23,21 @@ NO_INTAKE = DistributionSpec.dirac(0.0)
 UNIT_RATE = DistributionSpec.dirac(1.0)
 
 
-def _ages(a0, a0_tilde, prof, horizon, rng, stop_at_merge=False, n=1):
+def _ages(a0, a0_tilde, prof, horizon, rng, n=1, record=False):
     """Run n coupled age pairs from ages (a0, a0_tilde)."""
     return simulate_coupled(
         ProcessState(np.zeros(n), 1.0, a0), ProcessState(0.0, 1.0, a0_tilde),
-        NO_INTAKE, prof, UNIT_RATE, horizon, rng, stop_at_merge=stop_at_merge,
+        NO_INTAKE, prof, UNIT_RATE, horizon, rng, record=record,
     )
+
+
+def _first_jumps(rep, n):
+    """The time of Y's first recorded jump in each of n runs, +inf in a
+    run where Y never jumps."""
+    first = np.full(n, math.inf)
+    runs, at = np.unique(rep.log.runs, return_index=True)
+    first[runs] = rep.log.jump_times[at]
+    return first
 
 
 def _arrays(rep):
@@ -60,12 +69,14 @@ def test_equal_ages_coalesce_immediately():
 
 
 def test_constant_hazard_coalescence_is_memoryless():
-    # flat hazard: the very first event is common, so tau_A ~ Exp(lam)
+    # flat hazard: the very first event is common, so tau_A ~ Exp(lam);
+    # Y is the elder, so the first event is Y's jump, common or lone
     lam = 2.0
     prof = hazard_profile(DistributionSpec.exponential(lam))
     rng = np.random.default_rng(1)
-    rep = _ages(0.0, 1.3, prof, 1e9, rng, stop_at_merge=True, n=30_000)
-    assert np.all(rep.log.counts == 1)
+    n = 30_000
+    rep = _ages(1.3, 0.0, prof, 10.0, rng, n=n, record=True)
+    assert np.all(rep.tau_A == _first_jumps(rep, n))
     taus = np.sort(rep.tau_A)
     cdf = 1.0 - np.exp(-lam * taus)
     emp = np.arange(1, len(taus) + 1) / len(taus)
@@ -100,9 +111,10 @@ def test_common_jump_probability_matches_hazard_ratio():
     # draw the first event times with the elder's hazard, exactly
     s = prof.inverse(a0t, rng.exponential(size=n))
     p_ref = float(np.mean(prof.zeta(a0 + s) / prof.zeta(a0t + s)))
-    rep = _ages(a0, a0t, prof, 1e9, rng, stop_at_merge=True, n=n)
-    # each run stops at its first common jump: was it the first event?
-    hits = int((rep.log.counts == 1).sum())
+    # Y starts at the elder age a0t, so the first event is Y's jump, common
+    # or lone: the ages merged at the first event where tau_A is Y's first jump
+    rep = _ages(a0t, a0, prof, 10.0, rng, n=n, record=True)
+    hits = int((rep.tau_A == _first_jumps(rep, n)).sum())
     se = math.sqrt(p_ref * (1 - p_ref) / n)
     assert hits / n == pytest.approx(p_ref, abs=4.5 * se)
 
@@ -170,37 +182,6 @@ def test_recorded_jumps_replay_the_first_component():
             x, theta, prev = x * math.exp(-theta * (t - prev)) + u, th, t
         assert x * math.exp(-theta * (horizon - prev)) == pytest.approx(rep.y.x[k], rel=1e-12)
         assert theta == rep.y.theta[k]
-
-
-def test_stop_at_merge():
-    prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
-    F = DistributionSpec.uniform(0.0, 1.0)
-    H = DistributionSpec.uniform(0.5, 1.5)
-    stopped_early = 0
-    for k in range(200):
-        # one pair per run, so that both runs draw the same numbers up to
-        # the merge (in a batch, a stopped pair changes the later draws)
-        init = ProcessState(2.0, 1.0, 0.0), ProcessState(4.0, 1.0, 0.8)
-        full = simulate_coupled(*init, F, prof, H, 30.0, np.random.default_rng([9, k]))
-        rep = simulate_coupled(*init, F, prof, H, 30.0, np.random.default_rng([9, k]),
-                               stop_at_merge=True)
-        # the run is the same up to the first common jump
-        assert rep.tau_A[0] == full.tau_A[0]
-        if math.isfinite(rep.tau_A[0]):
-            stopped_early += rep.n_events < full.n_events
-            # the final state is the one just after the common jump
-            for state in (rep.y, rep.y_tilde):
-                assert state.t[0] == rep.tau_A[0]
-                assert state.age[0] == 0.0
-            assert rep.y.theta[0] == rep.y_tilde.theta[0]
-    assert stopped_early > 100
-    # equal initial ages: stopped at time 0, before any event
-    rep = simulate_coupled(
-        ProcessState(2.0, 1.0, 0.4), ProcessState(4.0, 1.0, 0.4),
-        F, prof, H, 30.0, np.random.default_rng(12), stop_at_merge=True,
-    )
-    assert rep.tau_A[0] == 0.0 and rep.n_events == 0
-    assert rep.y.t[0] == 0.0 and rep.y.x[0] == 2.0
 
 
 def test_rejection_sampler_exhaustion_is_a_package_error(monkeypatch):

@@ -21,14 +21,15 @@ from contamsim.rates import (
     age_bound_tail,
     eta,
     eta_envelope,
-    exp_case_bounds,
     find_w,
     convergence_bounds,
 )
 from oracles import (
     RENEWAL_TOL,
+    age_bound_sample,
     bisected_w,
     eta_quad,
+    exp_case_bounds,
     forward_substitution,
     moment_quad,
     solve_renewal,
@@ -79,22 +80,6 @@ def test_kernel_psi_monotone():
     vals = [k.psi(u) for u in us]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     assert k.psi(0.0) < 1.0
-
-
-@pytest.mark.parametrize("memo_size", [rates.PSI_MEMO_SIZE, 3])
-def test_kernel_psi_memo_keeps_bits(monkeypatch, memo_size):
-    # one kernel's memoised log j gives psi the bits of a fresh kernel's,
-    # also when a small memo drops node arrays; the memo stays bounded
-    # and does not enter the kernel's equality or hash
-    monkeypatch.setattr(rates, "PSI_MEMO_SIZE", memo_size)
-    G, H = DistributionSpec.weibull(2.0, 1.0), DistributionSpec.gamma(2.0, 0.1)
-    kernel = RenewalKernel(G, H, 1.0)
-    for u in np.linspace(-20.0, 5.0, 50).tolist():
-        assert kernel.psi(u) == RenewalKernel(G, H, 1.0).psi(u), u
-        assert len(kernel._log_j) <= memo_size
-    assert len(kernel._log_j) == min(memo_size, 7)  # 7 distinct node arrays
-    assert kernel == RenewalKernel(G, H, 1.0)
-    assert hash(kernel) == hash(RenewalKernel(G, H, 1.0))
 
 
 def test_kernel_psi_matches_quadpack():
@@ -454,7 +439,7 @@ def test_bound_sampler_mean_matches_structure():
     prof = hazard_profile(DistributionSpec.shifted_exponential(1.0, 2.0))
     bound = age_bound(prof, (0.75, 1.5, 3.0))
     rng = np.random.default_rng(0)
-    s = bound.sample(200_000, rng)
+    s = age_bound_sample(bound, 200_000, rng)
     ref = (bound.b + 1.0 / prof.zeta(bound.b)) / (bound.p1 * bound.p2)
     se = s.std() / math.sqrt(len(s))
     assert s.mean() == pytest.approx(ref, abs=4.5 * se)
@@ -493,7 +478,7 @@ def test_bound_sampler_matches_per_block_composition(spec, case, eps, b, c):
     assert bound.case == case
     n = 20_000
     tracemalloc.start()
-    new = bound.sample(n, np.random.default_rng(31))
+    new = age_bound_sample(bound, n, np.random.default_rng(31))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     old = _per_block_age_bound(bound, n, np.random.default_rng(32))
@@ -527,7 +512,7 @@ def tail_case(request):
     bound = age_bound(hazard_profile(G), params)
     assert bound.case == request.param.split("-")[0]
     C1, v1 = age_bound_tail(bound)
-    return bound, C1, v1, np.sort(bound.sample(_N_TAIL, np.random.default_rng(20140611)))
+    return bound, C1, v1, np.sort(age_bound_sample(bound, _N_TAIL, np.random.default_rng(20140611)))
 
 
 def test_chernoff_tail_dominates_sample(tail_case):
