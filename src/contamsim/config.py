@@ -89,8 +89,8 @@ def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSp
         rec = _Record(node, where)
         family, params = rec.get("family"), rec.get("params")
         rec.done()
-        if isinstance(params, list) and any(isinstance(v, bool) for v in params):
-            raise ConfigError(f"{where}.params: expected numbers, got {params!r}")
+        if not isinstance(params, list) or any(isinstance(v, bool) for v in params):
+            raise ConfigError(f"{where}.params: expected a list of numbers, got {params!r}")
     try:
         return DistributionSpec(Family(family), tuple(params), role)
     except (ValueError, TypeError) as exc:

@@ -124,7 +124,10 @@ def test_config_errors(tmp_path):
         ("experiment", "horizon", True, "experiment.horizon: expected a number"),
         ("model", "metabolic", True, "model.metabolic: expected a number"),
         ("model", "intake", {"family": "gamma", "params": [True, 1.0]},
-         r"model.intake.params: expected numbers"),
+         "model.intake.params: expected a list of numbers"),
+        # nor is a string of digits a parameter list: "12" read as (1, 2)
+        ("model", "intake", {"family": "uniform", "params": "12"},
+         "model.intake.params: expected a list of numbers"),
         ("experiment", "grid", [1.0, math.nan], "experiment.grid: expected a number"),
     ]
     for section, key, value, message in cases:
