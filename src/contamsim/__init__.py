@@ -3,7 +3,7 @@ exposure process: piecewise-deterministic decay between random intakes,
 exact coupled simulation, and theoretical total-variation / Wasserstein
 bound curves with Monte Carlo verification."""
 
-from .distributions import DistributionSpec, Family, HazardProfile, Role, hazard_profile
+from .distributions import DistributionSpec, Family, HazardProfile, hazard_profile
 from .errors import (
     AssumptionError,
     ConfigError,

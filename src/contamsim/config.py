@@ -13,8 +13,8 @@ from typing import Optional
 
 import yaml
 
-from .distributions import DistributionSpec, Family, Role
-from .errors import AssumptionError, ConfigError
+from .distributions import DistributionSpec, Family, hazard_profile
+from .errors import AssumptionError, ConfigError, DistributionError
 from .pdmp import ProcessState
 from .rates import HolderData
 
@@ -80,7 +80,8 @@ class _Record:
             raise ConfigError(f"unknown config key '{name}'")
 
 
-def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSpec:
+def _parse_spec(node, where: str, check=None) -> DistributionSpec:
+    """The law at ``where``, which must live on [0, inf) and pass ``check``."""
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         family, params = Family.DIRAC, (node,)
     elif not isinstance(node, dict) or "family" not in node or "params" not in node:
@@ -92,9 +93,19 @@ def _parse_spec(node, where: str, role: Optional[Role] = None) -> DistributionSp
         if not isinstance(params, list) or any(isinstance(v, bool) for v in params):
             raise ConfigError(f"{where}.params: expected a list of numbers, got {params!r}")
     try:
-        return DistributionSpec(Family(family), tuple(params), role)
+        spec = DistributionSpec(Family(family), tuple(params))
+        if spec.support()[0] < 0.0:
+            raise DistributionError("the law needs support in [0, inf)")
+        if check is not None:
+            check(spec)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return spec
+
+
+def _positive_rate(spec: DistributionSpec):
+    if spec.family is Family.DIRAC and spec.params[0] <= 0.0:
+        raise DistributionError("metabolic rate must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -151,13 +162,10 @@ class RunConfig:
             rec = _Record(node, f"model.{key}")
             law = InitLaw(
                 x=_parse_spec(rec.get("x", 0.0), f"{rec.where}.x"),
-                theta=_parse_spec(rec.get("theta"), f"{rec.where}.theta", Role.METABOLIC),
+                theta=_parse_spec(rec.get("theta"), f"{rec.where}.theta", _positive_rate),
                 age=_parse_spec(rec.get("age", 0.0), f"{rec.where}.age"),
             )
             rec.done()
-            for name in ("x", "age"):
-                if getattr(law, name).support()[0] < 0.0:
-                    raise ConfigError(f"{rec.where}.{name}: the law needs support in [0, inf)")
             return law
 
         holder = None
@@ -181,11 +189,12 @@ class RunConfig:
             raise ConfigError("experiment.grid: expected a list of times")
         alpha, beta = coup.group("alpha", "beta") or (None, None)
         cfg = RunConfig(
-            intake=_parse_spec(model.get("intake"), "model.intake", Role.INTAKE),
+            intake=_parse_spec(model.get("intake"), "model.intake"),
+            # the hazard profile rejects the laws that cannot time the intakes
             inter_arrival=_parse_spec(
-                model.get("inter_arrival"), "model.inter_arrival", Role.INTER_ARRIVAL
+                model.get("inter_arrival"), "model.inter_arrival", hazard_profile
             ),
-            metabolic=_parse_spec(model.get("metabolic"), "model.metabolic", Role.METABOLIC),
+            metabolic=_parse_spec(model.get("metabolic"), "model.metabolic", _positive_rate),
             init=init_law("init"),
             init_tilde=init_law("init_tilde"),
             holder=holder,

@@ -12,7 +12,7 @@ is the adaptive quadrature of the transforms without a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -26,7 +26,6 @@ from .errors import (
 
 __all__ = [
     "Family",
-    "Role",
     "DistributionSpec",
     "HazardProfile",
     "hazard_profile",
@@ -156,12 +155,6 @@ class Family(str, Enum):
     SHIFTED_EXPONENTIAL = "shifted_exponential"
 
 
-class Role(str, Enum):
-    INTAKE = "intake"
-    INTER_ARRIVAL = "inter_arrival"
-    METABOLIC = "metabolic"
-
-
 _N_PARAMS = {
     Family.EXPONENTIAL: 1,
     Family.GAMMA: 2,
@@ -174,7 +167,7 @@ _N_PARAMS = {
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A parametric law, optionally tagged with the role it plays.
+    """A parametric law.
 
     Parametrizations:
 
@@ -188,15 +181,12 @@ class DistributionSpec:
 
     family: Family
     params: tuple
-    role: Optional[Role] = None
 
     def __post_init__(self):
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        if self.role is not None:
-            object.__setattr__(self, "role", Role(self.role))
         if len(params) != _N_PARAMS[fam]:
             raise DistributionError(
                 f"{fam.value} takes {_N_PARAMS[fam]} parameter(s), got {len(params)}"
@@ -204,11 +194,8 @@ class DistributionSpec:
         if not all(map(math.isfinite, params)):
             raise DistributionError(f"{fam.value} requires finite parameters, got {params}")
         if fam is Family.UNIFORM:
-            lo, hi = params
-            if not lo < hi:
+            if not params[0] < params[1]:
                 raise DistributionError("uniform requires lo < hi")
-            if self.role is not None and lo < 0:
-                raise DistributionError(f"{self.role.value} law needs support in [0, inf)")
         elif fam is Family.DIRAC:
             if params[0] < 0:
                 raise DistributionError("dirac requires c >= 0")
@@ -219,47 +206,32 @@ class DistributionSpec:
         else:
             if any(p <= 0 for p in params):
                 raise DistributionError(f"{fam.value} requires strictly positive parameters")
-        self._check_role()
-
-    def _check_role(self):
-        if self.role is Role.INTER_ARRIVAL:
-            if self.family is Family.DIRAC:
-                raise DistributionError(
-                    "inter-arrival law must have a hazard rate; a point mass has none"
-                )
-            if self.family in (Family.GAMMA, Family.WEIBULL) and self.params[0] < 1:
-                raise DistributionError(
-                    f"inter-arrival hazard must be non-decreasing; {self.family.value} "
-                    "needs shape >= 1"
-                )
-        if self.role is Role.METABOLIC and self.family is Family.DIRAC and self.params[0] <= 0:
-            raise DistributionError("metabolic rate must be strictly positive")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def exponential(rate: float, role: Role | None = None) -> "DistributionSpec":
-        return DistributionSpec(Family.EXPONENTIAL, (rate,), role)
+    def exponential(rate: float) -> "DistributionSpec":
+        return DistributionSpec(Family.EXPONENTIAL, (rate,))
 
     @staticmethod
-    def gamma(shape: float, scale: float, role: Role | None = None) -> "DistributionSpec":
-        return DistributionSpec(Family.GAMMA, (shape, scale), role)
+    def gamma(shape: float, scale: float) -> "DistributionSpec":
+        return DistributionSpec(Family.GAMMA, (shape, scale))
 
     @staticmethod
-    def uniform(lo: float, hi: float, role: Role | None = None) -> "DistributionSpec":
-        return DistributionSpec(Family.UNIFORM, (lo, hi), role)
+    def uniform(lo: float, hi: float) -> "DistributionSpec":
+        return DistributionSpec(Family.UNIFORM, (lo, hi))
 
     @staticmethod
-    def weibull(shape: float, scale: float, role: Role | None = None) -> "DistributionSpec":
-        return DistributionSpec(Family.WEIBULL, (shape, scale), role)
+    def weibull(shape: float, scale: float) -> "DistributionSpec":
+        return DistributionSpec(Family.WEIBULL, (shape, scale))
 
     @staticmethod
-    def dirac(c: float, role: Role | None = None) -> "DistributionSpec":
-        return DistributionSpec(Family.DIRAC, (c,), role)
+    def dirac(c: float) -> "DistributionSpec":
+        return DistributionSpec(Family.DIRAC, (c,))
 
     @staticmethod
-    def shifted_exponential(shift: float, rate: float, role: Role | None = None) -> "DistributionSpec":
-        return DistributionSpec(Family.SHIFTED_EXPONENTIAL, (shift, rate), role)
+    def shifted_exponential(shift: float, rate: float) -> "DistributionSpec":
+        return DistributionSpec(Family.SHIFTED_EXPONENTIAL, (shift, rate))
 
     # -- basic queries -------------------------------------------------
 
@@ -442,11 +414,19 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
     gamma family works with the logarithm of the regularized incomplete
     gamma, so that ages far in the tail neither underflow nor leave the
     support.  ``zeta``, ``cumulative`` and ``inverse`` take floats or
-    arrays.  The spec is re-tagged as an inter-arrival law, which rejects
-    the laws without a non-decreasing hazard.
+    arrays.  It rejects the laws that cannot time the intakes: a point
+    mass, which has no hazard rate, a gamma or Weibull law of shape below
+    1, whose hazard decreases, and a law with support below 0.
     """
-    spec = replace(spec, role=Role.INTER_ARRIVAL)
     f, p = spec.family, spec.params
+    if f is Family.DIRAC:
+        raise DistributionError("inter-arrival law must have a hazard rate; a point mass has none")
+    if f in (Family.GAMMA, Family.WEIBULL) and p[0] < 1:
+        raise DistributionError(
+            f"inter-arrival hazard must be non-decreasing; {f.value} needs shape >= 1"
+        )
+    if spec.support()[0] < 0:
+        raise DistributionError("inter_arrival law needs support in [0, inf)")
 
     if f is Family.WEIBULL:
         k, s_ = p

@@ -6,7 +6,7 @@ class ContamsimError(Exception):
 
 
 class DistributionError(ContamsimError, ValueError):
-    """Invalid distribution parameters or unsupported role."""
+    """Invalid distribution parameters, or a law unfit for its part in the model."""
 
 
 class NoDensityError(DistributionError):

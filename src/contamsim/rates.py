@@ -23,7 +23,7 @@ from .distributions import (
     hazard_profile,
     integrate,
 )
-from .errors import AssumptionError, NoDensityError
+from .errors import AssumptionError, DistributionError, NoDensityError
 
 __all__ = [
     "RenewalKernel",
@@ -42,8 +42,6 @@ __all__ = [
 W_CAP = 64.0  # the largest Laplace root and age-tail abscissa probed
 W_TOL = 1e-9  # width of the brackets find_w and AgeBound.abscissa close to
 W_EPS_FRAC = 0.05  # back-off of the phase-2 rate from the Laplace root
-ETA_EPS_MAX = 1.0  # the eta envelope holds for shifts up to this
-ETA_FIT_POINTS = 200  # shifts the numeric eta envelope is fitted on
 
 TV_PROVENANCE = "three-phase coalescence product bound (total variation)"
 W1_PROVENANCE = "age-tail plus contraction bound (Wasserstein-1)"
@@ -227,11 +225,9 @@ def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
 
 def eta(eps, F: DistributionSpec):
     """Half L1 distance between the intake density and its eps-shift, for
-    a float or elementwise for an array of eps: in closed form for the box
-    and exponential families, otherwise from the distribution function at
-    the crossing of the two densities."""
-    if not F.has_density:
-        raise NoDensityError("eta requires an intake law with a density")
+    a float or elementwise for an array of eps, in closed form for the box
+    and (shifted) exponential laws.  The other laws have none, and nothing
+    needs it: the jump coupling draws them by rejection."""
     eps = np.abs(np.asarray(eps, dtype=float))
     if F.family is Family.UNIFORM:
         lo, hi = F.params
@@ -239,26 +235,8 @@ def eta(eps, F: DistributionSpec):
     elif F.family in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
         val = -np.expm1(-F.params[-1] * eps)
     else:
-        val = _eta_unimodal(eps, F)
+        raise DistributionError(f"eta has no closed form for a {F.family.value} law")
     return float(val) if np.ndim(val) == 0 else val
-
-
-def _eta_unimodal(eps: np.ndarray, F: DistributionSpec) -> np.ndarray:
-    """eta for the gamma and Weibull laws.  Both are unimodal, so
-    f(u) - f(u - eps) is positive left of one point c in [mode, mode + eps]
-    and negative right of it: eta = P(X < c) - P(X + eps < c), and the
-    bisection's error in c moves eta only to second order."""
-    k, s = F.params
-    if F.family is Family.GAMMA:
-        mode = s * max(k - 1.0, 0.0)
-    else:
-        mode = s * max(1.0 - 1.0 / k, 0.0) ** (1.0 / k)
-    lo, hi = np.full(eps.shape, mode), mode + eps
-    for _ in range(64):
-        c = 0.5 * (lo + hi)
-        rising = F.density(c) > F.density(c - eps)
-        lo, hi = np.where(rising, c, lo), np.where(rising, hi, c)
-    return F.cdf(hi) - F.cdf(hi - eps)
 
 
 @dataclass(frozen=True)
@@ -277,11 +255,11 @@ class HolderData:
 
     def __post_init__(self):
         for holds, message in (
-            (self.K > 0.0, "K must be > 0"),
+            (0.0 < self.K < math.inf, "K must be > 0 and finite"),
             (0.0 < self.h <= 1.0, "h must lie in (0, 1]"),
-            (self.M is None or self.M > 0.0, "M must be > 0"),
-            (self.C_tail is None or self.C_tail > 0.0, "C_tail must be > 0"),
-            (self.p_tail is None or self.p_tail > 2.0, "p_tail must be > 2"),
+            (self.M is None or 0.0 < self.M < math.inf, "M must be > 0 and finite"),
+            (self.C_tail is None or 0.0 < self.C_tail < math.inf, "C_tail must be > 0 and finite"),
+            (self.p_tail is None or 2.0 < self.p_tail < math.inf, "p_tail must be > 2 and finite"),
         ):
             if not holds:
                 raise AssumptionError(message)
@@ -302,28 +280,33 @@ class HolderData:
 
 
 def eta_envelope(F: DistributionSpec, holder: Optional[HolderData] = None) -> tuple[float, float]:
-    """Power-law envelope (C, v) with sup_{x <= eps} eta(x) <= C * eps**v
-    for eps up to ETA_EPS_MAX.
+    """Power-law envelope (C, v) with eta(eps) <= C * eps**v:
+    :meth:`HolderData.envelope` when smoothness data are given, else read
+    off the intake density, and then for every eps >= 0.
 
-    Uses :meth:`HolderData.envelope` when smoothness data are supplied,
-    a closed form for the box and exponential families, and otherwise a
-    numeric fit inflated to dominate eta on the grid.
+    Every law here with a density is unimodal, so eta(eps) is the mass of
+    the heaviest window of width eps, sup_t P(t - eps < X <= t), and
+    eta(eps) <= eps * sup f: the envelope is (f(mode), 1).  The mode is the
+    start of the support for the box and (shifted) exponential laws,
+    s(k - 1) for gamma(k, s) and s(1 - 1/k)^(1/k) for Weibull(k, s) with
+    k >= 1.  Gamma and Weibull laws of shape k < 1 have a decreasing
+    density, unbounded at 0: their heaviest window is [0, eps], so
+    eta(eps) = F(eps).  For gamma, F(eps) <= (eps/s)^k / Gamma(k + 1),
+    as e^(-t) <= 1; for Weibull, F(eps) <= (eps/s)^k, as 1 - e^(-x) <= x.
+    So the envelope holds for every eps.
     """
     if holder is not None:
         return holder.envelope()
-    if F.family is Family.UNIFORM:
-        lo, hi = F.params
-        return 1.0 / (hi - lo), 1.0
-    if F.family in (Family.EXPONENTIAL, Family.SHIFTED_EXPONENTIAL):
-        return F.params[-1], 1.0  # 1 - exp(-r*eps) <= r*eps, r the rate
-    # numeric fit, then inflate C so the envelope dominates on the grid
-    eps_grid = np.geomspace(ETA_EPS_MAX * 1e-3, ETA_EPS_MAX, ETA_FIT_POINTS)
-    vals = eta(eps_grid, F)
-    mask = vals > 0
-    slope, icept = np.polyfit(np.log(eps_grid[mask]), np.log(vals[mask]), 1)
-    v = max(min(slope, 1.0), 1e-6)
-    C = float(np.max(vals[mask] / eps_grid[mask] ** v))
-    return C, v
+    if not F.has_density:
+        raise NoDensityError("the eta envelope needs an intake law with a density")
+    mode = F.support()[0]
+    if F.family in (Family.GAMMA, Family.WEIBULL):
+        k, s = F.params
+        if k < 1.0:
+            norm = math.gamma(k + 1.0) if F.family is Family.GAMMA else 1.0
+            return s**-k / norm, k
+        mode = s * (k - 1.0) if F.family is Family.GAMMA else s * (1.0 - 1.0 / k) ** (1.0 / k)
+    return float(F.density(mode)), 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ import numpy as np
 
 from .config import RunConfig
 from .coupling import BlockStreams, run_three_phase
-from .distributions import hazard_profile
 from .pdmp import EventLog, ProcessState, simulate_path
 from .rates import RateReport
 
@@ -65,10 +64,9 @@ def _coupled_chunk(args) -> list[dict]:
     rng = _streams(cfg, stream, blocks, width)
     init = cfg.init.sample(rng, len(blocks) * width)
     init_tilde = cfg.init_tilde.sample(rng, len(blocks) * width)
-    G = hazard_profile(cfg.inter_arrival)
     horizon, eps = (np.tile(np.repeat(v, CHUNK), len(blocks)) for v in (horizons, epsilon_tv))
-    rep = run_three_phase(init, init_tilde, cfg.intake, G, cfg.metabolic, horizon, rng,
-                          alpha, beta, eps)
+    rep = run_three_phase(init, init_tilde, cfg.intake, cfg.inter_arrival, cfg.metabolic,
+                          horizon, rng, alpha, beta, eps)
     every = {"tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes}
     # the batch's columns run (block, horizon, pair): one table per horizon
     split = {name: every[name].reshape(len(blocks), len(horizons), CHUNK).swapaxes(0, 1)
@@ -83,8 +81,8 @@ def marginal_blocks(
     horizon in one batch, CHUNK runs per block."""
     rng = _streams(cfg, MARGINAL_STREAM, blocks, CHUNK)
     init = cfg.init.sample(rng, len(blocks) * CHUNK)
-    G = hazard_profile(cfg.inter_arrival)
-    return simulate_path(init, cfg.intake, G, cfg.metabolic, cfg.horizon, rng, record=record)
+    return simulate_path(init, cfg.intake, cfg.inter_arrival, cfg.metabolic, cfg.horizon, rng,
+                         record=record)
 
 
 def _marginal_chunk(args) -> list[dict]:

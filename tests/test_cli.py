@@ -129,6 +129,27 @@ def test_config_errors(tmp_path):
         ("model", "intake", {"family": "uniform", "params": "12"},
          "model.intake.params: expected a list of numbers"),
         ("experiment", "grid", [1.0, math.nan], "experiment.grid: expected a number"),
+        # an infinite smoothness constant makes an infinite envelope
+        ("model", "holder", {"K": math.inf, "h": 1.0, "M": 1.0}, "model.holder.K"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "M": math.inf}, "model.holder.M"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "C_tail": math.inf, "p_tail": 3.0},
+         "model.holder.C_tail"),
+        ("model", "holder", {"K": 1.0, "h": 1.0, "C_tail": 1.0, "p_tail": math.inf},
+         "model.holder.p_tail"),
+        # the waits need a non-decreasing hazard rate and a non-negative law,
+        # a metabolic rate must be positive, and so must an intake
+        ("model", "inter_arrival", {"family": "dirac", "params": [1.0]},
+         "model.inter_arrival: .*a point mass has none"),
+        ("model", "inter_arrival", {"family": "gamma", "params": [0.5, 1.0]},
+         "model.inter_arrival: .*gamma needs shape >= 1"),
+        ("model", "inter_arrival", {"family": "weibull", "params": [0.5, 1.0]},
+         "model.inter_arrival: .*weibull needs shape >= 1"),
+        ("model", "inter_arrival", {"family": "uniform", "params": [-1.0, 1.0]},
+         r"model.inter_arrival: .*needs support in \[0, inf\)"),
+        ("model", "metabolic", {"family": "dirac", "params": [0.0]},
+         "model.metabolic: metabolic rate must be strictly positive"),
+        ("model", "intake", {"family": "uniform", "params": [-1.0, 0.5]},
+         r"model.intake: .*needs support in \[0, inf\)"),
     ]
     for section, key, value, message in cases:
         bad = json.loads(json.dumps(BASE_CONFIG))
@@ -161,17 +182,22 @@ def test_config_errors(tmp_path):
 
 def test_cli_runs_load_no_scipy(tmp_path):
     # importing scipy costs about 0.6 s of every command's start-up; of the
-    # laws, only the gamma family's incomplete-gamma functions need it
+    # laws, only the gamma family's incomplete-gamma functions need it, and
+    # of the commands only where they time the intakes: the eta envelope of
+    # gamma intakes reads their density
     root = Path(__file__).resolve().parents[1]
     src = str(Path(contamsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    intakes = _write_config(tmp_path, {"model": {
+        "intake": {"family": "gamma", "params": [2.0, 0.25]}}}, name="intakes.yaml")
     gamma = _write_config(tmp_path, {"model": {
         "inter_arrival": {"family": "gamma", "params": [3.0, 1.0]}}})
     runs = [
         ["verify", "--config", str(root / "configs" / "reference.yaml"), "--replicas", "200"],
         ["verify", "--config", str(root / "perfbench" / "configs" / "verify-weibull.yaml"),
          "--replicas", "20"],
+        ["rates", "--config", str(intakes)],
         ["rates", "--config", str(gamma)],
     ]
     runs = [args + ["--out", str(tmp_path / f"run{i}"), "--quiet"] for i, args in enumerate(runs)]
@@ -198,13 +224,14 @@ def test_cli_runs_load_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
                             capture_output=True, text=True, timeout=300, check=True)
     loaded, frozen = json.loads(result.stdout)
-    after_import, after_reference, after_weibull, after_gamma = loaded
-    assert after_import == after_reference == after_weibull == []
+    after_import, after_reference, after_weibull, after_intakes, after_gamma = loaded
+    assert after_import == after_reference == after_weibull == after_intakes == []
     assert "scipy.special" in after_gamma
     assert "multiprocessing" not in after_gamma
     assert "concurrent.futures.process" not in after_gamma
     assert frozen[0] > 0
     assert (tmp_path / "run2" / "rate_report.json").exists()
+    assert (tmp_path / "run3" / "rate_report.json").exists()
 
 
 def test_cli_reports_config_error(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from contamsim.distributions import (
     DistributionSpec,
     Family,
-    Role,
     hazard_profile,
 )
 from contamsim.errors import DistributionError, HazardDomainError, NoDensityError
@@ -29,35 +28,19 @@ def test_parameter_validation():
 
 
 def test_role_constraints():
-    # a point mass has no hazard rate, so it cannot time the intakes
-    with pytest.raises(DistributionError):
-        DistributionSpec.dirac(1.0, role=Role.INTER_ARRIVAL)
-    # decreasing-hazard shapes are rejected for the inter-intake law
-    with pytest.raises(DistributionError):
-        DistributionSpec.gamma(0.5, 1.0, role=Role.INTER_ARRIVAL)
-    with pytest.raises(DistributionError):
-        DistributionSpec.weibull(0.5, 1.0, role=Role.INTER_ARRIVAL)
-    # but they are fine in other roles
-    DistributionSpec.gamma(0.5, 1.0, role=Role.INTAKE)
-    DistributionSpec.dirac(1.0, role=Role.METABOLIC)
-    # metabolic rates must be positive
-    with pytest.raises(DistributionError):
-        DistributionSpec.uniform(-1.0, 1.0, role=Role.METABOLIC)
-    # and so must intake sizes
-    with pytest.raises(DistributionError, match="intake law needs support"):
-        DistributionSpec.uniform(-1.0, 0.5, role=Role.INTAKE)
-    # hazard_profile applies the inter-arrival checks whatever the tag
-    for spec in [
-        DistributionSpec.dirac(1.0),
-        DistributionSpec.gamma(0.5, 1.0),
-        DistributionSpec.weibull(0.5, 1.0),
-        DistributionSpec.uniform(-1.0, 1.0),
-        DistributionSpec.dirac(1.0, role=Role.METABOLIC),
+    # hazard_profile rejects the laws that cannot time the intakes: a point
+    # mass has no hazard rate, shapes below 1 have a decreasing hazard, and
+    # a wait cannot be negative
+    for spec, message in [
+        (DistributionSpec.dirac(1.0), "a point mass has none"),
+        (DistributionSpec.gamma(0.5, 1.0), "gamma needs shape >= 1"),
+        (DistributionSpec.weibull(0.5, 1.0), "weibull needs shape >= 1"),
+        (DistributionSpec.uniform(-1.0, 1.0), r"inter_arrival law needs support in \[0, inf\)"),
     ]:
-        with pytest.raises(DistributionError):
+        with pytest.raises(DistributionError, match=message):
             hazard_profile(spec)
-    prof = hazard_profile(DistributionSpec.gamma(2.0, 1.0, role=Role.INTAKE))
-    assert prof.spec.role is Role.INTER_ARRIVAL and prof.sup_zeta == 1.0
+    prof = hazard_profile(DistributionSpec.gamma(2.0, 1.0))
+    assert prof.spec == DistributionSpec.gamma(2.0, 1.0) and prof.sup_zeta == 1.0
 
 
 def test_point_mass_basics():

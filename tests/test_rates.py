@@ -10,7 +10,7 @@ from scipy import stats
 
 from contamsim import rates
 from contamsim.distributions import DistributionSpec, hazard_profile
-from contamsim.errors import AssumptionError
+from contamsim.errors import AssumptionError, DistributionError
 from contamsim.rates import (
     AgeBound,
     HolderData,
@@ -288,24 +288,18 @@ def test_eta_closed_forms():
     assert eta(0.0, UNIF01) == 0.0
     # symmetric in the sign of the shift
     assert eta(-0.3, UNIF01) == pytest.approx(0.3)
+    # the other laws have no closed form; the jump coupling draws them by rejection
+    for spec in (DistributionSpec.gamma(2.0, 1.0), DistributionSpec.weibull(1.5, 1.0)):
+        with pytest.raises(DistributionError, match="no closed form"):
+            eta(0.3, spec)
 
 
 def test_eta_quadrature_matches_closed_forms():
-    for spec in (UNIF01, EXP1, DistributionSpec.uniform(0.5, 2.0),
-                 DistributionSpec.gamma(2.5, 0.8), DistributionSpec.gamma(0.6, 1.0),
-                 DistributionSpec.weibull(1.5, 1.0), DistributionSpec.weibull(0.8, 2.0)):
+    for spec in (UNIF01, EXP1, DistributionSpec.uniform(0.5, 2.0)):
         for e in np.linspace(0.01, 1.2, 40):
             assert eta_quad(e, spec) == pytest.approx(
                 eta(e, spec), abs=1e-6
             )
-
-
-def test_eta_is_monotone_for_gamma():
-    g = DistributionSpec.gamma(2.0, 1.0)
-    es = np.linspace(0.05, 2.0, 20)
-    vals = [eta(e, g) for e in es]
-    assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
-    assert 0.0 < vals[0] < vals[-1] < 1.0
 
 
 def test_eta_envelope_box():
@@ -331,11 +325,22 @@ def test_eta_envelope_holder_data():
         HolderData(K=1.0, h=1.0)
 
 
-def test_eta_envelope_dominates_numeric_fit():
-    g = DistributionSpec.gamma(2.0, 1.0)
-    C, v = eta_envelope(g)
-    for e in np.geomspace(1e-3, 1.0, 50):
-        assert eta(e, g) <= C * e**v * (1.0 + 1e-9)
+def test_eta_envelope_dominates_quadrature():
+    # eta(eps) <= C eps^v for gamma and Weibull laws of shape below, at and
+    # above 1; below 1 the density decreases from +inf at 0, so eta(eps) is
+    # F(eps) (quad warns on the singularity); the 1e-9 is quad's accuracy
+    eps = np.geomspace(1e-3, 1.0, 60)
+    for F in (DistributionSpec.gamma(2.0, 1.0), DistributionSpec.gamma(9.0, 0.1),
+              DistributionSpec.gamma(1.0, 2.0), DistributionSpec.gamma(0.5, 1.0),
+              DistributionSpec.weibull(1.5, 1.0), DistributionSpec.weibull(20.0, 20.0),
+              DistributionSpec.weibull(1.0, 3.0), DistributionSpec.weibull(0.5, 2.0)):
+        C, v = eta_envelope(F)
+        ref = F.cdf(eps) if F.params[0] < 1.0 else np.array([eta_quad(e, F) for e in eps])
+        assert np.all(ref <= C * eps**v * (1.0 + 1e-9)), F
+    # the box and exponential envelopes are their densities' suprema
+    assert eta_envelope(DistributionSpec.uniform(0.5, 2.0)) == (1.0 / 1.5, 1.0)
+    assert eta_envelope(DistributionSpec.exponential(2.5)) == (2.5, 1.0)
+    assert eta_envelope(DistributionSpec.shifted_exponential(1.0, 0.3)) == (0.3, 1.0)
 
 
 # ---------------------------------------------------------------------------
