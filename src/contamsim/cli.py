@@ -90,27 +90,44 @@ def _quoted(values, alone: bool) -> list[str]:
     return cells
 
 
+def _constant(part) -> bool:
+    """Whether a slice of a numeric array holds one value, compared by its
+    bits (floats through an integer view), so that 0.0 and -0.0, or NaNs
+    of different payloads, stay apart."""
+    bits = part.view(f"i{part.itemsize}") if part.dtype.kind == "f" else part
+    return bool((bits == bits[0]).all())
+
+
 def _write_csv(path: Path, table: dict):
     """Write ``table``, a mapping of column name to values, as CSV.
 
     The rows are written a slice at a time, each slice in one ``%`` of a
     row format string, one field per column (see :func:`_field`), with
-    the slice's cells interleaved row by row."""
+    the slice's cells interleaved row by row.  A numeric array whose
+    slice holds one value is formatted once, into that slice's row
+    format."""
     columns = list(table.values())
     m, n = len(columns), min(map(len, columns), default=0)
     fields = [_field(col) for col in columns]
-    row = ",".join(fields) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(table)
         for lo in range(0, n, _CSV_SLICE):
             hi = min(lo + _CSV_SLICE, n)
-            cells = [None] * ((hi - lo) * m)
-            for j, (col, field) in enumerate(zip(columns, fields)):
+            row, cells = [], []
+            for col, field in zip(columns, fields):
                 part = col[lo:hi]
+                if field != "%s" and isinstance(part, np.ndarray) and _constant(part):
+                    row.append(field % part[0].item())
+                    continue
+                row.append(field)
                 part = part.tolist() if isinstance(part, np.ndarray) else part
-                cells[j::m] = _quoted(part, m == 1) if field == "%s" else part
-            fh.write((row * (hi - lo)) % tuple(cells))
+                cells.append(_quoted(part, m == 1) if field == "%s" else part)
+            k = len(cells)
+            flat = [None] * ((hi - lo) * k)
+            for j, part in enumerate(cells):
+                flat[j::k] = part
+            fh.write(((",".join(row) + "\n") * (hi - lo)) % tuple(flat))
 
 
 def _write_json(path: Path, payload: dict):

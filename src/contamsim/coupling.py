@@ -262,7 +262,10 @@ def simulate_coupled(
     next event of every pair still running.  A subset of a step that is
     every running column (every jump common, every pair fused or every
     pair sharing an intake) is indexed by a basic slice, a view, not by
-    an index array.  Point-mass
+    an index array.  Coalescence is absorbing, so once every running
+    pair is fused (a single process is a pair started fused) the steps
+    go on with Y's state alone, drawing what the coupled step draws for
+    fused pairs.  Point-mass
     intake and rate laws draw nothing, so with them only the age pairs
     use the stream.
     With :class:`BlockStreams` for ``rng`` each pair draws from the
@@ -296,21 +299,21 @@ def simulate_coupled(
 
     def retire(done):
         """Write the states of the columns ``done`` at their horizons, end
-        their runs and return the indices of the columns that go on."""
-        nonlocal S, ages_met, met, run, rng
+        their runs and return the indices of the columns that go on.  With
+        Y's rows alone in S, Y's state is written for both copies."""
+        nonlocal S, run, rng
         gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-        x, th, ag, xt, tht, agt, t, hor, _ = S.take(gone, axis=1)
+        ends = S.take(gone, axis=1)
+        t, hor = ends[-3:-1]
         dt = hor - t
-        final[:, run.take(gone)] = (
-            x * np.exp(-th * dt), th, ag + dt, xt * np.exp(-tht * dt), tht, agt + dt, hor
-        )
-        S, ages_met = S.take(keep, axis=1), ages_met.take(keep)
-        met, run = met.take(keep), run.take(keep)
-        rng = rng.at(keep)
+        copies = [(x * np.exp(-th * dt), th, ag + dt)
+                  for x, th, ag in ends[:-3].reshape(-1, 3, gone.size)]
+        final[:, run.take(gone)] = (*copies[0], *copies[-1], hor)
+        S, run, rng = S.take(keep, axis=1), run.take(keep), rng.at(keep)
         return keep
 
     step = 0
-    while run.size:
+    while run.size and not met.all():
         x, th, ag, xt, tht, agt, t, hor, tvf = S
         elder = np.maximum(ag, agt)
         s = profile.inverse(elder, rng.exponential(size=run.size))
@@ -326,6 +329,7 @@ def simulate_coupled(
             events[run[out]] = step
             keep = retire(out)
             s, tev, elder = s.take(keep), tev.take(keep), elder.take(keep)
+            ages_met, met = ages_met.take(keep), met.take(keep)
             if not run.size:
                 break
             x, th, ag, xt, tht, agt, t, hor, tvf = S
@@ -391,6 +395,34 @@ def simulate_coupled(
         if record:
             j = np.flatnonzero(y_jumps)
             jumps.append((run[j], t[j], x[j] - before[j], th[j]))
+
+    # every running pair is fused, so Y~ = Y from here on: the same step on
+    # Y's rows alone (x, theta, age, t, horizon, tv_from), with the draws
+    # of the fused branch above
+    S = S[[0, 1, 2, 6, 7, 8]]
+    while run.size:
+        x, th, ag, t, hor, tvf = S
+        s = profile.inverse(ag, rng.exponential(size=run.size))
+        tev = t + s
+        if gaps:  # the copies are equal at tv_from
+            gap[run[(t <= tvf) & (tvf < tev) & (tvf <= hor)]] = 0.0
+        out = tev > hor
+        if out.any():
+            events[run[out]] = step
+            keep = retire(out)
+            s, tev = s.take(keep), tev.take(keep)
+            if not run.size:
+                break
+            x, th, ag, t, hor, tvf = S
+        step += 1
+        x *= np.exp(-th * s)
+        t[:] = tev
+        before = x.copy() if record else None
+        th[:] = H.sample(rng, run.size)
+        x += F.sample(rng, run.size)
+        ag[:] = 0.0
+        if record:
+            jumps.append((run, t.copy(), x - before, th.copy()))
 
     log = EventLog(events)
     if record:

@@ -464,7 +464,11 @@ def hazard_profile(spec: DistributionSpec) -> HazardProfile:
             return _in_kind(m * np.maximum(0.0, a0 + s - np.maximum(a0, shift)), a0, s)
 
         def inverse(a0, target):
-            return _in_kind(np.maximum(0.0, shift - a0) + target / m, a0, target)
+            # with no shift max(0, -a0) is +0.0, and adding it to the
+            # quotient (>= 0) leaves its bits: the quotient is the wait
+            if shift or np.shape(a0) != np.shape(target):
+                return _in_kind(np.maximum(0.0, shift - a0) + target / m, a0, target)
+            return _in_kind(np.divide(target, m), a0, target)
 
         return HazardProfile(
             zeta=zeta, cumulative=cumulative, inverse=inverse,

@@ -9,7 +9,8 @@ is no discretization anywhere.
 A batch of runs is one call: the states below hold one entry per run,
 and the runs move forward in lockstep, one event per step, in the
 coupled kernel of :mod:`contamsim.coupling` (a single process is a
-coupled pair whose two copies start, and so stay, equal).
+coupled pair whose two copies start, and so stay, equal, which the
+kernel steps as one process).
 """
 
 from __future__ import annotations

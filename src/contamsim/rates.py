@@ -282,7 +282,8 @@ class HolderData:
 def eta_envelope(F: DistributionSpec, holder: Optional[HolderData] = None) -> tuple[float, float]:
     """Power-law envelope (C, v) with eta(eps) <= C * eps**v:
     :meth:`HolderData.envelope` when smoothness data are given, else read
-    off the intake density, and then for every eps >= 0.
+    off the intake density, and then for every eps >= 0.  A law without a
+    density, a point mass, is rejected whatever the smoothness data.
 
     Every law here with a density is unimodal, so eta(eps) is the mass of
     the heaviest window of width eps, sup_t P(t - eps < X <= t), and
@@ -295,10 +296,10 @@ def eta_envelope(F: DistributionSpec, holder: Optional[HolderData] = None) -> tu
     as e^(-t) <= 1; for Weibull, F(eps) <= (eps/s)^k, as 1 - e^(-x) <= x.
     So the envelope holds for every eps.
     """
-    if holder is not None:
-        return holder.envelope()
     if not F.has_density:
         raise NoDensityError("the eta envelope needs an intake law with a density")
+    if holder is not None:
+        return holder.envelope()
     mode = F.support()[0]
     if F.family in (Family.GAMMA, Family.WEIBULL):
         k, s = F.params
@@ -576,6 +577,8 @@ def convergence_bounds(
     So no renewal equation is solved: bound assembly is find_w and
     closed forms.
     """
+    # first: the merge phase needs an intake density, whatever the smoothness data
+    eta_C, eta_vp = eta_envelope(F, holder=holder)
     if (alpha is None) != (beta is None):
         missing, given = ("alpha", "beta") if alpha is None else ("beta", "alpha")
         raise AssumptionError(f"phase fraction {missing} is required with {given}")
@@ -626,7 +629,6 @@ def convergence_bounds(
     if not math.isfinite(C3):
         raise AssumptionError("the inter-arrival law must have the requested exponential moment")
 
-    eta_C, eta_vp = eta_envelope(F, holder=holder)
     v_prime = v2p / (1.0 + eta_vp)
     v2 = v2p - v_prime
     v4 = eta_vp * v_prime

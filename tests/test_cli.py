@@ -366,6 +366,29 @@ def test_rates_rejects_missing_exponential_moment(tmp_path):
     assert "exponential moment" in result.output
 
 
+def test_point_mass_intake_has_no_bounds_whatever_the_holder_data(tmp_path):
+    # a point mass has no density, so no eta envelope: the Holder data
+    # cannot stand in for one.  The bound commands fail before they write
+    # or simulate anything; simulate and dump-paths need no density
+    runner = CliRunner()
+    for holder in (None, {"K": 1.0, "h": 1.0, "M": 1.0}):
+        model = {"intake": {"family": "dirac", "params": [1.0]}}
+        if holder:
+            model["holder"] = holder
+        out = tmp_path / f"out_{bool(holder)}"
+        cfg = _write_config(tmp_path, {"model": model, "outputs": {"directory": str(out)}},
+                            name=f"cfg_{bool(holder)}.yaml")
+        for command in ("rates", "couple", "verify"):
+            result = runner.invoke(main, [command, "--config", str(cfg), "--quiet"])
+            assert result.exit_code == 1, (holder, command, result.output)
+            assert result.output == "Error: the eta envelope needs an intake law with a density\n"
+            assert not out.exists(), (holder, command)
+        for command in ("simulate", "dump-paths"):
+            result = runner.invoke(main, [command, "--config", str(cfg), "--quiet"])
+            assert result.exit_code == 0, (holder, command, result.output)
+        assert sorted(p.name for p in out.iterdir()) == ["path_0.csv", "paths_summary.csv"]
+
+
 def test_simulate_and_dump_paths(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(tmp_path, {"outputs": {"directory": str(out)}})
@@ -536,6 +559,19 @@ def test_csv_columns_in_bulk_write_the_bytes_of_value_by_value(tmp_path):
         "lists": {"i": [-3, 0, 2**70, 7], "b": [True, False, True, True], "mixed": [1, 2.5, True, "q"]},
         "float32": {"f": f32, "g": f32.astype(np.float64)},
         "one_row": {"f": np.array([0.1]), "i": np.array([7]), "s": [""]},
+        # a numeric slice of one value is formatted once: constant columns,
+        # values equal but with other bits (0.0 and -0.0, NaN payloads),
+        # a column constant in its first slice only, and a numeric one-row table
+        "constant": {"f": np.full(2500, 0.1), "i": np.full(2500, -7),
+                     "b": np.ones(2500, dtype=bool), "k": np.arange(2500)},
+        "signed_zeros": {"z": np.tile([0.0, -0.0, 0.0], 900), "w": np.full(2700, -0.0)},
+        "nan": {"f": np.full(2100, math.nan),
+                "g": np.array([0x7FF8000000000000, 0xFFF8000000000001] * 1050,
+                              dtype=np.uint64).view(np.float64)},
+        "first_slice": {"f": np.r_[np.full(1024, 3.0), rng.standard_normal(1500)],
+                        "i": np.r_[np.zeros(1024, dtype=np.int64), np.arange(1500)]},
+        "one_numeric_row": {"f": np.array([-0.0]), "i": np.array([3]),
+                            "b": np.array([False])},
     }.items():
         _write_csv(tmp_path / f"{name}.csv", small)
         _write_csv_by_value(tmp_path / f"{name}_by_value.csv", small)

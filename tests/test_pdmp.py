@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from contamsim.coupling import run_three_phase
 from contamsim.distributions import DistributionSpec, hazard_profile
 from contamsim.errors import ContamsimError
 from contamsim.pdmp import ProcessState, simulate_path
@@ -161,3 +162,40 @@ def test_gamma_ou_stationary_law(lam, mu, theta):
     cdf = DistributionSpec.gamma(lam / theta, mu).cdf(xs)
     d = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
     assert d <= 1.63 / math.sqrt(n)
+
+
+def test_fused_draws_are_pinned():
+    # a single process is a coupled pair started equal, so which draws a
+    # fused batch makes, and in what order, is the random-number contract
+    # (SCHEMA_VERSION) of simulate and dump-paths: a change to it must show
+    # here.  Weibull waits from two ages, and random rates and intakes,
+    # make every law draw
+    F, G, H = (DistributionSpec.exponential(2.0), DistributionSpec.weibull(2.0, 1.0),
+               DistributionSpec.uniform(0.5, 1.5))
+    init = ProcessState(np.full(300, 1.0), 1.0, np.repeat([0.0, 0.7], 150))
+    log, final = simulate_path(init, F, G, H, 11.0, np.random.default_rng(2024))
+    recorded, same = simulate_path(init, F, G, H, 11.0, np.random.default_rng(2024), record=True)
+    # recording draws nothing
+    assert np.array_equal(recorded.counts, log.counts)
+    for name in ("x", "theta", "age", "t"):
+        assert getattr(same, name).tobytes() == getattr(final, name).tobytes()
+    assert [int(log.counts[:150].sum()), int(log.counts[150:].sum())] == [1826, 1850]
+    assert recorded.jump_times.size == log.n_events()
+    sums = [final.x.sum(), final.theta.sum(), final.age.sum(),
+            recorded.jump_times.sum(), recorded.intakes.sum()]
+    expected = [170.66147799390603, 296.77113588355553, 170.70815823749382,
+                20292.06395179699, 1820.6171985427045]
+    assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
+    # a coupled batch of pairs equal in value is fused from the start, at
+    # every horizon: Y~ is Y, bit for bit
+    horizon = np.repeat([2.0, 5.0, 11.0], 100)
+    init_tilde = ProcessState(init.x.copy(), 1.0, init.age.copy())
+    rep = run_three_phase(init, init_tilde, F, G, H, horizon, np.random.default_rng(7),
+                          0.2, 0.6, 0.1)
+    assert np.all(rep.tau == 0.0) and np.all(rep.tau_A == 0.0)
+    # tv_from = 0.6 * horizon lies before every horizon
+    assert np.all(rep.gap == 0.0)
+    for name in ("x", "theta", "age", "t"):
+        assert getattr(rep.y_tilde, name).tobytes() == getattr(rep.y, name).tobytes()
+    assert rep.log.n_events() == 2006
+    assert np.allclose(rep.y.x.sum(), 182.3667091146874, rtol=1e-9, atol=0.0)
