@@ -154,6 +154,15 @@ class RunConfig:
 
         model, exp = section("model", True), section("experiment", True)
         coup, rt, out = section("coupling"), section("rates"), section("outputs")
+        intake = _parse_spec(model.get("intake"), "model.intake")
+        # the hazard profile rejects the laws that cannot time the intakes
+        waits = _parse_spec(model.get("inter_arrival"), "model.inter_arrival", hazard_profile)
+        d = hazard_profile(waits).d  # from an age at or past d no wait is left
+
+        def below_d(spec: DistributionSpec):
+            lo, hi = spec.support()
+            if lo >= d or hi > d:
+                raise DistributionError(f"the hazard of the waits is infinite from age {d:g} on")
 
         def init_law(key) -> InitLaw:
             node = model.get(key)
@@ -163,7 +172,7 @@ class RunConfig:
             law = InitLaw(
                 x=_parse_spec(rec.get("x", 0.0), f"{rec.where}.x"),
                 theta=_parse_spec(rec.get("theta"), f"{rec.where}.theta", _positive_rate),
-                age=_parse_spec(rec.get("age", 0.0), f"{rec.where}.age"),
+                age=_parse_spec(rec.get("age", 0.0), f"{rec.where}.age", below_d),
             )
             rec.done()
             return law
@@ -189,11 +198,8 @@ class RunConfig:
             raise ConfigError("experiment.grid: expected a list of times")
         alpha, beta = coup.group("alpha", "beta") or (None, None)
         cfg = RunConfig(
-            intake=_parse_spec(model.get("intake"), "model.intake"),
-            # the hazard profile rejects the laws that cannot time the intakes
-            inter_arrival=_parse_spec(
-                model.get("inter_arrival"), "model.inter_arrival", hazard_profile
-            ),
+            intake=intake,
+            inter_arrival=waits,
             metabolic=_parse_spec(model.get("metabolic"), "model.metabolic", _positive_rate),
             init=init_law("init"),
             init_tilde=init_law("init_tilde"),

@@ -250,24 +250,24 @@ def simulate_coupled(
     Each component alone is a contaminant process for (F, G, H).  Common
     jumps share the intake and the new metabolic rate; from ``tv_from``
     on, common jumps instead use :func:`tv_jump_coupling`, which is what
-    can produce full coalescence.  ``horizon`` and ``tv_from`` are one
-    time for every pair or one per pair; a float gives the same draws as
-    an array of it.  The report's ``gap`` is |X - X~| at the pair's
-    ``tv_from`` (infinite if that lies past its horizon).  ``tau_A`` is
-    the pair's first common jump, the age-coalescence time (infinite if
-    it lies past the horizon).  With ``record`` the log keeps every jump
-    of Y.
+    can produce full coalescence.  ``horizon`` (finite, >= 0) and
+    ``tv_from`` are one time for every pair or one per pair; a float gives
+    the same draws as an array of it.  Initial ages lie below the first
+    age of infinite hazard of the waits.  The report's ``gap`` is
+    |X - X~| at the pair's ``tv_from`` (infinite if that lies past its
+    horizon).  ``tau_A`` is the pair's first common jump, the
+    age-coalescence time (infinite if it lies past the horizon).  With
+    ``record`` the log keeps every jump of Y.
 
     The pairs move in lockstep: each step draws, one array per law, the
     next event of every pair still running.  A subset of a step that is
     every running column (every jump common, every pair fused or every
     pair sharing an intake) is indexed by a basic slice, a view, not by
     an index array.  Coalescence is absorbing, so once every running
-    pair is fused (a single process is a pair started fused) the steps
-    go on with Y's state alone, drawing what the coupled step draws for
-    fused pairs.  Point-mass
-    intake and rate laws draw nothing, so with them only the age pairs
-    use the stream.
+    pair is fused (a single process is a pair started fused) each step
+    keeps Y's rows alone and, after the decay, takes a single-process
+    branch that draws what fused pairs draw.  Point-mass intake and rate
+    laws draw nothing, so with them only the age pairs use the stream.
     With :class:`BlockStreams` for ``rng`` each pair draws from the
     stream of its block, and the pairs of a block get the draws they
     would get in a call of their own.
@@ -284,6 +284,10 @@ def simulate_coupled(
     for row, v in enumerate(start):
         S[row] = v
     S[7], S[8] = horizon, tv_from
+    if not np.all((0.0 <= S[7]) & (S[7] < math.inf)):
+        raise ContamsimError("every horizon must be finite and >= 0")
+    if np.any(S[[2, 5]] >= profile.d):
+        raise ContamsimError(f"the hazard of the waits is infinite from age {profile.d:g} on")
     gaps = bool(np.any(S[8] <= S[7]))
     ages_met = S[2] == S[5]
     met = ages_met & (S[0] == S[3]) & (S[1] == S[4])
@@ -312,33 +316,48 @@ def simulate_coupled(
         S, run, rng = S.take(keep, axis=1), run.take(keep), rng.at(keep)
         return keep
 
-    step = 0
-    while run.size and not met.all():
-        x, th, ag, xt, tht, agt, t, hor, tvf = S
-        elder = np.maximum(ag, agt)
+    step, pairs = 0, True
+    while run.size:
+        if pairs and met.all():
+            # coalescence is absorbing: Y~ = Y from here on, so the steps keep
+            # Y's rows alone (x, theta, age, t, horizon and tv_from)
+            S, pairs = S[[0, 1, 2, 6, 7, 8]], False
+        x, th, ag, *tilde, t, hor, tvf = S
+        elder = np.maximum(ag, tilde[2]) if pairs else ag
         s = profile.inverse(elder, rng.exponential(size=run.size))
         tev = t + s
         if gaps:
             seen = (t <= tvf) & (tvf < tev) & (tvf <= hor)
-            dt = tvf[seen] - t[seen]
-            gap[run[seen]] = np.abs(
-                x[seen] * np.exp(-th[seen] * dt) - xt[seen] * np.exp(-tht[seen] * dt)
-            )
+            if pairs:
+                (xt, tht, _), dt = tilde, tvf[seen] - t[seen]
+                gap[run[seen]] = np.abs(x[seen] * np.exp(-th[seen] * dt)
+                                        - xt[seen] * np.exp(-tht[seen] * dt))
+            else:  # the copies of a single process are equal
+                gap[run[seen]] = 0.0
         out = tev > hor
         if out.any():
             events[run[out]] = step
             keep = retire(out)
-            s, tev, elder = s.take(keep), tev.take(keep), elder.take(keep)
-            ages_met, met = ages_met.take(keep), met.take(keep)
+            s, tev = s.take(keep), tev.take(keep)
+            if pairs:
+                elder, ages_met, met = elder.take(keep), ages_met.take(keep), met.take(keep)
             if not run.size:
                 break
-            x, th, ag, xt, tht, agt, t, hor, tvf = S
+            x, th, ag, *tilde, t, hor, tvf = S
         step += 1
-        younger = np.minimum(ag, agt)
         x *= np.exp(-th * s)
-        xt *= np.exp(-tht * s)
         t[:] = tev
         before = x.copy() if record else None
+        if not pairs:
+            th[:] = H.sample(rng, run.size)
+            x += F.sample(rng, run.size)
+            ag[:] = 0.0
+            if record:
+                jumps.append((run, t.copy(), x - before, th.copy()))
+            continue
+        xt, tht, agt = tilde
+        younger = np.minimum(ag, agt)
+        xt *= np.exp(-tht * s)
         # the event has the elder's hazard; it is common with probability
         # zeta(younger)/zeta(elder), drawn only while the ages differ
         common = ages_met.copy()
@@ -384,45 +403,16 @@ def simulate_coupled(
             lone = np.flatnonzero(~common)
             rng_lone = rng.at(lone)
             u, theta_new = F.sample(rng_lone, lone.size), H.sample(rng_lone, lone.size)
-            y_elder = ag[lone] > agt[lone]
-            a, b = lone[y_elder], lone[~y_elder]
-            agt[a], ag[a] = younger[a] + s[a], 0.0
-            x[a] += u[y_elder]
-            th[a] = theta_new[y_elder]
-            ag[b], agt[b] = younger[b] + s[b], 0.0
-            xt[b] += u[~y_elder]
-            tht[b] = theta_new[~y_elder]
+            # the elder jumps alone: through Y's rows (e = 0) if Y is older,
+            # else through Y~'s (e = 3)
+            e = 3 * (ag[lone] <= agt[lone])
+            S[e, lone] += u
+            S[e + 1, lone] = theta_new
+            S[e + 2, lone] = 0.0
+            S[5 - e, lone] = younger[lone] + s[lone]
         if record:
             j = np.flatnonzero(y_jumps)
             jumps.append((run[j], t[j], x[j] - before[j], th[j]))
-
-    # every running pair is fused, so Y~ = Y from here on: the same step on
-    # Y's rows alone (x, theta, age, t, horizon, tv_from), with the draws
-    # of the fused branch above
-    S = S[[0, 1, 2, 6, 7, 8]]
-    while run.size:
-        x, th, ag, t, hor, tvf = S
-        s = profile.inverse(ag, rng.exponential(size=run.size))
-        tev = t + s
-        if gaps:  # the copies are equal at tv_from
-            gap[run[(t <= tvf) & (tvf < tev) & (tvf <= hor)]] = 0.0
-        out = tev > hor
-        if out.any():
-            events[run[out]] = step
-            keep = retire(out)
-            s, tev = s.take(keep), tev.take(keep)
-            if not run.size:
-                break
-            x, th, ag, t, hor, tvf = S
-        step += 1
-        x *= np.exp(-th * s)
-        t[:] = tev
-        before = x.copy() if record else None
-        th[:] = H.sample(rng, run.size)
-        x += F.sample(rng, run.size)
-        ag[:] = 0.0
-        if record:
-            jumps.append((run, t.copy(), x - before, th.copy()))
 
     log = EventLog(events)
     if record:

@@ -8,9 +8,9 @@ is no discretization anywhere.
 
 A batch of runs is one call: the states below hold one entry per run,
 and the runs move forward in lockstep, one event per step, in the
-coupled kernel of :mod:`contamsim.coupling` (a single process is a
-coupled pair whose two copies start, and so stay, equal, which the
-kernel steps as one process).
+coupled kernel of :mod:`contamsim.coupling`.  A single process is a
+coupled pair whose two copies start, and so stay, equal: every step of
+its batch takes the kernel's single-process branch.
 """
 
 from __future__ import annotations
@@ -36,8 +36,12 @@ class ProcessState:
     t: np.ndarray = 0.0
 
     def validate(self):
-        if np.any(self.x < 0) or np.any(self.theta <= 0) or np.any(self.age < 0):
-            raise ContamsimError("invalid process state")
+        # NaN fails every comparison, so each check states what must hold
+        x, theta, age = self.x, self.theta, self.age
+        if not (np.all((0 <= x) & (x < np.inf)) and np.all((0 < theta) & (theta < np.inf))
+                and np.all((0 <= age) & (age < np.inf))):
+            raise ContamsimError("invalid process state: each component must be finite, "
+                                 "with x >= 0, theta > 0 and age >= 0")
 
 
 @dataclass

@@ -311,6 +311,38 @@ def test_cli_rejects_invalid_initial_law(tmp_path, law, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("law, age", [
+    ("init", 3.0),
+    ("init_tilde", 2.5),
+    ("init", {"family": "uniform", "params": [0.0, 3.0]}),
+    ("init_tilde", {"family": "exponential", "params": [1.0]}),
+])
+def test_cli_rejects_an_initial_age_at_or_past_the_blow_up_of_the_waits(tmp_path, law, age):
+    # uniform(0.5, 2.5) waits have an infinite hazard from age d = 2.5 on.
+    # From age 3 the first wait came out negative: every command exited 0,
+    # and dump-paths logged an intake at t = -0.29
+    waits = {"family": "uniform", "params": [0.5, 2.5]}
+    model = {**BASE_CONFIG["model"], "inter_arrival": waits}
+    cfg = str(_write_config(tmp_path, {
+        "model": {**model, law: {**model[law], "age": age}},
+        "outputs": {"directory": str(tmp_path / "out")},
+    }))
+    for command in ("simulate", "dump-paths", "couple"):
+        result = CliRunner().invoke(main, [command, "--config", cfg, "--quiet"])
+        assert result.exit_code == 2, result.output
+        assert f"model.{law}.age: the hazard of the waits is infinite from age 2.5 on" in (
+            result.output) and "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+    # an age law up to d, or a point below it, is fine
+    for age in (2.4, {"family": "uniform", "params": [0.0, 2.5]}):
+        cfg = str(_write_config(tmp_path, {
+            "model": {**model, law: {**model[law], "age": age}},
+            "outputs": {"directory": str(tmp_path / "out")},
+        }))
+        result = CliRunner().invoke(main, ["simulate", "--config", cfg, "--quiet"])
+        assert result.exit_code == 0, result.output
+
+
 def test_cli_rejects_an_intake_law_below_zero(tmp_path):
     # uniform(-1, 0.5) intakes passed the loader, and simulate wrote X
     # below 0 with exit 0

@@ -168,21 +168,53 @@ def test_coupled_components_keep_their_laws():
 
 
 def test_recorded_jumps_replay_the_first_component():
-    # the recorded jumps of Y (common and lone) rebuild its final quantity
+    # the recorded jumps of Y (common and lone) rebuild its final quantity.
+    # The second batch meets its ages by a common jump and its quantities
+    # by the jump coupling from t = 0.5; once its last pair has merged, the
+    # later jumps come from the single-process branch of the kernel
     prof = hazard_profile(DistributionSpec.weibull(2.0, math.sqrt(2.0)))
     F, H = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.uniform(0.5, 1.5)
-    horizon = 4.0
-    rep = simulate_coupled(
-        ProcessState(np.full(50, 2.0), 1.0, 0.0), ProcessState(4.0, 0.7, 1.5),
-        F, prof, H, horizon, np.random.default_rng(18), tv_from=2.0, record=True,
-    )
-    assert np.all(rep.log.counts >= np.bincount(rep.log.runs, minlength=50))
-    for k in range(50):
-        x, theta, prev = 2.0, 1.0, 0.0
-        for t, u, th in zip(*rep.log.of(k)):
-            x, theta, prev = x * math.exp(-theta * (t - prev)) + u, th, t
-        assert x * math.exp(-theta * (horizon - prev)) == pytest.approx(rep.y.x[k], rel=1e-12)
-        assert theta == rep.y.theta[k]
+    for seed, init_tilde, tv_from, horizon in (
+        (18, ProcessState(4.0, 0.7, 1.5), 2.0, 4.0),
+        (19, ProcessState(2.3, 0.7, 0.4), 0.5, 12.0),
+    ):
+        rep = simulate_coupled(
+            ProcessState(np.full(50, 2.0), 1.0, 0.0), init_tilde,
+            F, prof, H, horizon, np.random.default_rng(seed), tv_from=tv_from, record=True,
+        )
+        assert np.all(rep.log.counts >= np.bincount(rep.log.runs, minlength=50))
+        for k in range(50):
+            x, theta, prev = 2.0, 1.0, 0.0
+            for t, u, th in zip(*rep.log.of(k)):
+                x, theta, prev = x * math.exp(-theta * (t - prev)) + u, th, t
+            assert x * math.exp(-theta * (horizon - prev)) == pytest.approx(rep.y.x[k], rel=1e-12)
+            assert theta == rep.y.theta[k]
+    # every pair of the second batch merged, and jumps followed the last merge
+    assert np.all(rep.tau < horizon) and np.any(rep.log.jump_times > rep.tau.max())
+
+
+def test_kernel_rejects_bad_horizons_and_ages_past_the_blow_up():
+    # horizon -1 ran backward (x = 1 came back as e, with t = -1), and a
+    # NaN or infinite horizon never returned; both are rejected before the
+    # first step.  A zero horizon is legal: verify grids may hold t = 0
+    F, H = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.dirac(1.0)
+    G = DistributionSpec.exponential(1.0)
+    one = ProcessState(np.ones(3), 1.0, 0.0)
+    for horizon in (-1.0, math.nan, math.inf, -math.inf, np.array([1.0, math.nan, 2.0])):
+        with pytest.raises(ContamsimError, match="horizon must be finite and >= 0"):
+            simulate_coupled(one, one, F, G, H, horizon, np.random.default_rng(0))
+    rep = simulate_coupled(one, one, F, G, H, 0.0, np.random.default_rng(0))
+    assert rep.log.n_events() == 0 and np.all(rep.y.x == 1.0) and np.all(rep.y.t == 0.0)
+    # uniform(0.5, 2.5) waits have an infinite hazard from age d = 2.5 on;
+    # from age 3 the wait came out negative, and so did the event times
+    waits = hazard_profile(DistributionSpec.uniform(0.5, 2.5))
+    for age, age_tilde in ((3.0, 3.0), (0.0, 2.5), (np.array([0.0, 2.6, 1.0]), 0.0)):
+        with pytest.raises(ContamsimError, match="infinite from age 2.5 on"):
+            simulate_coupled(ProcessState(np.ones(3), 1.0, age), ProcessState(2.0, 1.0, age_tilde),
+                             F, waits, H, 5.0, np.random.default_rng(0))
+    rep = simulate_coupled(ProcessState(np.ones(3), 1.0, 2.4), ProcessState(np.ones(3), 1.0, 2.4),
+                           F, waits, H, 5.0, np.random.default_rng(0), record=True)
+    assert np.all(rep.log.jump_times >= 0.0) and np.all(rep.log.counts >= 1)
 
 
 def test_rejection_sampler_exhaustion_is_a_package_error(monkeypatch):

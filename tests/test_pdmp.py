@@ -27,6 +27,19 @@ def test_state_validation():
     with pytest.raises(ContamsimError):
         simulate_path(ProcessState(1.0, 1.0, 0.0), *_laws(), horizon=0.0,
                       rng=np.random.default_rng(0))
+    # NaN fails every comparison, so a NaN state passed the checks: x = NaN
+    # came back as x = [nan], and x = inf ran to its horizon
+    nan, inf = math.nan, math.inf
+    for bad in (
+        ProcessState(nan, 1.0, nan), ProcessState(nan, 1.0, 0.0), ProcessState(1.0, nan, 0.0),
+        ProcessState(1.0, 1.0, nan), ProcessState(inf, 1.0, 0.0), ProcessState(1.0, inf, 0.0),
+        ProcessState(1.0, 1.0, inf), ProcessState(np.array([1.0, nan]), 1.0, 0.0),
+    ):
+        with pytest.raises(ContamsimError, match="invalid process state"):
+            bad.validate()
+        with pytest.raises(ContamsimError, match="invalid process state"):
+            simulate_path(bad, *_laws(), 1.0, np.random.default_rng(0))
+    ProcessState(np.array([0.0, 1e308]), 1e-300, 0.0).validate()  # finite edges pass
 
 
 def test_zero_intake_pure_decay():
