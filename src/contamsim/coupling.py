@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -62,20 +61,21 @@ class CouplingReport:
 class BlockStreams:
     """The random streams of several replica blocks that share one batch.
 
-    ``gens[b]`` is the generator of block b and ``block[i]`` the block of
-    column i; the columns of a block are contiguous and in block order.
-    A draw for the columns is split by block, and each block's share comes
-    from its own generator, in column order.  So when a batch draws only
-    through views :meth:`at` makes from ascending columns, every block
-    gets exactly the draws it would get in a batch of its own (a block
-    with no share draws nothing, as a draw of size 0 would).  One
-    generator is one stream: ``at`` returns the object itself and the
-    draws go straight to the generator.
+    ``gens[b]`` is the generator of block b, whose columns run from
+    ``edges[b]`` up to ``edges[b + 1]``; the blocks are contiguous and in
+    order, and the last edge is the column count.  A draw for the columns
+    is split by block, and each block's share comes from its own
+    generator, in column order.  So when a batch draws only through views
+    :meth:`at` makes from ascending columns, every block gets exactly the
+    draws it would get in a batch of its own (a block with no share draws
+    nothing, as a draw of size 0 would).  One generator is one stream:
+    ``at`` returns the object itself and the draws go straight to the
+    generator.
     """
 
-    def __init__(self, gens, block: np.ndarray | None = None):
+    def __init__(self, gens, edges=None):
         self.gens = list(gens)
-        self.block = block if len(self.gens) > 1 else None
+        self.edges = list(edges) if len(self.gens) > 1 else None
 
     @classmethod
     def of(cls, rng) -> "BlockStreams":
@@ -83,26 +83,22 @@ class BlockStreams:
         return rng if isinstance(rng, cls) else cls([rng])
 
     def at(self, cols) -> "BlockStreams":
-        """The streams of the columns ``cols`` (ascending indices, a mask or
-        a basic slice); every column, ``slice(None)``, is these streams."""
-        if self.block is None or (isinstance(cols, slice) and cols == slice(None)):
+        """The streams of the columns ``cols`` (ascending indices or a mask);
+        every column, ``slice(None)``, is these streams."""
+        if self.edges is None or (isinstance(cols, slice) and cols == slice(None)):
             return self
-        return BlockStreams(self.gens, self.block[cols])
-
-    @cached_property
-    def _edges(self) -> list:
-        """The first column of each block, then the column count: found
-        once, on the first draw, for every draw of these columns."""
-        inner = np.searchsorted(self.block, range(1, len(self.gens))).tolist()
-        return [0, *inner, self.block.size]
+        if cols.dtype == bool:
+            cols = np.flatnonzero(cols)
+        # a block's first column in the view is the count of columns before its first
+        return BlockStreams(self.gens, np.searchsorted(cols, self.edges).tolist())
 
     def _draw(self, method: str, size, *params) -> np.ndarray:
-        if self.block is None:
+        if self.edges is None:
             return getattr(self.gens[0], method)(*params, size=size)
-        n = self.block.size
+        edges = self.edges
+        n = edges[-1]
         if size != n and size != (n,):
             raise ValueError(f"a draw for {n} columns must have size {n}, not {size}")
-        edges = self._edges
         out = np.empty(n)
         for gen, lo, hi in zip(self.gens, edges, edges[1:]):
             if hi > lo:
@@ -233,6 +229,15 @@ def _where(mask: np.ndarray) -> tuple[slice | np.ndarray, int]:
     return (slice(None) if k == mask.size else np.flatnonzero(mask)), k
 
 
+def _rows(S: np.ndarray) -> tuple:
+    """The kernel's state S as (x, theta, age, x~, theta~, age~, t, horizon,
+    tv_from): Y~'s rows are its own while the ages may differ, x~ with Y's
+    theta and age once they have met, and Y's rows once the pair is fused."""
+    x, th, ag, *tilde, t, hor, tvf = S
+    tilde = (*tilde, th, ag)[:3] if tilde else (x, th, ag)
+    return (x, th, ag, *tilde, t, hor, tvf)
+
+
 def simulate_coupled(
     init: ProcessState,
     init_tilde: ProcessState,
@@ -263,10 +268,16 @@ def simulate_coupled(
     next event of every pair still running.  A subset of a step that is
     every running column (every jump common, every pair fused or every
     pair sharing an intake) is indexed by a basic slice, a view, not by
-    an index array.  Coalescence is absorbing, so once every running
-    pair is fused (a single process is a pair started fused) each step
-    keeps Y's rows alone and, after the decay, takes a single-process
-    branch that draws what fused pairs draw.  Point-mass intake and rate
+    an index array.  A step keeps only the state rows it reads, at one of
+    three levels.  While the ages of a running pair differ, it draws the
+    competing-risk age coupling on both states.  Age coalescence is
+    absorbing (every later jump is common, so Y~ keeps Y's rate and age):
+    once every running pair's ages have met, the steps keep x~ beside Y's
+    rows and decay x~ by Y's factor.  So is coalescence: once every
+    running pair is fused (a single process is a pair started fused), the
+    steps keep Y's rows alone and, after the decay, take a single-process
+    branch.  Each level makes the draws the level before would make, in
+    the same order.  Point-mass intake and rate
     laws draw nothing, so with them only the age pairs use the stream.
     With :class:`BlockStreams` for ``rng`` each pair draws from the
     stream of its block, and the pairs of a block get the draws they
@@ -279,7 +290,8 @@ def simulate_coupled(
     start = (init.x, init.theta, init.age, init_tilde.x, init_tilde.theta, init_tilde.age)
     n = max(np.size(v) for v in (*start, horizon, tv_from))
     # rows: x, theta, age, x~, theta~, age~, the time of the last event,
-    # the horizon and tv_from; one column per pair still running
+    # the horizon and tv_from, until a level drops rows (see _rows); one
+    # column per pair still running
     S = np.zeros((9, n))
     for row, v in enumerate(start):
         S[row] = v
@@ -303,68 +315,70 @@ def simulate_coupled(
 
     def retire(done):
         """Write the states of the columns ``done`` at their horizons, end
-        their runs and return the indices of the columns that go on.  With
-        Y's rows alone in S, Y's state is written for both copies."""
+        their runs and return the indices of the columns that go on."""
         nonlocal S, run, rng
         gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-        ends = S.take(gone, axis=1)
-        t, hor = ends[-3:-1]
+        x, th, ag, xt, tht, agt, t, hor, _ = _rows(S.take(gone, axis=1))
         dt = hor - t
-        copies = [(x * np.exp(-th * dt), th, ag + dt)
-                  for x, th, ag in ends[:-3].reshape(-1, 3, gone.size)]
-        final[:, run.take(gone)] = (*copies[0], *copies[-1], hor)
+        decay = np.exp(-th * dt)
+        y = x * decay, th, ag + dt
+        y_tilde = y if level == 2 else (xt * (decay if level else np.exp(-tht * dt)), tht, agt + dt)
+        final[:, run.take(gone)] = (*y, *y_tilde, hor)
         S, run, rng = S.take(keep, axis=1), run.take(keep), rng.at(keep)
         return keep
 
-    step, pairs = 0, True
+    step, level = 0, 0  # 0: some ages differ, 1: every pair's ages met, 2: all fused
     while run.size:
-        if pairs and met.all():
+        if level < 2 and met.all():
             # coalescence is absorbing: Y~ = Y from here on, so the steps keep
             # Y's rows alone (x, theta, age, t, horizon and tv_from)
-            S, pairs = S[[0, 1, 2, 6, 7, 8]], False
-        x, th, ag, *tilde, t, hor, tvf = S
-        elder = np.maximum(ag, tilde[2]) if pairs else ag
-        s = profile.inverse(elder, rng.exponential(size=run.size))
+            S, level = S[[0, 1, 2, -3, -2, -1]], 2
+        elif level == 0 and ages_met.all():
+            # so is age coalescence: every later jump is common and Y~ keeps
+            # Y's theta and age, so the steps keep x~ beside Y's rows
+            S, level = S[[0, 1, 2, 3, -3, -2, -1]], 1
+        x, th, ag, xt, tht, agt, t, hor, tvf = _rows(S)
+        s = profile.inverse(np.maximum(ag, agt) if level == 0 else ag,
+                            rng.exponential(size=run.size))
         tev = t + s
         if gaps:
             seen = (t <= tvf) & (tvf < tev) & (tvf <= hor)
-            if pairs:
-                (xt, tht, _), dt = tilde, tvf[seen] - t[seen]
-                gap[run[seen]] = np.abs(x[seen] * np.exp(-th[seen] * dt)
-                                        - xt[seen] * np.exp(-tht[seen] * dt))
-            else:  # the copies of a single process are equal
-                gap[run[seen]] = 0.0
+            dt = tvf[seen] - t[seen]
+            gap[run[seen]] = np.abs(x[seen] * np.exp(-th[seen] * dt)
+                                    - xt[seen] * np.exp(-tht[seen] * dt))
         out = tev > hor
         if out.any():
             events[run[out]] = step
             keep = retire(out)
             s, tev = s.take(keep), tev.take(keep)
-            if pairs:
-                elder, ages_met, met = elder.take(keep), ages_met.take(keep), met.take(keep)
+            if level < 2:
+                ages_met, met = ages_met.take(keep), met.take(keep)
             if not run.size:
                 break
-            x, th, ag, *tilde, t, hor, tvf = S
+            x, th, ag, xt, tht, agt, t, hor, tvf = _rows(S)
         step += 1
-        x *= np.exp(-th * s)
+        decay = np.exp(-th * s)
+        x *= decay
         t[:] = tev
         before = x.copy() if record else None
-        if not pairs:
+        if level == 2:
             th[:] = H.sample(rng, run.size)
             x += F.sample(rng, run.size)
             ag[:] = 0.0
             if record:
                 jumps.append((run, t.copy(), x - before, th.copy()))
             continue
-        xt, tht, agt = tilde
-        younger = np.minimum(ag, agt)
-        xt *= np.exp(-tht * s)
-        # the event has the elder's hazard; it is common with probability
-        # zeta(younger)/zeta(elder), drawn only while the ages differ
-        common = ages_met.copy()
-        apart = np.flatnonzero(~ages_met)
-        if apart.size:
-            e, y = elder[apart] + s[apart], younger[apart] + s[apart]
-            common[apart] = rng.at(apart).random(apart.size) * profile.zeta(e) < profile.zeta(y)
+        xt *= decay if level else np.exp(-tht * s)
+        common = ages_met
+        if level == 0:
+            # the event has the elder's hazard; it is common with probability
+            # zeta(younger)/zeta(elder), drawn only while the ages differ
+            younger = np.minimum(ag, agt)
+            common = ages_met.copy()
+            apart = np.flatnonzero(~ages_met)
+            if apart.size:
+                e, y = np.maximum(ag[apart], agt[apart]) + s[apart], younger[apart] + s[apart]
+                common[apart] = rng.at(apart).random(apart.size) * profile.zeta(e) < profile.zeta(y)
         # a lone jump is the elder's
         y_jumps = common | (ag > agt) if record else None
 
@@ -393,11 +407,14 @@ def simulate_coupled(
                 won[tv[ok]] = True
             met |= won
             tau[run[won]] = tev[won]
-        th[c] = tht[c] = theta_new
-        ag[c] = agt[c] = 0.0
-        fresh = common & ~ages_met
-        ages_met |= common
-        tau_A[run[fresh]] = tev[fresh]
+        th[c] = theta_new
+        ag[c] = 0.0
+        if level == 0:
+            tht[c] = theta_new
+            agt[c] = 0.0
+            fresh = common & ~ages_met
+            ages_met |= common
+            tau_A[run[fresh]] = tev[fresh]
 
         if n_common < run.size:
             lone = np.flatnonzero(~common)

@@ -55,7 +55,7 @@ def block_rng(cfg: RunConfig, stream: int, block: int) -> np.random.Generator:
 def _streams(cfg: RunConfig, stream: int, blocks: range, width: int) -> BlockStreams:
     """The streams of consecutive blocks of ``width`` columns each."""
     gens = [block_rng(cfg, stream, b) for b in blocks]
-    return BlockStreams(gens, np.repeat(np.arange(len(gens)), width))
+    return BlockStreams(gens, range(0, len(gens) * width + 1, width))
 
 
 def _coupled_chunk(args) -> list[dict]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from contamsim import coupling, rates
+from contamsim.config import load_config
 from contamsim.coupling import (
     BlockStreams,
     run_three_phase,
@@ -524,6 +525,87 @@ def test_coupled_draws_are_pinned():
     assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
 
 
+def _switch_run(rng, horizon, record=False):
+    """Pairs from ages 0 and 0.7 under Weibull(2, 1) waits, with the maximal
+    jump coupling from 0.7 of each horizon."""
+    n = horizon.size
+    return simulate_coupled(
+        ProcessState(np.full(n, 1.0), 1.0, 0.0), ProcessState(3.0, 0.8, 0.7),
+        DistributionSpec.exponential(2.0), hazard_profile(DistributionSpec.weibull(2.0, 1.0)),
+        DistributionSpec.uniform(0.5, 1.5), horizon, rng, tv_from=0.7 * horizon, record=record,
+    )
+
+
+def _log_arrays(rep):
+    return {"runs": rep.log.runs, "times": rep.log.jump_times, "intakes": rep.log.intakes,
+            "thetas": rep.log.thetas}
+
+
+# blocks of 50 and 30 pairs, with horizons 2 and 12 alternating
+_SWITCH_HORIZONS = [np.resize([2.0, 12.0], n) for n in (50, 30)]
+
+
+def test_coupled_draws_are_pinned_across_the_age_switch():
+    # the short pairs end with their ages apart, every long pair's ages meet
+    # by t = 4.3 and no pair fuses before tv_from = 8.4: so the batch steps
+    # with ages apart, then with every running pair's ages met (from step 7
+    # to 14, counted on an instrumented copy of the kernel), then fused.
+    # Which draws each level makes, and in what order, is the contract
+    horizon = np.concatenate(_SWITCH_HORIZONS)
+    long = horizon == 12.0
+    plain, recorded = (_switch_run(np.random.default_rng(2026), horizon, record)
+                       for record in (False, True))
+    for name, col in _arrays(plain).items():
+        assert np.array_equal(col, _arrays(recorded)[name]), name
+    rep = recorded
+    assert np.isinf(rep.tau_A[~long]).sum() == 7 and rep.tau_A[long].max() < 4.3
+    assert np.all(rep.tau[long] >= 8.4) and np.isfinite(rep.tau[long]).all()
+    finite = np.isfinite(rep.tau_A)
+    sums = [rep.tau_A[finite].sum(), rep.tau[long].sum(), rep.y.x.sum(), rep.y_tilde.x.sum(),
+            rep.gap[long].sum(), rep.log.jump_times.sum(), rep.log.intakes.sum(),
+            rep.log.thetas.sum()]
+    assert int(rep.log.counts.sum()) == 668 and rep.log.runs.size == 600
+    expected = [88.82627902148735, 356.7272845956013, 38.00635292298656, 51.735219462416,
+                0.05183287417758053, 3407.2370163821743, 291.01603376982064, 614.7301446062045]
+    assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
+
+
+def test_a_group_of_blocks_draws_as_its_blocks_alone_across_the_age_switch():
+    # each block alone, and the two as one batch, switch level mid-run
+    seeds = [31, 32]
+    alone = [_switch_run(np.random.default_rng(s), h, True) for s, h in zip(seeds, _SWITCH_HORIZONS)]
+    group = _switch_run(BlockStreams([np.random.default_rng(s) for s in seeds], [0, 50, 80]),
+                        np.concatenate(_SWITCH_HORIZONS), True)
+    assert np.isfinite(group.tau).any() and np.isinf(group.tau_A).any()
+    whole = {**_arrays(group), **_log_arrays(group)}
+    parts = [{**_arrays(rep), **_log_arrays(rep)} for rep in alone]
+    parts[1]["runs"] = parts[1]["runs"] + 50
+    for name, col in whole.items():
+        assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
+
+
+@pytest.mark.parametrize("config", ["configs/reference.yaml", "perfbench/configs/verify-weibull.yaml"])
+def test_met_ages_share_rate_and_age_and_fused_pairs_share_the_state(config):
+    # age coalescence is absorbing (every later jump is common), and so is
+    # full coalescence, which is what lets the kernel keep Y's rows for Y~'s
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / config))
+    rng = np.random.default_rng(cfg.seed)
+    m = 300
+    n = m * len(cfg.grid)
+    rep = run_three_phase(cfg.init.sample(rng, n), cfg.init_tilde.sample(rng, n),
+                          cfg.intake, cfg.inter_arrival, cfg.metabolic,
+                          np.repeat(cfg.grid, m), rng, 0.2, 0.5, 0.1)
+    aged, fused = np.isfinite(rep.tau_A), np.isfinite(rep.tau)
+    assert fused.any() and (aged & ~fused).any()
+    for name in ("theta", "age"):
+        assert np.array_equal(getattr(rep.y, name)[aged], getattr(rep.y_tilde, name)[aged])
+    for name, col in vars(rep.y).items():
+        assert np.array_equal(col[fused], getattr(rep.y_tilde, name)[fused]), name
+    # the pairs that have not met differ
+    assert np.all(rep.y.x[~fused] != rep.y_tilde.x[~fused])
+    assert np.all(rep.y.age[~aged] != rep.y_tilde.age[~aged])
+
+
 def test_verify_runs_one_coupled_batch_per_block(tmp_path, monkeypatch):
     # every grid time of a block is one run_three_phase call of
     # len(grid) * CHUNK pairs
@@ -556,11 +638,10 @@ _DRAWS = [  # (method, parameters) of every draw the kernel makes
 
 def test_block_streams_draw_each_share_from_its_block():
     # blocks of 4, 6 and 3 columns; the view skips block 1 entirely
-    block = np.repeat([0, 1, 2], [4, 6, 3])
     cols = np.array([1, 2, 3, 10, 12])
-    streams = BlockStreams([np.random.default_rng(s) for s in (7, 8, 9)], block)
+    streams = BlockStreams([np.random.default_rng(s) for s in (7, 8, 9)], [0, 4, 10, 13])
     alone = [np.random.default_rng(s) for s in (7, 8, 9)]
-    mask = np.isin(np.arange(block.size), cols)
+    mask = np.isin(np.arange(13), cols)
     for method, params in _DRAWS:
         # a mask selects the same columns as their indices
         for view, size in ((streams.at(cols), cols.size), (streams.at(mask), (cols.size,))):
@@ -586,8 +667,8 @@ def test_one_stream_is_the_generator_itself():
     assert streams.at(np.array([0, 2])) is streams
     want = np.random.default_rng(3).exponential(2.0, 4)
     assert np.array_equal(streams.exponential(2.0, 4), want)
-    # one generator is one stream, whatever the labels
-    assert BlockStreams([rng], np.zeros(3, dtype=int)).block is None
+    # one generator is one stream, whatever the edges
+    assert BlockStreams([rng], [0, 3]).edges is None
 
 
 _LAWS = {
@@ -626,8 +707,8 @@ def test_a_group_of_blocks_draws_as_its_blocks_alone(F, start):
                                *np.array([tunings[h] for h in horizon.tolist()]).T)
 
     alone = [run(np.random.default_rng(s), h) for s, h in zip(seeds, horizons)]
-    block = np.repeat([0, 1, 2], [h.size for h in horizons])
-    group = run(BlockStreams([np.random.default_rng(s) for s in seeds], block),
+    edges = np.cumsum([0, *(h.size for h in horizons)])
+    group = run(BlockStreams([np.random.default_rng(s) for s in seeds], edges),
                 np.concatenate(horizons))
     assert np.isfinite(group.tau).any() and (group.log.counts > 0).all()
     whole = _arrays(group)
