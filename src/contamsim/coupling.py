@@ -342,7 +342,8 @@ def simulate_coupled(
                             rng.exponential(size=run.size))
         tev = t + s
         if gaps:
-            seen = (t <= tvf) & (tvf < tev) & (tvf <= hor)
+            # indices, not a mask: few columns pass tv_from in one step
+            seen = np.flatnonzero((t <= tvf) & (tvf < tev) & (tvf <= hor))
             dt = tvf[seen] - t[seen]
             gap[run[seen]] = np.abs(x[seen] * np.exp(-th[seen] * dt)
                                     - xt[seen] * np.exp(-tht[seen] * dt))
