@@ -370,7 +370,7 @@ def simulate_coupled(
                 jumps.append((run, t.copy(), x - before, th.copy()))
             continue
         xt *= decay if level else np.exp(-tht * s)
-        common = ages_met
+        common = ages_met  # every jump, once every pair's ages have met
         if level == 0:
             # the event has the elder's hazard; it is common with probability
             # zeta(younger)/zeta(elder), drawn only while the ages differ

@@ -555,16 +555,16 @@ def test_coupled_draws_are_pinned_across_the_age_switch():
     long = horizon == 12.0
     plain, recorded = (_switch_run(np.random.default_rng(2026), horizon, record)
                        for record in (False, True))
-    for name, col in _arrays(plain).items():
-        assert np.array_equal(col, _arrays(recorded)[name]), name
     rep = recorded
+    for name, col in _arrays(plain).items():
+        assert np.array_equal(col, _arrays(rep)[name]), name
     assert np.isinf(rep.tau_A[~long]).sum() == 7 and rep.tau_A[long].max() < 4.3
     assert np.all(rep.tau[long] >= 8.4) and np.isfinite(rep.tau[long]).all()
+    assert int(rep.log.counts.sum()) == 668 and rep.log.runs.size == 600
     finite = np.isfinite(rep.tau_A)
     sums = [rep.tau_A[finite].sum(), rep.tau[long].sum(), rep.y.x.sum(), rep.y_tilde.x.sum(),
             rep.gap[long].sum(), rep.log.jump_times.sum(), rep.log.intakes.sum(),
             rep.log.thetas.sum()]
-    assert int(rep.log.counts.sum()) == 668 and rep.log.runs.size == 600
     expected = [88.82627902148735, 356.7272845956013, 38.00635292298656, 51.735219462416,
                 0.05183287417758053, 3407.2370163821743, 291.01603376982064, 614.7301446062045]
     assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
@@ -573,7 +573,8 @@ def test_coupled_draws_are_pinned_across_the_age_switch():
 def test_a_group_of_blocks_draws_as_its_blocks_alone_across_the_age_switch():
     # each block alone, and the two as one batch, switch level mid-run
     seeds = [31, 32]
-    alone = [_switch_run(np.random.default_rng(s), h, True) for s, h in zip(seeds, _SWITCH_HORIZONS)]
+    alone = [_switch_run(np.random.default_rng(s), h, True)
+             for s, h in zip(seeds, _SWITCH_HORIZONS)]
     group = _switch_run(BlockStreams([np.random.default_rng(s) for s in seeds], [0, 50, 80]),
                         np.concatenate(_SWITCH_HORIZONS), True)
     assert np.isfinite(group.tau).any() and np.isinf(group.tau_A).any()
@@ -584,7 +585,8 @@ def test_a_group_of_blocks_draws_as_its_blocks_alone_across_the_age_switch():
         assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
 
 
-@pytest.mark.parametrize("config", ["configs/reference.yaml", "perfbench/configs/verify-weibull.yaml"])
+@pytest.mark.parametrize("config", ["configs/reference.yaml",
+                                    "perfbench/configs/verify-weibull.yaml"])
 def test_met_ages_share_rate_and_age_and_fused_pairs_share_the_state(config):
     # age coalescence is absorbing (every later jump is common), and so is
     # full coalescence, which is what lets the kernel keep Y's rows for Y~'s
