@@ -231,8 +231,8 @@ def _where(mask: np.ndarray) -> tuple[slice | np.ndarray, int]:
 
 def _rows(S: np.ndarray) -> tuple:
     """The kernel's state S as (x, theta, age, x~, theta~, age~, t, horizon,
-    tv_from): Y~'s rows are its own while the ages may differ, x~ with Y's
-    theta and age once they have met, and Y's rows once the pair is fused."""
+    tv_from): Y~'s rows are its own while the ages or rates may differ, x~
+    with Y's theta and age once both have met, and Y's rows once fused."""
     x, th, ag, *tilde, t, hor, tvf = S
     tilde = (*tilde, th, ag)[:3] if tilde else (x, th, ag)
     return (x, th, ag, *tilde, t, hor, tvf)
@@ -272,8 +272,8 @@ def simulate_coupled(
     three levels.  While the ages of a running pair differ, it draws the
     competing-risk age coupling on both states.  Age coalescence is
     absorbing (every later jump is common, so Y~ keeps Y's rate and age):
-    once every running pair's ages have met, the steps keep x~ beside Y's
-    rows and decay x~ by Y's factor.  So is coalescence: once every
+    once every running pair's ages and rates have met, the steps keep x~
+    beside Y's rows and decay x~ by Y's factor.  So is coalescence: once every
     running pair is fused (a single process is a pair started fused), the
     steps keep Y's rows alone and, after the decay, take a single-process
     branch.  Each level makes the draws the level before would make, in
@@ -327,15 +327,16 @@ def simulate_coupled(
         S, run, rng = S.take(keep, axis=1), run.take(keep), rng.at(keep)
         return keep
 
-    step, level = 0, 0  # 0: some ages differ, 1: every pair's ages met, 2: all fused
+    step, level = 0, 0  # 0: some ages or rates differ, 1: all met, 2: all fused
     while run.size:
         if level < 2 and met.all():
             # coalescence is absorbing: Y~ = Y from here on, so the steps keep
             # Y's rows alone (x, theta, age, t, horizon and tv_from)
             S, level = S[[0, 1, 2, -3, -2, -1]], 2
-        elif level == 0 and ages_met.all():
-            # so is age coalescence: every later jump is common and Y~ keeps
-            # Y's theta and age, so the steps keep x~ beside Y's rows
+        elif level == 0 and ages_met.all() and np.array_equal(S[1], S[4]):
+            # so is age coalescence: every later jump is common, so once the
+            # rates have met too (at the first common jump, if the ages started
+            # met) Y~ keeps Y's theta and age, and the steps keep x~ beside Y's rows
             S, level = S[[0, 1, 2, 3, -3, -2, -1]], 1
         x, th, ag, xt, tht, agt, t, hor, tvf = _rows(S)
         s = profile.inverse(np.maximum(ag, agt) if level == 0 else ag,

@@ -585,11 +585,36 @@ def test_a_group_of_blocks_draws_as_its_blocks_alone_across_the_age_switch():
         assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
 
 
+def test_coupled_draws_are_pinned_from_met_ages_and_apart_rates():
+    # the ages start met and the rates apart: until a pair's first jump its
+    # Y~ decays at its own rate, so the batch must not step on Y's rate and
+    # age for Y~ then.  Most pairs with horizon 0.3 end before that jump
+    n = 60
+    horizon = np.resize([0.3, 4.0], n)
+    plain, rep = (simulate_coupled(
+        ProcessState(np.full(n, 1.0), 1.0, 0.0), ProcessState(3.0, 0.6, 0.0),
+        DistributionSpec.exponential(2.0), hazard_profile(DistributionSpec.weibull(2.0, 1.0)),
+        DistributionSpec.uniform(0.5, 1.5), horizon, np.random.default_rng(2027),
+        tv_from=0.5 * horizon, record=record) for record in (False, True))
+    for name, col in _arrays(plain).items():
+        assert np.array_equal(col, _arrays(rep)[name]), name
+    assert np.all(rep.tau_A == 0.0)
+    assert int((rep.y.theta != rep.y_tilde.theta).sum()) == 27
+    assert int(np.isfinite(rep.tau).sum()) == 22 and int(rep.log.counts.sum()) == 130
+    sums = [rep.y_tilde.x.sum(), rep.y_tilde.theta.sum(), rep.gap.sum(), rep.y.x.sum(),
+            rep.tau[np.isfinite(rep.tau)].sum()]
+    expected = [95.45683113208077, 50.14109773878719, 69.99852625695331, 40.22206746506805,
+                62.00867550726216]
+    assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
+
+
 @pytest.mark.parametrize("config", ["configs/reference.yaml",
                                     "perfbench/configs/verify-weibull.yaml"])
 def test_met_ages_share_rate_and_age_and_fused_pairs_share_the_state(config):
     # age coalescence is absorbing (every later jump is common), and so is
-    # full coalescence, which is what lets the kernel keep Y's rows for Y~'s
+    # full coalescence, which is what lets the kernel keep Y's rows for Y~'s.
+    # A pair whose ages start met shares the rate from its first jump on; the
+    # starts of both configs share the rate, so a finite tau_A means both
     cfg = load_config(str(Path(__file__).resolve().parents[1] / config))
     rng = np.random.default_rng(cfg.seed)
     m = 300
