@@ -47,7 +47,7 @@ class CouplingReport:
     log: EventLog  # events of each pair; recorded, the jumps of Y
     tv_attempt_time: np.ndarray  # first maximal-coupling attempt
     tv_first_attempt_merged: np.ndarray
-    gap: np.ndarray  # |X - X~| at tv_from
+    gap: np.ndarray | None  # |X - X~| at tv_from; None unless watched
     y: ProcessState  # the states at the end of each run
     y_tilde: ProcessState
     phase_outcomes: dict = field(default_factory=dict)
@@ -64,13 +64,14 @@ class BlockStreams:
     ``gens[b]`` is the generator of block b, whose columns run from
     ``edges[b]`` up to ``edges[b + 1]``; the blocks are contiguous and in
     order, and the last edge is the column count.  A draw for the columns
-    is split by block, and each block's share comes from its own
-    generator, in column order.  So when a batch draws only through views
-    :meth:`at` makes from ascending columns, every block gets exactly the
-    draws it would get in a batch of its own (a block with no share draws
-    nothing, as a draw of size 0 would).  One generator is one stream:
-    ``at`` returns the object itself and the draws go straight to the
-    generator.
+    is split by block: each block's generator fills its share of one
+    batch in place, in column order, with numpy's standard variate of the
+    law, which the law's map then turns into the draw.  So when a batch
+    draws only through views :meth:`at` makes from ascending columns,
+    every block gets exactly the draws it would get in a batch of its own
+    (a block with no share draws nothing, as a draw of size 0 would).  One
+    generator is one stream: ``at`` returns the object itself and the
+    draws go straight to the generator.
     """
 
     def __init__(self, gens, edges=None):
@@ -99,11 +100,20 @@ class BlockStreams:
         n = edges[-1]
         if size != n and size != (n,):
             raise ValueError(f"a draw for {n} columns must have size {n}, not {size}")
+        # numpy draws these laws as shift + scale * its standard variate in C doubles, so
+        # each block fills its share in place and one map gives the same bits
+        fill, scale, shift = method, 1.0, 0.0
+        if method == "uniform":
+            fill, params, scale, shift = "random", (), params[1] - params[0], params[0]
+        elif method in ("exponential", "gamma"):
+            fill, params, scale = "standard_" + method, params[:-1], params[-1]
         out = np.empty(n)
         for gen, lo, hi in zip(self.gens, edges, edges[1:]):
-            if hi > lo:
-                out[lo:hi] = getattr(gen, method)(*params, size=hi - lo)
-        return out
+            if hi > lo and fill == "weibull":
+                out[lo:hi] = gen.weibull(*params, size=hi - lo)
+            elif hi > lo:
+                getattr(gen, fill)(*params, out=out[lo:hi])
+        return out if (scale, shift) == (1.0, 0.0) else shift + scale * out
 
     def random(self, size=None):
         return self._draw("random", size)
@@ -229,13 +239,14 @@ def _where(mask: np.ndarray) -> tuple[slice | np.ndarray, int]:
     return (slice(None) if k == mask.size else np.flatnonzero(mask)), k
 
 
-def _rows(S: np.ndarray) -> tuple:
-    """The kernel's state S as (x, theta, age, x~, theta~, age~, t, horizon,
-    tv_from): Y~'s rows are its own while the ages or rates may differ, x~
-    with Y's theta and age once both have met, and Y's rows once fused."""
-    x, th, ag, *tilde, t, hor, tvf = S
-    tilde = (*tilde, th, ag)[:3] if tilde else (x, th, ag)
-    return (x, th, ag, *tilde, t, hor, tvf)
+# The rows of S, by their count, as (x, theta, age, x~, theta~, age~, t, horizon, tv_from):
+# Y~'s own, then x~ with Y's theta and age once both have met, then Y's once fused
+_LAYOUT = {9: [0, 1, 2, 3, 4, 5, 6, 7, 8], 7: [0, 1, 2, 3, 1, 2, 4, 5, 6],
+           6: [0, 1, 2, 0, 1, 2, 3, 4, 5]}
+
+
+def _rows(S: np.ndarray) -> list:
+    return [S[i] for i in _LAYOUT[len(S)]]
 
 
 def simulate_coupled(
@@ -248,6 +259,7 @@ def simulate_coupled(
     rng: np.random.Generator | BlockStreams,
     tv_from: float | np.ndarray = math.inf,
     record: bool = False,
+    watch_gap: bool = True,
 ) -> CouplingReport:
     """Simulate coupled pairs (Y, Y~) up to the horizon, one pair per
     entry of the initial states.
@@ -256,13 +268,13 @@ def simulate_coupled(
     jumps share the intake and the new metabolic rate; from ``tv_from``
     on, common jumps instead use :func:`tv_jump_coupling`, which is what
     can produce full coalescence.  ``horizon`` (finite, >= 0) and
-    ``tv_from`` are one time for every pair or one per pair; a float gives
-    the same draws as an array of it.  Initial ages lie below the first
-    age of infinite hazard of the waits.  The report's ``gap`` is
-    |X - X~| at the pair's ``tv_from`` (infinite if that lies past its
-    horizon).  ``tau_A`` is the pair's first common jump, the
-    age-coalescence time (infinite if it lies past the horizon).  With
-    ``record`` the log keeps every jump of Y.
+    ``tv_from`` (>= 0, +inf for never) are one time for every pair or one
+    per pair; a float gives the same draws as an array of it.  Initial
+    ages lie below the first age of infinite hazard of the waits.  With
+    ``watch_gap``, which draws nothing, the report's ``gap`` is |X - X~|
+    at the pair's ``tv_from`` (infinite past its horizon); else None.
+    ``tau_A`` is the pair's first common jump, the age-coalescence time
+    (infinite past the horizon).  With ``record`` the log keeps every jump of Y.
 
     The pairs move in lockstep: each step draws, one array per law, the
     next event of every pair still running.  A subset of a step that is
@@ -273,11 +285,13 @@ def simulate_coupled(
     competing-risk age coupling on both states.  Age coalescence is
     absorbing (every later jump is common, so Y~ keeps Y's rate and age):
     once every running pair's ages and rates have met, the steps keep x~
-    beside Y's rows and decay x~ by Y's factor.  So is coalescence: once every
-    running pair is fused (a single process is a pair started fused), the
-    steps keep Y's rows alone and, after the decay, take a single-process
-    branch.  Each level makes the draws the level before would make, in
-    the same order.  Point-mass intake and rate
+    beside Y's rows and decay x~ by Y's factor.  So is coalescence: once
+    every running pair is fused (a single process is a pair started
+    fused), the steps keep Y's rows alone and, after the decay, take a
+    single-process branch.  Each level makes the draws the level before
+    would make, in the same order.  A pair past its horizon leaves the
+    batch with its rows as they are, and one closing pass after the last
+    step decays every pair to its horizon.  Point-mass intake and rate
     laws draw nothing, so with them only the age pairs use the stream.
     With :class:`BlockStreams` for ``rng`` each pair draws from the
     stream of its block, and the pairs of a block get the draws they
@@ -298,9 +312,12 @@ def simulate_coupled(
     S[7], S[8] = horizon, tv_from
     if not np.all((0.0 <= S[7]) & (S[7] < math.inf)):
         raise ContamsimError("every horizon must be finite and >= 0")
+    if not np.all(S[8] >= 0.0):
+        raise ContamsimError("every tv_from must be >= 0 (+inf for never)")
     if np.any(S[[2, 5]] >= profile.d):
         raise ContamsimError(f"the hazard of the waits is infinite from age {profile.d:g} on")
-    gaps = bool(np.any(S[8] <= S[7]))
+    S[8][S[8] > S[7]] = math.inf  # never reached
+    watch = watch_gap and bool(np.isfinite(S[8]).any())
     ages_met = S[2] == S[5]
     met = ages_met & (S[0] == S[3]) & (S[1] == S[4])
     tau_A = np.where(ages_met, 0.0, math.inf)
@@ -308,22 +325,22 @@ def simulate_coupled(
     events = np.zeros(n, dtype=np.int64)
     attempt = np.full(n, math.inf)
     attempt_ok = np.zeros(n, dtype=bool)
-    gap = np.full(n, math.inf)
-    final = np.empty((7, n))
+    gap = np.full(n, math.inf) if watch_gap else None
     run = np.arange(n)  # the pair of each column
     jumps = []  # with record: (run, time, intake, theta) of Y's jumps, per step
+    # the pairs of the retired columns, and their rows as (x, theta, age, x~,
+    # theta~, age~, t, horizon), in the order they retire
+    ended, retired, filled = np.empty(n, dtype=np.intp), np.empty((8, n)), 0
 
     def retire(done):
-        """Write the states of the columns ``done`` at their horizons, end
-        their runs and return the indices of the columns that go on."""
-        nonlocal S, run, rng
+        """End the runs of the columns ``done`` and return the indices of the others."""
+        nonlocal S, run, rng, filled
         gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-        x, th, ag, xt, tht, agt, t, hor, _ = _rows(S.take(gone, axis=1))
-        dt = hor - t
-        decay = np.exp(-th * dt)
-        y = x * decay, th, ag + dt
-        y_tilde = y if level == 2 else (xt * (decay if level else np.exp(-tht * dt)), tht, agt + dt)
-        final[:, run.take(gone)] = (*y, *y_tilde, hor)
+        now = slice(filled, filled + gone.size)
+        ended[now] = run.take(gone)
+        events[ended[now]] = step
+        retired[:, now] = S.take(gone, axis=1)[_LAYOUT[len(S)][:8]]
+        filled = now.stop
         S, run, rng = S.take(keep, axis=1), run.take(keep), rng.at(keep)
         return keep
 
@@ -342,19 +359,18 @@ def simulate_coupled(
         s = profile.inverse(np.maximum(ag, agt) if level == 0 else ag,
                             rng.exponential(size=run.size))
         tev = t + s
-        if gaps:
+        if watch:
             # indices, not a mask: few columns pass tv_from in one step
-            seen = np.flatnonzero((t <= tvf) & (tvf < tev) & (tvf <= hor))
+            seen = np.flatnonzero((tvf < tev) & (t <= tvf))
             dt = tvf[seen] - t[seen]
             gap[run[seen]] = np.abs(x[seen] * np.exp(-th[seen] * dt)
                                     - xt[seen] * np.exp(-tht[seen] * dt))
         out = tev > hor
         if out.any():
-            events[run[out]] = step
             keep = retire(out)
             s, tev = s.take(keep), tev.take(keep)
-            if level < 2:
-                ages_met, met = ages_met.take(keep), met.take(keep)
+            met = met.take(keep) if level < 2 else met
+            ages_met = ages_met.take(keep) if level == 0 else ages_met
             if not run.size:
                 break
             x, th, ag, xt, tht, agt, t, hor, tvf = _rows(S)
@@ -371,7 +387,6 @@ def simulate_coupled(
                 jumps.append((run, t.copy(), x - before, th.copy()))
             continue
         xt *= decay if level else np.exp(-tht * s)
-        common = ages_met  # every jump, once every pair's ages have met
         if level == 0:
             # the event has the elder's hazard; it is common with probability
             # zeta(younger)/zeta(elder), drawn only while the ages differ
@@ -381,18 +396,19 @@ def simulate_coupled(
             if apart.size:
                 e, y = np.maximum(ag[apart], agt[apart]) + s[apart], younger[apart] + s[apart]
                 common[apart] = rng.at(apart).random(apart.size) * profile.zeta(e) < profile.zeta(y)
-        # a lone jump is the elder's
-        y_jumps = common | (ag > agt) if record else None
-
-        c, n_common = _where(common)
+            # a lone jump is the elder's
+            y_jumps = np.flatnonzero(common | (ag > agt)) if record else None
+            c, n_common = _where(common)
+            fused = common & met
+        else:  # every jump is common once every pair's ages have met
+            c, n_common, fused = slice(None), run.size, met
         theta_new = H.sample(rng.at(c), n_common)
-        fused = common & met
         f, n_fused = _where(fused)
         if n_fused:
             x[f] += F.sample(rng.at(f), n_fused)
             xt[f] = x[f]
         if n_fused < n_common:
-            unmet = common ^ fused
+            unmet = common ^ fused if level == 0 else ~met
             late = unmet & (tev >= tvf)
             shared = unmet ^ late
             sh, n_shared = _where(shared)
@@ -403,11 +419,13 @@ def simulate_coupled(
             tv = np.flatnonzero(late)
             if tv.size:
                 x[tv], xt[tv], ok = tv_jump_coupling(x[tv], xt[tv], F, rng.at(tv))
-                first = np.isinf(attempt[run[tv]])
-                attempt[run[tv[first]]] = tev[tv[first]]
-                attempt_ok[run[tv[first]]] = ok[first]
+                pairs = run[tv]
+                first = np.isinf(attempt[pairs])
+                attempt[pairs[first]] = tev[tv[first]]
+                attempt_ok[pairs[first]] = ok[first]
                 won[tv[ok]] = True
             met |= won
+            won = np.flatnonzero(won)
             tau[run[won]] = tev[won]
         th[c] = theta_new
         ag[c] = 0.0
@@ -430,7 +448,7 @@ def simulate_coupled(
             S[e + 2, lone] = 0.0
             S[5 - e, lone] = younger[lone] + s[lone]
         if record:
-            j = np.flatnonzero(y_jumps)
+            j = y_jumps if level == 0 else np.arange(run.size)
             jumps.append((run[j], t[j], x[j] - before[j], th[j]))
 
     log = EventLog(events)
@@ -438,7 +456,15 @@ def simulate_coupled(
         cols = [np.concatenate(c) for c in zip(*jumps)] or [np.empty(0)] * 4
         order = np.argsort(cols[0], kind="stable")
         log = EventLog(events, *(c[order] for c in cols))
-    y, y_tilde = ProcessState(*final[0:3], final[6]), ProcessState(*final[3:6], final[6])
+    # the closing pass: the retired rows in pair order, decayed to each horizon.
+    # Y~'s theta is Y's, bit for bit, from the middle level on: one formula
+    # serves every level
+    slot = np.empty(n, dtype=np.intp)  # each pair's column in the buffer
+    slot[ended] = np.arange(n)
+    x, th, ag, xt, tht, agt, t, hor = retired.take(slot, axis=1)
+    dt = hor - t
+    y = ProcessState(x * np.exp(-th * dt), th, ag + dt, hor)
+    y_tilde = ProcessState(xt * np.exp(-tht * dt), tht, agt + dt, hor)
     return CouplingReport(tau_A, tau, log, attempt, attempt_ok, gap, y, y_tilde)
 
 
@@ -453,6 +479,7 @@ def run_three_phase(
     alpha: float | np.ndarray,
     beta: float | np.ndarray,
     epsilon_tv: float | np.ndarray,
+    watch_gap: bool = True,
 ) -> CouplingReport:
     """Run the three-phase coupling of a batch of pairs.
 
@@ -465,20 +492,22 @@ def run_three_phase(
     the second boundary and the L1 distance of the states at the horizon
     (the columns of ``coupling_reports.csv`` after ``replica_id``,
     ``tau_A``, ``tau`` and ``n_events``, in order); the indicator of
-    non-coalescence bounds the total variation there.
+    non-coalescence bounds the total variation there.  Without ``watch_gap``
+    no gap is measured, and its two outcomes are left out.
     """
     if not np.all((0.0 < alpha) & (alpha < beta) & (beta < 1.0)):
         raise AssumptionError("phase fractions must satisfy 0 < alpha < beta < 1")
     if not np.all((0.0 < epsilon_tv) & (epsilon_tv < 1.0)):
         raise AssumptionError("closeness threshold must lie in (0, 1)")
-    rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta * horizon)
+    rep = simulate_coupled(init, init_tilde, F, G, H, horizon, rng, tv_from=beta * horizon,
+                           watch_gap=watch_gap)
     y, yt = rep.y, rep.y_tilde
     rep.phase_outcomes = {
         "age_merge_by_alpha": rep.tau_A <= alpha * horizon,
-        "close_at_beta": rep.gap < epsilon_tv,
+        **({"close_at_beta": rep.gap < epsilon_tv} if watch_gap else {}),
         "jump_by_horizon": rep.tv_attempt_time <= horizon,
         "merged_at_first_attempt": rep.tv_first_attempt_merged,
-        "gap_at_beta": rep.gap,
+        **({"gap_at_beta": rep.gap} if watch_gap else {}),
         "l1_final": np.abs(y.x - yt.x) + np.abs(y.theta - yt.theta) + np.abs(y.age - yt.age),
     }
     return rep

@@ -65,8 +65,9 @@ def _coupled_chunk(args) -> list[dict]:
     init = cfg.init.sample(rng, len(blocks) * width)
     init_tilde = cfg.init_tilde.sample(rng, len(blocks) * width)
     horizon, eps = (np.tile(np.repeat(v, CHUNK), len(blocks)) for v in (horizons, epsilon_tv))
+    watch_gap = columns is None or not {"close_at_beta", "gap_at_beta"}.isdisjoint(columns)
     rep = run_three_phase(init, init_tilde, cfg.intake, cfg.inter_arrival, cfg.metabolic,
-                          horizon, rng, alpha, beta, eps)
+                          horizon, rng, alpha, beta, eps, watch_gap)
     every = {"tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes}
     # the batch's columns run (block, horizon, pair): one table per horizon
     split = {name: every[name].reshape(len(blocks), len(horizons), CHUNK).swapaxes(0, 1)

@@ -218,6 +218,21 @@ def test_kernel_rejects_bad_horizons_and_ages_past_the_blow_up():
     assert np.all(rep.log.jump_times >= 0.0) and np.all(rep.log.counts >= 1)
 
 
+def test_kernel_rejects_nan_and_negative_tv_from():
+    # a NaN tv_from turned the maximal jump coupling off unnoticed, and a
+    # negative one ran it from t = 0 but reported no gap; 0 and +inf are legal
+    F, G, H = DistributionSpec.uniform(0.0, 1.0), DistributionSpec.exponential(1.0), UNIT_RATE
+    start = ProcessState(np.ones(3), 1.0, 0.0), ProcessState(2.0, 1.0, 0.0)
+    for tv_from in (math.nan, -1.0, -math.inf, np.array([1.0, math.nan, 2.0]),
+                    np.array([0.5, -0.1, 1.0])):
+        with pytest.raises(ContamsimError, match="tv_from"):
+            simulate_coupled(*start, F, G, H, 5.0, np.random.default_rng(0), tv_from=tv_from)
+    rep = simulate_coupled(*start, F, G, H, 5.0, np.random.default_rng(0), tv_from=0.0)
+    assert np.all(rep.gap == 1.0) and np.all(rep.tv_attempt_time > 0.0)
+    rep = simulate_coupled(*start, F, G, H, 5.0, np.random.default_rng(0), tv_from=math.inf)
+    assert np.all(np.isinf(rep.gap)) and np.all(np.isinf(rep.tv_attempt_time))
+
+
 def test_rejection_sampler_exhaustion_is_a_package_error(monkeypatch):
     # the box and exponential intakes draw in closed form; gamma rejects
     monkeypatch.setattr(coupling, "_MAX_REJECTIONS", 0)
@@ -585,6 +600,106 @@ def test_a_group_of_blocks_draws_as_its_blocks_alone_across_the_age_switch():
         assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
 
 
+# horizons from 0.5 to 14: counted on an instrumented copy of the kernel,
+# the batch of seed 2028 retires 31 pairs while some running pair's ages
+# differ, 25 once every running pair's ages and rates have met and 4 once
+# every one is fused; blocks of 36 and 24 pairs (seeds 51 and 52) retire
+# pairs at all three levels, each alone and as one batch
+_LEVEL_HORIZONS = np.resize([0.5, 1.0, 2.0, 6.0, 9.0, 14.0], 60)
+
+
+def test_final_states_are_pinned_across_every_level():
+    plain, rep = (_switch_run(np.random.default_rng(2028), _LEVEL_HORIZONS, record)
+                  for record in (False, True))
+    for name, col in _arrays(plain).items():
+        assert np.array_equal(col, _arrays(rep)[name]), name
+    aged, fused = np.isfinite(rep.tau_A), np.isfinite(rep.tau)
+    assert int(rep.log.counts.sum()) == 366 and int(aged.sum()) == 47 and int(fused.sum()) == 32
+    assert np.array_equal(rep.y.t, _LEVEL_HORIZONS) and np.array_equal(rep.y_tilde.t, rep.y.t)
+    sums = [rep.tau_A[aged].sum(), rep.tau[fused].sum(),
+            *(getattr(y, name).sum() for y in (rep.y, rep.y_tilde) for name in ("x", "theta", "age"))]
+    expected = [47.85504338655559, 224.64598209804166, 30.347222202140177, 61.43786448764362,
+                35.67653227245907, 58.275565330118354, 59.625283419066, 38.2809347809668]
+    assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
+
+
+def test_a_group_of_blocks_ends_as_its_blocks_alone_across_every_level():
+    seeds, parts = [51, 52], np.split(_LEVEL_HORIZONS, [36])
+    alone = [_switch_run(np.random.default_rng(s), h, True) for s, h in zip(seeds, parts)]
+    group = _switch_run(BlockStreams([np.random.default_rng(s) for s in seeds], [0, 36, 60]),
+                        _LEVEL_HORIZONS, True)
+    whole = {**_arrays(group), **_log_arrays(group)}
+    parts = [{**_arrays(rep), **_log_arrays(rep)} for rep in alone]
+    parts[1]["runs"] = parts[1]["runs"] + 36
+    for name, col in whole.items():
+        assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
+
+
+# pairs whose ages and rates start met, and pairs started apart (lone jumps)
+_GAP_STARTS = {"met": ((2.0, 1.0, 0.0), (4.0, 1.0, 0.0)), "apart": ((1.0, 1.0, 0.0), (3.0, 0.8, 0.7))}
+_GAP_HORIZON = np.resize([1.0, 3.0, 6.0], 40)
+_GAP_PINS = {  # finite gaps, finite tau, events; sums of the finite gaps and tau, of x and x~
+    ("met", "zero"): (40, 21, 137, [80.0, 48.84344516115649, 25.579457646105176, 39.35286143016003]),
+    ("met", "event"): (34, 21, 137, [40.095673996062075, 48.84344516115649, 25.579457646105176,
+                                     39.35286143016003]),
+    ("met", "horizon"): (40, 0, 138, [11.583127615910442, 0.0, 27.57191293488894, 39.15504055079937]),
+    ("met", "past"): (0, 0, 138, [0.0, 0.0, 27.57191293488894, 39.15504055079937]),
+    ("met", "mix"): (28, 10, 136, [31.863066066740004, 25.009965309364958, 29.16929753839088,
+                                   40.894819918698374]),
+    ("apart", "zero"): (40, 21, 162, [80.0, 46.248374909645484, 21.428117035261188,
+                                      38.234890351027914]),
+    ("apart", "event"): (34, 23, 161, [43.7192631073583, 55.633904922176065, 25.021504219215387,
+                                       38.058755334815395]),
+    ("apart", "horizon"): (40, 0, 165, [14.777473228401604, 0.0, 25.13001521575111,
+                                        39.907488444152726]),
+    ("apart", "past"): (0, 0, 165, [0.0, 0.0, 25.13001521575111, 39.907488444152726]),
+    ("apart", "mix"): (28, 11, 162, [34.44385596653271, 25.79874478398489, 22.52387860853941,
+                                     37.90542507420764]),
+}
+
+
+def _gap_run(start, tv_from, record=False, watch_gap=True):
+    (x0, theta0, age0), (x1, theta1, age1) = _GAP_STARTS[start]
+    n = _GAP_HORIZON.size
+    return simulate_coupled(
+        ProcessState(np.full(n, x0), theta0, age0), ProcessState(x1, theta1, age1),
+        DistributionSpec.exponential(2.0), hazard_profile(DistributionSpec.weibull(2.0, 1.0)),
+        DistributionSpec.uniform(0.5, 1.5), _GAP_HORIZON, np.random.default_rng(2029),
+        tv_from=tv_from, record=record, watch_gap=watch_gap,
+    )
+
+
+@pytest.mark.parametrize("start, case", list(_GAP_PINS))
+def test_gap_watch_edges(start, case):
+    # tv_from at 0; at each pair's first event in the batch started met, so
+    # that the jump there is the maximal coupling and the next step starts
+    # at tv_from, measuring the gap over dt = 0 (for the batch started
+    # apart these are only times); at the horizon; past it; a mix per pair
+    h = _GAP_HORIZON
+    event = _first_jumps(_gap_run("met", math.inf, record=True), h.size)
+    tv_from = {"zero": 0.0, "event": event, "horizon": h, "past": h + 1.0,
+               "mix": np.choose(np.arange(h.size) % 4, [0.0, event, h, h + 1.0])}[case]
+    rep = _gap_run(start, tv_from)
+    seen, merged = np.isfinite(rep.gap), np.isfinite(rep.tau)
+    n_seen, n_merged, n_events, expected = _GAP_PINS[start, case]
+    assert (int(seen.sum()), int(merged.sum()), int(rep.log.counts.sum())) == (
+        n_seen, n_merged, n_events)
+    sums = [rep.gap[seen].sum(), rep.tau[merged].sum(), rep.y.x.sum(), rep.y_tilde.x.sum()]
+    assert np.allclose(sums, expected, rtol=1e-9, atol=0.0)
+    assert np.array_equal(seen, np.broadcast_to(tv_from, h.shape) <= h)
+    if case == "zero":
+        assert np.all(rep.gap == 2.0)
+    if case == "horizon":  # the gap at the horizon is the final states' distance, bit for bit
+        assert np.array_equal(rep.gap, np.abs(rep.y.x - rep.y_tilde.x))
+    # the watch draws nothing: a run without it differs only in its gap, which it does not carry
+    blind = _gap_run(start, tv_from, watch_gap=False)
+    assert blind.gap is None
+    want, got = _arrays(rep), _arrays(blind)
+    del want["gap"], got["gap"]
+    for name, col in want.items():
+        assert np.array_equal(col, got[name]), name
+
+
 def test_coupled_draws_are_pinned_from_met_ages_and_apart_rates():
     # the ages start met and the rates apart: until a pair's first jump its
     # Y~ decays at its own rate, so the batch must not step on Y's rate and
@@ -696,6 +811,39 @@ def test_one_stream_is_the_generator_itself():
     assert np.array_equal(streams.exponential(2.0, 4), want)
     # one generator is one stream, whatever the edges
     assert BlockStreams([rng], [0, 3]).edges is None
+
+
+# every law the kernel draws: through a BlockStreams batch, a block's share
+# is numpy's standard variate filled in place, and the law's map is applied
+# to the whole batch; the unit laws map by the identity
+_FILLED = {
+    "random": lambda rng, size: rng.random(size),
+    "uniform": DistributionSpec.uniform(0.3, 2.7).sample,
+    "unit-uniform": DistributionSpec.uniform(0.0, 1.0).sample,
+    "exponential": DistributionSpec.exponential(1.7).sample,
+    "unit-exponential": DistributionSpec.exponential(1.0).sample,
+    "shifted-exponential": DistributionSpec.shifted_exponential(0.2, 1.7).sample,
+    "gamma": DistributionSpec.gamma(2.0, 0.1).sample,
+    "unit-gamma": DistributionSpec.gamma(2.0, 1.0).sample,
+    "weibull": DistributionSpec.weibull(1.5, 2.0).sample,
+}
+
+
+@pytest.mark.parametrize("law", list(_FILLED))
+def test_block_draws_filled_in_place_equal_numpys_methods(law):
+    # blocks of 5, 0 and 9 columns; a plain generator's method is the reference
+    draw, sizes, seeds = _FILLED[law], [5, 0, 9], [41, 42, 43]
+    edges = np.cumsum([0, *sizes]).tolist()
+    streams = BlockStreams([np.random.default_rng(s) for s in seeds], edges)
+    one = BlockStreams.of(np.random.default_rng(41))
+    alone = [np.random.default_rng(s) for s in seeds]
+    reference = np.random.default_rng(41)
+    for _ in range(2):  # and the next draw goes on where each stream stopped
+        got = draw(streams, edges[-1])
+        for gen, lo, hi in zip(alone, edges, edges[1:]):
+            assert np.array_equal(got[lo:hi], draw(gen, hi - lo))
+        assert np.array_equal(draw(one, 7), draw(reference, 7))
+    assert streams.gens[1].bit_generator.state == np.random.default_rng(42).bit_generator.state
 
 
 _LAWS = {
