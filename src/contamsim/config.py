@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import yaml
 
 from .distributions import DistributionSpec, Family, hazard_profile
@@ -117,8 +118,12 @@ class InitLaw:
     age: DistributionSpec
 
     def sample(self, rng, size: int | None = None):
-        """One initial state, or with ``size`` a batch of that many."""
-        return ProcessState(*(law.sample(rng, size) for law in (self.x, self.theta, self.age)))
+        """One initial state, or with ``size`` a batch of that many, where a
+        point-mass component is a read-only view of its one value."""
+        return ProcessState(*(
+            np.broadcast_to(law.params[0], size)
+            if law.family is Family.DIRAC and size is not None else law.sample(rng, size)
+            for law in (self.x, self.theta, self.age)))
 
 
 @dataclass

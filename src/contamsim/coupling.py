@@ -239,14 +239,11 @@ def _where(mask: np.ndarray) -> tuple[slice | np.ndarray, int]:
     return (slice(None) if k == mask.size else np.flatnonzero(mask)), k
 
 
-# The rows of S, by their count, as (x, theta, age, x~, theta~, age~, t, horizon, tv_from):
-# Y~'s own, then x~ with Y's theta and age once both have met, then Y's once fused
-_LAYOUT = {9: [0, 1, 2, 3, 4, 5, 6, 7, 8], 7: [0, 1, 2, 3, 1, 2, 4, 5, 6],
-           6: [0, 1, 2, 0, 1, 2, 3, 4, 5]}
-
-
-def _rows(S: np.ndarray) -> list:
-    return [S[i] for i in _LAYOUT[len(S)]]
+# The rows of S at each level, as (x, theta, age, x~, theta~, age~, t, horizon, tv_from):
+# Y~'s own, then x~ with Y's theta and age once both have met, then Y's once fused.
+# The buffer keeps the rows of its starting level: 9, 7 or 6
+_LAYOUT = [[0, 1, 2, 3, 4, 5, -3, -2, -1], [0, 1, 2, 3, 1, 2, -3, -2, -1],
+           [0, 1, 2, 0, 1, 2, -3, -2, -1]]
 
 
 def simulate_coupled(
@@ -275,89 +272,98 @@ def simulate_coupled(
     at the pair's ``tv_from`` (infinite past its horizon); else None.
     ``tau_A`` is the pair's first common jump, the age-coalescence time
     (infinite past the horizon).  With ``record`` the log keeps every jump of Y.
+    No input array is written to, so read-only views serve as inputs.
 
     The pairs move in lockstep: each step draws, one array per law, the
     next event of every pair still running.  A subset of a step that is
     every running column (every jump common, every pair fused or every
     pair sharing an intake) is indexed by a basic slice, a view, not by
-    an index array.  A step keeps only the state rows it reads, at one of
-    three levels.  While the ages of a running pair differ, it draws the
-    competing-risk age coupling on both states.  Age coalescence is
-    absorbing (every later jump is common, so Y~ keeps Y's rate and age):
-    once every running pair's ages and rates have met, the steps keep x~
-    beside Y's rows and decay x~ by Y's factor.  So is coalescence: once
-    every running pair is fused (a single process is a pair started
-    fused), the steps keep Y's rows alone and, after the decay, take a
-    single-process branch.  Each level makes the draws the level before
-    would make, in the same order.  A pair past its horizon leaves the
-    batch with its rows as they are, and one closing pass after the last
-    step decays every pair to its horizon.  Point-mass intake and rate
-    laws draw nothing, so with them only the age pairs use the stream.
-    With :class:`BlockStreams` for ``rng`` each pair draws from the
-    stream of its block, and the pairs of a block get the draws they
-    would get in a call of their own.
+    an index array.  A step reads the state rows of one of three levels.
+    While the ages of a running pair differ, it draws the competing-risk
+    age coupling on both states.  Age coalescence is absorbing (every
+    later jump is common, so Y~ keeps Y's rate and age): once every
+    running pair's ages and rates have met, the steps keep x~ beside Y's
+    rows and decay x~ by Y's factor.  So is coalescence: once every
+    running pair is fused (a single process is a pair started fused), the
+    steps keep Y's rows alone and, after the decay, take a single-process
+    branch.  Each level makes the draws the level before would make, in
+    the same order.  The states live in one buffer with the rows of the
+    batch's starting level, one column per pair: the running columns
+    first, in order.  A pair past its horizon leaves the batch with its
+    rows as they are: each row of the running columns is compacted in
+    place and the retired columns are parked right behind them.  The rows
+    a level no longer reads are filled from Y's after the last step, and
+    one closing pass decays every pair to its horizon and scatters it to
+    its entry.  Point-mass intake and rate laws draw nothing, so with them
+    only the age pairs use the stream.  With :class:`BlockStreams` for
+    ``rng`` each pair draws from the stream of its block, and the pairs
+    of a block get the draws they would get in a call of their own.
     """
     init.validate()
     init_tilde.validate()
-    rng = BlockStreams.of(rng)  # the streams of the columns, compacted with them
+    rng = BlockStreams.of(rng)  # the streams of the running columns, compacted with them
     profile = G if isinstance(G, HazardProfile) else hazard_profile(G)
     start = (init.x, init.theta, init.age, init_tilde.x, init_tilde.theta, init_tilde.age)
     n = max(np.size(v) for v in (*start, horizon, tv_from))
-    # rows: x, theta, age, x~, theta~, age~, the time of the last event,
-    # the horizon and tv_from, until a level drops rows (see _rows); one
-    # column per pair still running
-    S = np.zeros((9, n))
-    for row, v in enumerate(start):
+    ages_met = np.broadcast_to(np.equal(init.age, init_tilde.age), n).copy()
+    rates_met = np.equal(init.theta, init_tilde.theta)
+    met = ages_met & rates_met & np.equal(init.x, init_tilde.x)
+    level = 2 if met.all() else 1 if ages_met.all() and np.all(rates_met) else 0
+    top = level  # 0: some ages or rates differ, 1: all met, 2: all fused
+    S = np.empty(((9, 7, 6)[level], n))
+    for row, v in zip(_LAYOUT[level], start):
         S[row] = v
-    S[7], S[8] = horizon, tv_from
-    if not np.all((0.0 <= S[7]) & (S[7] < math.inf)):
+    S[-3], S[-2], S[-1] = 0.0, horizon, tv_from
+    # the buffer holds them: dropping the names frees a temporary argument,
+    # such as run_three_phase's beta * horizon, where the callee owns it
+    del horizon, tv_from
+    if not np.all((0.0 <= S[-2]) & (S[-2] < math.inf)):
         raise ContamsimError("every horizon must be finite and >= 0")
-    if not np.all(S[8] >= 0.0):
+    if not np.all(S[-1] >= 0.0):
         raise ContamsimError("every tv_from must be >= 0 (+inf for never)")
-    if np.any(S[[2, 5]] >= profile.d):
+    if np.any(init.age >= profile.d) or np.any(init_tilde.age >= profile.d):
         raise ContamsimError(f"the hazard of the waits is infinite from age {profile.d:g} on")
-    S[8][S[8] > S[7]] = math.inf  # never reached
-    watch = watch_gap and bool(np.isfinite(S[8]).any())
-    ages_met = S[2] == S[5]
-    met = ages_met & (S[0] == S[3]) & (S[1] == S[4])
+    S[-1][S[-1] > S[-2]] = math.inf  # never reached
+    watch = watch_gap and bool(np.isfinite(S[-1]).any())
     tau_A = np.where(ages_met, 0.0, math.inf)
     tau = np.where(met, 0.0, math.inf)
     events = np.zeros(n, dtype=np.int64)
     attempt = np.full(n, math.inf)
     attempt_ok = np.zeros(n, dtype=bool)
     gap = np.full(n, math.inf) if watch_gap else None
-    run = np.arange(n)  # the pair of each column
+    pair = np.arange(n)  # the pair of each column of the buffer
     jumps = []  # with record: (run, time, intake, theta) of Y's jumps, per step
-    # the pairs of the retired columns, and their rows as (x, theta, age, x~,
-    # theta~, age~, t, horizon), in the order they retire
-    ended, retired, filled = np.empty(n, dtype=np.intp), np.empty((8, n)), 0
+    # the running columns are the first k of the buffer; those that ran on at
+    # level 1 and at level 2 are the first k1 and k2
+    k, k1, k2 = n, (0, n, n)[level], (0, 0, n)[level]
 
     def retire(done):
-        """End the runs of the columns ``done`` and return the indices of the others."""
-        nonlocal S, run, rng, filled
-        gone, keep = np.flatnonzero(done), np.flatnonzero(~done)
-        now = slice(filled, filled + gone.size)
-        ended[now] = run.take(gone)
-        events[ended[now]] = step
-        retired[:, now] = S.take(gone, axis=1)[_LAYOUT[len(S)][:8]]
-        filled = now.stop
-        S, run, rng = S.take(keep, axis=1), run.take(keep), rng.at(keep)
+        """Park the running columns ``done`` right behind the others, which
+        keep their order, and return the indices of the others."""
+        nonlocal k, rng
+        keep = np.flatnonzero(~done)
+        order = np.concatenate((keep, np.flatnonzero(done)))
+        for row in (*(S[i] for i in set(_LAYOUT[level])), pair):  # the rows read
+            row[:k] = row.take(order)
+        events[pair[keep.size:k]] = step
+        k, rng = keep.size, rng.at(keep)
         return keep
 
-    step, level = 0, 0  # 0: some ages or rates differ, 1: all met, 2: all fused
-    while run.size:
+    step = 0
+    while k:
         if level < 2 and met.all():
-            # coalescence is absorbing: Y~ = Y from here on, so the steps keep
+            # coalescence is absorbing: Y~ = Y from here on, so the steps read
             # Y's rows alone (x, theta, age, t, horizon and tv_from)
-            S, level = S[[0, 1, 2, -3, -2, -1]], 2
-        elif level == 0 and ages_met.all() and np.array_equal(S[1], S[4]):
+            level, k1, k2 = 2, max(k1, k), k
+        elif level == 0 and ages_met.all() and np.array_equal(S[1, :k], S[4, :k]):
             # so is age coalescence: every later jump is common, so once the
             # rates have met too (at the first common jump, if the ages started
-            # met) Y~ keeps Y's theta and age, and the steps keep x~ beside Y's rows
-            S, level = S[[0, 1, 2, 3, -3, -2, -1]], 1
-        x, th, ag, xt, tht, agt, t, hor, tvf = _rows(S)
+            # met) Y~ keeps Y's theta and age, and the steps read x~ beside Y's rows
+            level, k1 = 1, k
+        x, th, ag, xt, tht, agt, t, hor, tvf = (S[i, :k] for i in _LAYOUT[level])
+        run = pair[:k]
         s = profile.inverse(np.maximum(ag, agt) if level == 0 else ag,
-                            rng.exponential(size=run.size))
+                            rng.exponential(size=k))
         tev = t + s
         if watch:
             # indices, not a mask: few columns pass tv_from in one step
@@ -371,20 +377,21 @@ def simulate_coupled(
             s, tev = s.take(keep), tev.take(keep)
             met = met.take(keep) if level < 2 else met
             ages_met = ages_met.take(keep) if level == 0 else ages_met
-            if not run.size:
+            if not k:
                 break
-            x, th, ag, xt, tht, agt, t, hor, tvf = _rows(S)
+            x, th, ag, xt, tht, agt, t, hor, tvf = (S[i, :k] for i in _LAYOUT[level])
+            run = pair[:k]
         step += 1
         decay = np.exp(-th * s)
         x *= decay
         t[:] = tev
         before = x.copy() if record else None
         if level == 2:
-            th[:] = H.sample(rng, run.size)
-            x += F.sample(rng, run.size)
+            th[:] = H.sample(rng, k)
+            x += F.sample(rng, k)
             ag[:] = 0.0
             if record:
-                jumps.append((run, t.copy(), x - before, th.copy()))
+                jumps.append((run.copy(), t.copy(), x - before, th.copy()))
             continue
         xt *= decay if level else np.exp(-tht * s)
         if level == 0:
@@ -401,7 +408,7 @@ def simulate_coupled(
             c, n_common = _where(common)
             fused = common & met
         else:  # every jump is common once every pair's ages have met
-            c, n_common, fused = slice(None), run.size, met
+            c, n_common, fused = slice(None), k, met
         theta_new = H.sample(rng.at(c), n_common)
         f, n_fused = _where(fused)
         if n_fused:
@@ -436,7 +443,7 @@ def simulate_coupled(
             ages_met |= common
             tau_A[run[fresh]] = tev[fresh]
 
-        if n_common < run.size:
+        if n_common < k:
             lone = np.flatnonzero(~common)
             rng_lone = rng.at(lone)
             u, theta_new = F.sample(rng_lone, lone.size), H.sample(rng_lone, lone.size)
@@ -448,7 +455,7 @@ def simulate_coupled(
             S[e + 2, lone] = 0.0
             S[5 - e, lone] = younger[lone] + s[lone]
         if record:
-            j = y_jumps if level == 0 else np.arange(run.size)
+            j = y_jumps if level == 0 else np.arange(k)
             jumps.append((run[j], t[j], x[j] - before[j], th[j]))
 
     log = EventLog(events)
@@ -456,15 +463,24 @@ def simulate_coupled(
         cols = [np.concatenate(c) for c in zip(*jumps)] or [np.empty(0)] * 4
         order = np.argsort(cols[0], kind="stable")
         log = EventLog(events, *(c[order] for c in cols))
-    # the closing pass: the retired rows in pair order, decayed to each horizon.
-    # Y~'s theta is Y's, bit for bit, from the middle level on: one formula
-    # serves every level
-    slot = np.empty(n, dtype=np.intp)  # each pair's column in the buffer
-    slot[ended] = np.arange(n)
-    x, th, ag, xt, tht, agt, t, hor = retired.take(slot, axis=1)
+    # the columns that ran on at level 1 (the first k1) take Y~'s theta and age
+    # from Y's rows, bit for bit, and those that ran on at level 2 its x too
+    if top == 0:
+        S[4:6, :k1] = S[1:3, :k1]
+    if top < 2:
+        S[3, :k2] = S[0, :k2]
+    x, th, ag, xt, tht, agt, t, hor, _ = (S[i] for i in _LAYOUT[top])
+
+    def closed(v):  # one row of the closing pass, scattered to each column's pair
+        out = np.empty(n)
+        out[pair] = v
+        return out
+
+    # the closing pass decays each pair to its horizon
     dt = hor - t
-    y = ProcessState(x * np.exp(-th * dt), th, ag + dt, hor)
-    y_tilde = ProcessState(xt * np.exp(-tht * dt), tht, agt + dt, hor)
+    hor = closed(hor)
+    y = ProcessState(closed(x * np.exp(-th * dt)), closed(th), closed(ag + dt), hor)
+    y_tilde = ProcessState(closed(xt * np.exp(-tht * dt)), closed(tht), closed(agt + dt), hor)
     return CouplingReport(tau_A, tau, log, attempt, attempt_ok, gap, y, y_tilde)
 
 

@@ -3,9 +3,12 @@
 Block b holds the replica ids [CHUNK*b, CHUNK*b + CHUNK) and draws from
 one random stream keyed by ``(seed, stream, b)``.  A block is always
 simulated in full and its rows past ``n_replicas`` are dropped.
-Consecutive blocks share one lockstep batch, up to GROUP_COLUMNS columns
-(at least one block, and no more than a worker's share of the blocks),
-but each draws from its own stream through
+Consecutive blocks share one lockstep batch, at least one block and no
+more than a worker's share of the blocks, under two caps: GROUP_COLUMNS
+on its pairs per horizon (CHUNK a block), and BUDGET_COLUMNS, its memory
+budget, on its columns in all (one per pair and horizon).  So verify's 9
+grid times run 5 blocks a batch, simulate and couple 8.  Each block
+draws from its own stream through
 :class:`~contamsim.coupling.BlockStreams`, so it gets the draws it would
 get in a batch of its own.  So row k depends neither on the replica
 count nor on the worker count, and artifacts are byte-identical across
@@ -39,8 +42,10 @@ __all__ = ["coupled_rows", "marginal_rows", "marginal_blocks", "block_rng", "CHU
            "MARGINAL_STREAM", "VERIFY_STREAM", "COUPLE_STREAM"]
 
 CHUNK = 512
-# the columns of one lockstep batch that consecutive blocks are grouped up to
+# the caps of a batch: its pairs per horizon, and its columns in all, 5 blocks
+# of 9 horizons, whose coupled_rows call peaks at about 190 B a column (4.1 MiB)
 GROUP_COLUMNS = 4096
+BUDGET_COLUMNS = 24576
 # the random streams of the commands' replica blocks
 MARGINAL_STREAM = 0  # simulate and dump-paths
 VERIFY_STREAM = 1
@@ -64,12 +69,15 @@ def _coupled_chunk(args) -> list[dict]:
     rng = _streams(cfg, stream, blocks, width)
     init = cfg.init.sample(rng, len(blocks) * width)
     init_tilde = cfg.init_tilde.sample(rng, len(blocks) * width)
-    horizon, eps = (np.tile(np.repeat(v, CHUNK), len(blocks)) for v in (horizons, epsilon_tv))
     watch_gap = columns is None or not {"close_at_beta", "gap_at_beta"}.isdisjoint(columns)
+    # the batch's columns run (block, horizon, pair); the thresholds, checked
+    # in any case, are one per pair only where a gap meets them
+    horizon = np.tile(np.repeat(horizons, CHUNK), len(blocks))
+    eps = np.tile(np.repeat(epsilon_tv, CHUNK), len(blocks)) if watch_gap else np.asarray(epsilon_tv)
     rep = run_three_phase(init, init_tilde, cfg.intake, cfg.inter_arrival, cfg.metabolic,
                           horizon, rng, alpha, beta, eps, watch_gap)
     every = {"tau_A": rep.tau_A, "tau": rep.tau, "n_events": rep.log.counts, **rep.phase_outcomes}
-    # the batch's columns run (block, horizon, pair): one table per horizon
+    # one table per horizon
     split = {name: every[name].reshape(len(blocks), len(horizons), CHUNK).swapaxes(0, 1)
              for name in columns or every}
     return [{name: col[g].ravel() for name, col in split.items()} for g in range(len(horizons))]
@@ -126,10 +134,11 @@ def _gather(cfg: RunConfig, payloads: list, results, ids: bool) -> list[dict]:
 
 def _groups(cfg: RunConfig, n_horizons: int) -> list[range]:
     """Consecutive blocks in groups of one batch each: up to GROUP_COLUMNS
-    columns of ``n_horizons`` times CHUNK per block, and no more blocks
-    than a worker's share."""
+    pairs per horizon, BUDGET_COLUMNS columns of ``n_horizons`` times
+    CHUNK per block, and no more blocks than a worker's share."""
     n_blocks = -(-cfg.n_replicas // CHUNK)
-    size = max(1, min(GROUP_COLUMNS // (n_horizons * CHUNK), -(-n_blocks // cfg.parallelism)))
+    size = max(1, min(GROUP_COLUMNS // CHUNK, BUDGET_COLUMNS // (n_horizons * CHUNK),
+                      -(-n_blocks // cfg.parallelism)))
     return [range(b, min(b + size, n_blocks)) for b in range(0, n_blocks, size)]
 
 

@@ -635,6 +635,35 @@ def test_a_group_of_blocks_ends_as_its_blocks_alone_across_every_level():
         assert np.array_equal(col, np.concatenate([part[name] for part in parts])), name
 
 
+def test_the_kernel_never_writes_into_its_inputs():
+    # the kernel steps in a buffer of its own: writable states, horizons and
+    # tv_from come out unchanged from a batch that retires pairs at every
+    # level, and read-only inputs, as the point-mass views of InitLaw.sample,
+    # give the same report as arrays of their values
+    n = _LEVEL_HORIZONS.size
+    inputs = [np.full(n, 1.0), np.full(n, 1.0), np.zeros(n), np.full(n, 3.0), np.full(n, 0.8),
+              np.full(n, 0.7), _LEVEL_HORIZONS.copy(), 0.7 * _LEVEL_HORIZONS]
+    kept = [v.copy() for v in inputs]
+
+    def run(x, theta, age, x_tilde, theta_tilde, age_tilde, horizon, tv_from):
+        return simulate_coupled(
+            ProcessState(x, theta, age), ProcessState(x_tilde, theta_tilde, age_tilde),
+            DistributionSpec.exponential(2.0), hazard_profile(DistributionSpec.weibull(2.0, 1.0)),
+            DistributionSpec.uniform(0.5, 1.5), horizon, np.random.default_rng(2028),
+            tv_from=tv_from, record=True)
+
+    rep = run(*inputs)
+    for v, was in zip(inputs, kept):
+        assert np.array_equal(v, was)
+    views = [np.broadcast_to(v[0], n) for v in inputs[:6]]
+    for v in inputs[6:]:
+        v.setflags(write=False)
+    frozen = run(*views, *inputs[6:])
+    want, got = {**_arrays(rep), **_log_arrays(rep)}, {**_arrays(frozen), **_log_arrays(frozen)}
+    for name, col in want.items():
+        assert np.array_equal(col, got[name]), name
+
+
 # pairs whose ages and rates start met, and pairs started apart (lone jumps)
 _GAP_STARTS = {"met": ((2.0, 1.0, 0.0), (4.0, 1.0, 0.0)), "apart": ((1.0, 1.0, 0.0), (3.0, 0.8, 0.7))}
 _GAP_HORIZON = np.resize([1.0, 3.0, 6.0], 40)
@@ -748,9 +777,12 @@ def test_met_ages_share_rate_and_age_and_fused_pairs_share_the_state(config):
     assert np.all(rep.y.age[~aged] != rep.y_tilde.age[~aged])
 
 
-def test_verify_runs_one_coupled_batch_per_block(tmp_path, monkeypatch):
-    # every grid time of a block is one run_three_phase call of
-    # len(grid) * CHUNK pairs
+def test_verify_runs_a_group_of_blocks_in_one_coupled_batch(tmp_path, monkeypatch):
+    # a worker's blocks share one run_three_phase call, every grid time of a
+    # block taking CHUNK pairs, up to the batch's column budget: the three
+    # blocks of 1 100 replicas are one call of 3 x 4 608 pairs, while one
+    # block of a 60-time grid, 30 720 columns, is past the budget and runs alone
+    import yaml
     from click.testing import CliRunner
 
     from contamsim import runner
@@ -765,11 +797,87 @@ def test_verify_runs_one_coupled_batch_per_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "run_three_phase", counting)
     config = Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"
-    result = CliRunner().invoke(main, [
-        "verify", "--config", str(config), "--replicas", "1100", "--out", str(tmp_path), "--quiet",
-    ])
-    assert result.exit_code == 0, result.output
-    assert calls == [9 * runner.CHUNK] * 3
+    long_grid = tmp_path / "long.yaml"
+    data = yaml.safe_load(config.read_text())
+    data["experiment"]["grid"] = [0.25 * i for i in range(1, 61)]
+    long_grid.write_text(yaml.safe_dump(data))
+    for path, want in ((config, [3 * 9 * runner.CHUNK]), (long_grid, [60 * runner.CHUNK] * 3)):
+        calls.clear()
+        result = CliRunner().invoke(main, [
+            "verify", "--config", str(path), "--replicas", "1100", "--out", str(tmp_path), "--quiet",
+        ])
+        assert result.exit_code == 0, result.output
+        assert calls == want
+    assert 60 * runner.CHUNK > runner.BUDGET_COLUMNS >= 3 * 9 * runner.CHUNK
+
+
+def _stand_in_report(cfg):
+    """The tuning coupled_rows reads from a bound report, without the bounds:
+    assembling them for the Weibull instance takes an age-tail Monte Carlo."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(alpha=0.3, beta=0.6, epsilon_tv=lambda t: 0.5 / (1.0 + t))
+
+
+@pytest.mark.parametrize("config", ["configs/reference.yaml",
+                                    "perfbench/configs/verify-weibull.yaml"])
+def test_grouped_blocks_give_the_tables_of_one_batch_per_block(config, monkeypatch):
+    # 2 500 replicas are five blocks: five of 9 grid times and 23 040 columns
+    # on the reference config, five of 4 times on the Weibull instance, whose
+    # pairs start with ages apart on 9 rows and switch level mid-run.  One
+    # batch of them gives the tables of each block in a batch of its own,
+    # which a group as wide as one block's pairs per horizon makes
+    from contamsim import runner
+
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / config), replicas=2500)
+    report = _stand_in_report(cfg)
+    calls = []
+    real = runner.run_three_phase
+
+    def counting(init, *args):
+        calls.append(np.size(init.x))
+        return real(init, *args)
+
+    monkeypatch.setattr(runner, "run_three_phase", counting)
+    grouped = runner.coupled_rows(cfg, runner.VERIFY_STREAM, report, cfg.grid)
+    width = len(cfg.grid) * runner.CHUNK
+    assert calls == [5 * width]
+    calls.clear()
+    monkeypatch.setattr(runner, "GROUP_COLUMNS", runner.CHUNK)
+    alone = runner.coupled_rows(cfg, runner.VERIFY_STREAM, report, cfg.grid)
+    assert calls == [width] * 5
+    for got, want in zip(grouped, alone):
+        assert list(got) == list(want)
+        for name, col in want.items():
+            assert np.array_equal(got[name], col), name
+
+
+def test_coupled_rows_peak_bytes_per_column():
+    # the traced peak of one verify batch of 23 040 columns: 187 B a column
+    # under CPython 3.11, and 8 B more where the caller keeps
+    # run_three_phase's beta * horizon alive through the call, as 3.10
+    # does.  The bound of 210 B is 12 % above 187;  the kernel with an
+    # 8-row buffer of retired columns beside a 9-row state, copied at
+    # every compaction, reads 302 under the same grouping
+    import tracemalloc
+
+    from contamsim import runner
+    from contamsim.cli import _bounds
+
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "reference.yaml"),
+                      replicas=2500)
+    report = _bounds(cfg)
+    columns = ("tau", "l1_final")
+    runner.coupled_rows(cfg, runner.VERIFY_STREAM, report, cfg.grid, columns)  # warm caches
+    tracemalloc.start()
+    try:
+        runner.coupled_rows(cfg, runner.VERIFY_STREAM, report, cfg.grid, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_columns = 5 * len(cfg.grid) * runner.CHUNK
+    assert n_columns == 23040
+    assert peak / n_columns < 210.0, peak / n_columns
 
 
 _DRAWS = [  # (method, parameters) of every draw the kernel makes
