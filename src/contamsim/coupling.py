@@ -63,13 +63,14 @@ class BlockStreams:
 
     ``gens[b]`` is the generator of block b, whose columns run from
     ``edges[b]`` up to ``edges[b + 1]``; the blocks are contiguous and in
-    order, and the last edge is the column count.  A draw for the columns
-    is split by block: each block's generator fills its share of one
-    batch in place, in column order, with numpy's standard variate of the
-    law, which the law's map then turns into the draw.  So when a batch
-    draws only through views :meth:`at` makes from ascending columns,
-    every block gets exactly the draws it would get in a batch of its own
-    (a block with no share draws nothing, as a draw of size 0 would).  One
+    order, and the last edge is the column count.  The draw methods are a
+    plain generator's standard variates, which
+    :meth:`DistributionSpec.sample` maps to each law.  A draw for the
+    columns is split by block: each block's generator fills its share of
+    one batch in place, in column order.  So when a batch draws only
+    through views :meth:`at` makes from ascending columns, every block
+    gets exactly the draws it would get in a batch of its own (a block
+    with no share draws nothing, as a draw of size 0 would).  One
     generator is one stream: ``at`` returns the object itself and the
     draws go straight to the generator.
     """
@@ -100,32 +101,22 @@ class BlockStreams:
         n = edges[-1]
         if size != n and size != (n,):
             raise ValueError(f"a draw for {n} columns must have size {n}, not {size}")
-        # numpy draws these laws as shift + scale * its standard variate in C doubles, so
-        # each block fills its share in place and one map gives the same bits
-        fill, scale, shift = method, 1.0, 0.0
-        if method == "uniform":
-            fill, params, scale, shift = "random", (), params[1] - params[0], params[0]
-        elif method in ("exponential", "gamma"):
-            fill, params, scale = "standard_" + method, params[:-1], params[-1]
         out = np.empty(n)
         for gen, lo, hi in zip(self.gens, edges, edges[1:]):
-            if hi > lo and fill == "weibull":
+            if hi > lo and method == "weibull":  # numpy's weibull has no out
                 out[lo:hi] = gen.weibull(*params, size=hi - lo)
             elif hi > lo:
-                getattr(gen, fill)(*params, out=out[lo:hi])
-        return out if (scale, shift) == (1.0, 0.0) else shift + scale * out
+                getattr(gen, method)(*params, out=out[lo:hi])
+        return out
 
     def random(self, size=None):
         return self._draw("random", size)
 
-    def exponential(self, scale=1.0, size=None):
-        return self._draw("exponential", size, scale)
+    def standard_exponential(self, size=None):
+        return self._draw("standard_exponential", size)
 
-    def gamma(self, shape, scale=1.0, size=None):
-        return self._draw("gamma", size, shape, scale)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._draw("uniform", size, low, high)
+    def standard_gamma(self, shape, size=None):
+        return self._draw("standard_gamma", size, shape)
 
     def weibull(self, a, size=None):
         return self._draw("weibull", size, a)
@@ -181,7 +172,7 @@ def _overlap(F: DistributionSpec, delta: np.ndarray, rng: BlockStreams) -> np.nd
         return lo + np.maximum(delta, 0.0) + (hi - lo - np.abs(delta)) * rng.random(delta.size)
     # both land at max(x, x~) + shift + Exp(rate)
     shift, rate = F.support()[0], F.params[-1]
-    return shift + np.maximum(delta, 0.0) + rng.exponential(1.0 / rate, delta.size)
+    return shift + np.maximum(delta, 0.0) + (1.0 / rate) * rng.standard_exponential(delta.size)
 
 
 def _residual(F: DistributionSpec, delta: np.ndarray, rng: BlockStreams) -> np.ndarray:
@@ -363,7 +354,7 @@ def simulate_coupled(
         x, th, ag, xt, tht, agt, t, hor, tvf = (S[i, :k] for i in _LAYOUT[level])
         run = pair[:k]
         s = profile.inverse(np.maximum(ag, agt) if level == 0 else ag,
-                            rng.exponential(size=k))
+                            rng.standard_exponential(k))
         tev = t + s
         if watch:
             # indices, not a mask: few columns pass tv_from in one step

@@ -265,19 +265,22 @@ class DistributionSpec:
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """One variate as a float, or with ``size`` an array of that many
-        variates: the same draws as ``size`` successive scalar calls."""
+        variates: the same draws as ``size`` successive scalar calls.  The
+        one map of each law from numpy's standard variates (``rng`` needs
+        ``random``, ``standard_exponential``, ``standard_gamma`` and
+        ``weibull``), as numpy's own law methods apply it in C doubles."""
         f, p = self.family, self.params
-        if f is Family.EXPONENTIAL:
-            return rng.exponential(1.0 / p[0], size)
-        if f is Family.GAMMA:
-            return rng.gamma(p[0], p[1], size)
         if f is Family.UNIFORM:
-            return rng.uniform(p[0], p[1], size)
+            return p[0] + (p[1] - p[0]) * rng.random(size)
+        if f is Family.GAMMA:
+            return p[1] * rng.standard_gamma(p[0], size)
         if f is Family.WEIBULL:
             return p[1] * rng.weibull(p[0], size)
         if f is Family.DIRAC:
             return p[0] if size is None else np.full(size, p[0])
-        return p[0] + rng.exponential(1.0 / p[1], size)
+        # (shifted) exponential: times 1/rate, as numpy scales; / rate can differ in the last bit
+        wait = (1.0 / p[-1]) * rng.standard_exponential(size)
+        return wait if f is Family.EXPONENTIAL else p[0] + wait
 
     def density(self, x):
         f, p = self.family, self.params

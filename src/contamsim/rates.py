@@ -105,37 +105,6 @@ class RenewalKernel:
         return float(integrate(integrand, lo, hi)[0])
 
 
-def _doubling_probe(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
-    """The first hi of 1, 2, 4, ... with below(hi) false, and lo = hi/2 (0
-    when hi = 1); None when below holds up to W_CAP."""
-    hi = 1.0
-    while below(hi):
-        hi *= 2.0
-        if hi > W_CAP:
-            return None
-    return (hi / 2.0 if hi > 1.0 else 0.0), hi
-
-
-def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
-    """A bracket (lo, hi) of width at most W_TOL around the edge of
-    {s >= 0 : below(s)}, assumed an interval from 0, with below(lo) true
-    (or lo = 0) and below(hi) false; None when below holds up to W_CAP.
-
-    The edge is probed at 1, 2, 4, ... and then bisected.
-    """
-    bracket = _doubling_probe(below)
-    if bracket is None:
-        return None
-    lo, hi = bracket
-    while hi - lo > W_TOL:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def _weight(f_new: float, f_old: float) -> float:
     """Anderson and Bjorck's factor on the value at the kept end of a
     regula falsi bracket when the other end moves twice in a row:
@@ -144,22 +113,76 @@ def _weight(f_new: float, f_old: float) -> float:
     return m if m > 0.0 else 0.5
 
 
-def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
-    """Laplace root w = sup{u : psi_J(u) < 1}: the midpoint of the bracket
-    of width at most W_TOL that ``_bracket_edge`` bisects to, bit for bit.
+def _edge_cell(f: Callable[[float], float], f_zero: float,
+               sup: float = math.inf) -> Optional[tuple[float, float]]:
+    """The dyadic cell [lo, hi] of width at most W_TOL that bisection ends
+    on around the edge of {u >= 0 : f(u) < 0}, with f non-decreasing and
+    f(0) = ``f_zero`` < 0; None when f stays negative up to W_CAP.  f may
+    be +inf past the edge, from ``sup`` on.
 
-    The doubling probe gives a first bracket of a power-of-two width, so
-    bisecting it would end on a cell [j d, (j + 1) d] of one dyadic width
-    d <= W_TOL.  Regula falsi finds that cell in a third of the psi_J
-    calls or fewer.  It runs on log psi_J, which is convex and, near a pole of
-    psi_J, far flatter than psi_J - 1, and weights the kept end as
-    Anderson and Bjorck do (BIT 13, 1973), an Illinois-type method.
-    While psi_J is infinite at the upper end it tries the cell edges
-    around domain_sup, where psi_J turns infinite and the root may sit,
-    or else halves the bracket.  Each step stays d/2 inside the bracket.
-    It stops once the bracket lies in one cell, or spans two, which one
-    call at their shared edge settles.  psi_J is increasing, so the cell
-    is the one bisection ends on.
+    The edge is probed at 1, 2, 4, ..., which gives a first bracket of a
+    power-of-two width, so bisecting it would end on a cell [j d, (j + 1) d]
+    of one dyadic width d <= W_TOL.  Regula falsi on f finds that cell,
+    weighting the kept end as Anderson and Bjorck do (BIT 13, 1973), an
+    Illinois-type method.  While f is infinite at the upper end it tries
+    the cell edges around ``sup``, where the edge may sit, or else halves
+    the bracket: a value that is +inf wherever it is not negative makes
+    the search a bisection.  Each step stays d/2 inside the bracket.  It
+    stops once the bracket lies in one cell, or spans two, which one call
+    at their shared edge settles.
+    """
+    values = {0.0: f_zero}  # at the points met
+
+    def below(u: float) -> bool:
+        values[u] = f(u)
+        return values[u] < 0.0
+
+    hi = 1.0
+    while below(hi):
+        hi *= 2.0
+        if hi > W_CAP:
+            return None
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    f_lo, f_hi = values[lo], values[hi]
+    cell = hi - lo
+    while cell > W_TOL:
+        cell *= 0.5
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
+    while True:
+        first, last = math.floor(lo / cell), math.ceil(hi / cell)
+        if last - first <= 2:
+            break
+        if math.isinf(f_hi) and lo < sup <= hi:
+            # f is infinite from sup on, and the edge may lie right below
+            # it: try the cell edges on either side of it
+            edge = math.ceil(sup / cell) * cell
+            u = edge if edge < hi else edge - cell
+        elif math.isinf(f_lo) or math.isinf(f_hi):
+            u = 0.5 * (lo + hi)
+        else:
+            u = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            u = min(max(u, lo + 0.5 * cell), hi - 0.5 * cell)
+        if below(u):
+            if kept == 1:
+                f_hi *= _weight(values[u], f_lo)
+            lo, f_lo, kept = u, values[u], 1
+        else:
+            if kept == -1:
+                f_lo *= _weight(values[u], f_hi)
+            hi, f_hi, kept = u, values[u], -1
+    if last - first == 2 and below((first + 1) * cell):
+        first += 1
+    return first * cell, (first + 1) * cell
+
+
+def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
+    """Laplace root w = sup{u : psi_J(u) < 1}: the midpoint of the dyadic
+    cell :func:`_edge_cell` finds on log psi_J, the cell bisection ends on.
+
+    log psi_J is convex and, near a pole of psi_J, far flatter than
+    psi_J - 1, so regula falsi on it finds the cell in a third of the
+    psi_J calls of bisection or fewer; psi_J turns infinite at domain_sup,
+    where the root may sit.
 
     Returns +inf when psi_J stays below 1 all the way up to W_CAP
     (the decay is then faster than any probed exponential rate).
@@ -174,48 +197,8 @@ def find_w(kernel: RenewalKernel, mass: Optional[float] = None) -> float:
     def log(x: float) -> float:
         return math.log(x) if x > 0.0 else -math.inf
 
-    log_psi = {0.0: log(q)}  # at the points met
-
-    def below(u: float) -> bool:
-        psi = kernel.psi(u)
-        log_psi[u] = log(psi)
-        return psi < 1.0
-
-    bracket = _doubling_probe(below)
-    if bracket is None:
-        return math.inf
-    lo, hi = bracket
-    f_lo, f_hi = log_psi[lo], log_psi[hi]
-    sup = kernel.domain_sup()
-    cell = hi - lo
-    while cell > W_TOL:
-        cell *= 0.5
-    kept = 0  # the end the last step kept: -1 lo, +1 hi
-    while True:
-        first, last = math.floor(lo / cell), math.ceil(hi / cell)
-        if last - first <= 2:
-            break
-        if math.isinf(f_hi) and lo < sup <= hi:
-            # psi_J is infinite from domain_sup on, and the root may lie
-            # right below it: try the cell edges on either side of it
-            edge = math.ceil(sup / cell) * cell
-            u = edge if edge < hi else edge - cell
-        elif math.isinf(f_lo) or math.isinf(f_hi):
-            u = 0.5 * (lo + hi)
-        else:
-            u = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            u = min(max(u, lo + 0.5 * cell), hi - 0.5 * cell)
-        if below(u):
-            if kept == 1:
-                f_hi *= _weight(log_psi[u], f_lo)
-            lo, f_lo, kept = u, log_psi[u], 1
-        else:
-            if kept == -1:
-                f_lo *= _weight(log_psi[u], f_hi)
-            hi, f_hi, kept = u, log_psi[u], -1
-    if last - first == 2 and below((first + 1) * cell):
-        first += 1
-    return (first + 0.5) * cell
+    cell = _edge_cell(lambda u: log(kernel.psi(u)), log(q), kernel.domain_sup())
+    return math.inf if cell is None else 0.5 * (cell[0] + cell[1])
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +370,13 @@ class AgeBound:
         return s * (c - eps) + _log_geometric_pgf(self.p2, 2.0 * eps * s + log_blocks)
 
     def abscissa(self) -> float:
-        """s_max = sup{s : M(s) < inf}, bisected to a width of W_TOL from
-        below, so M is finite there; W_CAP when M stays finite up to W_CAP."""
-        bracket = _bracket_edge(lambda s: self._log_mgf(s) < math.inf)
-        return W_CAP if bracket is None else bracket[0]
+        """s_max = sup{s : M(s) < inf}: the lower end of the dyadic cell of
+        width at most W_TOL that bisection ends on, so M is finite there;
+        W_CAP when M stays finite up to W_CAP.  :func:`_edge_cell` searches
+        a value that is -1 where M is finite and +inf past the pole, so it
+        bisects."""
+        cell = _edge_cell(lambda s: -1.0 if self._log_mgf(s) < math.inf else math.inf, -1.0)
+        return W_CAP if cell is None else cell[0]
 
 
 def age_bound(

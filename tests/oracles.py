@@ -3,10 +3,10 @@ independent of the package's own numerics: scipy's QUADPACK quadrature,
 for which ``eta_quad`` evaluates its densities with ``math`` alone, the
 renewal solve the phase-2 constant C2' = 1 of the bound replaces (an
 FFT power-series solve, checked against the point-by-point solve of the
-discretized renewal equation), the Laplace root by plain bisection, a
-sampler of the age-coalescence bound variable with an empirical
-stochastic-dominance check, and the two total-variation bounds of the
-memoryless case."""
+discretized renewal equation), the Laplace root and the age-tail
+abscissa by plain bisection, a sampler of the age-coalescence bound
+variable with an empirical stochastic-dominance check, and the two
+total-variation bounds of the memoryless case."""
 
 import math
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ from scipy import integrate
 from contamsim.distributions import DistributionSpec
 from contamsim.errors import AssumptionError
 from contamsim.estimators import _Z95
-from contamsim.rates import AgeBound, HolderData, RenewalKernel, _bracket_edge
+from contamsim.rates import W_CAP, W_TOL, AgeBound, HolderData, RenewalKernel
 
 RENEWAL_TOL = 1e-6  # relative error target of the renewal constant C
 
@@ -248,12 +248,45 @@ def forward_substitution(kernel, w_shift: float, grid_step: float, horizon: floa
     return Zp
 
 
+def _bracket_edge(below: Callable[[float], bool]) -> Optional[tuple[float, float]]:
+    """A bracket (lo, hi) of width at most W_TOL around the edge of
+    {s >= 0 : below(s)}, assumed an interval from 0, with below(lo) true
+    (or lo = 0) and below(hi) false; None when below holds up to W_CAP.
+
+    The edge is probed at 1, 2, 4, ... and then bisected: the package's
+    regula falsi cell search must end on this bracket, bit for bit.
+    """
+    hi = 1.0
+    while below(hi):
+        hi *= 2.0
+        if hi > W_CAP:
+            return None
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    while hi - lo > W_TOL:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def bisected_w(kernel) -> float:
     """The Laplace root sup{u : psi_J(u) < 1} by bisection alone: the
-    midpoint of the bracket ``_bracket_edge`` closes to W_TOL, +inf when
-    psi_J stays below 1 up to W_CAP."""
+    midpoint of the bracket ``_bracket_edge`` closes to W_TOL, +inf
+    when psi_J stays below 1 up to W_CAP.  ``find_w`` must return it bit
+    for bit."""
     bracket = _bracket_edge(lambda u: kernel.psi(u) < 1.0)
     return math.inf if bracket is None else 0.5 * (bracket[0] + bracket[1])
+
+
+def bisected_abscissa(bound: AgeBound) -> float:
+    """The abscissa sup{s : M(s) < inf} of an age bound by bisection alone:
+    the lower end of the bracket ``_bracket_edge`` closes to W_TOL, W_CAP
+    when M stays finite up to W_CAP.  ``AgeBound.abscissa`` must return it
+    bit for bit."""
+    bracket = _bracket_edge(lambda s: bound._log_mgf(s) < math.inf)
+    return W_CAP if bracket is None else bracket[0]
 
 
 def age_bound_sample(bound: AgeBound, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -880,9 +880,9 @@ def test_coupled_rows_peak_bytes_per_column():
     assert peak / n_columns < 210.0, peak / n_columns
 
 
-_DRAWS = [  # (method, parameters) of every draw the kernel makes
-    ("random", ()), ("exponential", (2.0,)), ("gamma", (0.7, 1.5)),
-    ("uniform", (1.0, 3.0)), ("weibull", (1.5,)),
+_DRAWS = [  # (method, parameters) of every standard variate the kernel draws
+    ("random", ()), ("standard_exponential", ()), ("standard_gamma", (0.7,)),
+    ("weibull", (1.5,)),
 ]
 
 
@@ -915,8 +915,8 @@ def test_one_stream_is_the_generator_itself():
     streams = BlockStreams.of(rng)
     assert BlockStreams.of(streams) is streams
     assert streams.at(np.array([0, 2])) is streams
-    want = np.random.default_rng(3).exponential(2.0, 4)
-    assert np.array_equal(streams.exponential(2.0, 4), want)
+    want = np.random.default_rng(3).standard_exponential(4)
+    assert np.array_equal(streams.standard_exponential(4), want)
     # one generator is one stream, whatever the edges
     assert BlockStreams([rng], [0, 3]).edges is None
 
@@ -954,10 +954,23 @@ def test_block_draws_filled_in_place_equal_numpys_methods(law):
     assert streams.gens[1].bit_generator.state == np.random.default_rng(42).bit_generator.state
 
 
+@pytest.mark.parametrize("F", [DistributionSpec.exponential(1.7),
+                               DistributionSpec.shifted_exponential(0.2, 3.0)])
+def test_overlap_draw_has_the_bits_of_numpys_exponential(F):
+    # a merging pair of the (shifted) exponential intakes lands at
+    # shift + max(delta, 0) + Exp(rate), drawn as numpy's own method draws it
+    delta = np.linspace(-2.0, 2.0, 1001)
+    shift, rate = F.support()[0], F.params[-1]
+    got = coupling._overlap(F, delta, BlockStreams.of(np.random.default_rng(19)))
+    wait = np.random.default_rng(19).exponential(1.0 / rate, delta.size)
+    assert np.array_equal(got, shift + np.maximum(delta, 0.0) + wait)
+
+
 _LAWS = {
     "gamma": DistributionSpec.gamma(2.0, 0.5),  # rejection coupling
     "uniform": DistributionSpec.uniform(0.0, 1.0),  # overlap and residuals of the box
     "shifted_exponential": DistributionSpec.shifted_exponential(0.1, 2.0),  # closed form too
+    "weibull": DistributionSpec.weibull(1.5, 0.5),  # rejection, drawn by slices with no out=
 }
 _STARTS = {
     "": ((1.0, 1.0, 0.0), (3.0, 0.8, 0.7)),  # unequal ages: lone jumps

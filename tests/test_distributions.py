@@ -333,6 +333,33 @@ def test_batch_and_scalar_sampling_share_one_stream():
 
 
 
+# numpy's own law methods on a plain generator: the draws each map of
+# DistributionSpec.sample must give bit for bit, batch and scalar
+_NUMPY_LAWS = {
+    "uniform": (DistributionSpec.uniform(0.3, 2.7), lambda rng, n: rng.uniform(0.3, 2.7, n)),
+    "exponential": (DistributionSpec.exponential(1.7),
+                    lambda rng, n: rng.exponential(1.0 / 1.7, n)),
+    "gamma": (DistributionSpec.gamma(2.5, 0.3), lambda rng, n: rng.gamma(2.5, 0.3, n)),
+    "weibull": (DistributionSpec.weibull(1.5, 0.7), lambda rng, n: 0.7 * rng.weibull(1.5, n)),
+    "dirac": (DistributionSpec.dirac(1.3), lambda rng, n: 1.3 if n is None else np.full(n, 1.3)),
+    "shifted_exponential": (DistributionSpec.shifted_exponential(0.2, 3.0),
+                            lambda rng, n: 0.2 + rng.exponential(1.0 / 3.0, n)),
+}
+
+
+@pytest.mark.parametrize("law", list(_NUMPY_LAWS))
+def test_sampling_has_the_bits_of_numpys_law_methods(law):
+    spec, method = _NUMPY_LAWS[law]
+    rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+    for size, calls in ((1000, 1), (None, 200), (7, 1)):  # each goes on where the last stopped
+        got = [spec.sample(rng, size) for _ in range(calls)]
+        want = [method(reference, size) for _ in range(calls)]
+        assert [type(x) for x in got] == [float if size is None else np.ndarray] * calls
+        assert [type(x) for x in want] == [type(x) for x in got]
+        assert np.array_equal(got, want)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_gamma_hazard_far_in_the_tail():
     # the survival of gamma(3, 1) underflows past age ~745; the cumulative
     # hazard, its inverse and the rate work in log space instead

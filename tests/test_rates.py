@@ -27,6 +27,7 @@ from contamsim.rates import (
 from oracles import (
     RENEWAL_TOL,
     age_bound_sample,
+    bisected_abscissa,
     bisected_w,
     eta_quad,
     exp_case_bounds,
@@ -555,6 +556,28 @@ def test_mgf_abscissa(tail_case):
     assert math.isfinite(bound.mgf(s_max - W_TOL)) and math.isfinite(bound.mgf(s_max))
     assert bound.mgf(s_max + W_TOL) == math.inf
     assert bound.mgf(2.0 * W_CAP) == math.inf
+
+
+_ABSCISSA_CASES = {
+    **{name: lambda G=G, params=params: age_bound(hazard_profile(G), params)
+       for name, (G, params) in _TAIL_CASES.items()},
+    # below W_TOL: the abscissa is 0
+    "zero": lambda: age_bound(hazard_profile(DistributionSpec.shifted_exponential(4.48, 4.96))),
+    # no pole of phi_p1: exp(2 eps s) overflows first
+    "no-block-pole": lambda: age_bound(hazard_profile(DistributionSpec.uniform(0.0, 1000.0)),
+                                       (990.0, 1.0, 995.0)),
+    # M finite up to W_CAP: the search ends capped there
+    "capped": lambda: AgeBound(hazard_profile(DistributionSpec.shifted_exponential(0.1, 100.0)),
+                               "ii", 0.2, 0.5, 1.0, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_ABSCISSA_CASES))
+def test_abscissa_has_the_bits_of_bisection(case):
+    # the cell search bisects a value that is -1 or +inf, and ends on the
+    # lower end of the bracket plain bisection closes to
+    bound = _ABSCISSA_CASES[case]()
+    assert bound.abscissa() == bisected_abscissa(bound)
 
 
 def test_age_rate_too_small_to_split_phases():
